@@ -19,7 +19,7 @@ Data movement is counted in the traffic counters with the true direction
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,7 +30,32 @@ from . import ops as _ops
 from .comm import Intracomm
 from .errors import MPIError, RankError
 
-__all__ = ["Win"]
+__all__ = ["Win", "apply_rma"]
+
+
+def apply_rma(kind: str, entry, offset: int, data: np.ndarray,
+              op: _ops.Op = None) -> None:
+    """Apply one one-sided op to a window buffer in this address space.
+
+    *entry* is the target's ``(buffer, lock)``; *kind* is ``"Put"``,
+    ``"Get"`` or ``"Accumulate"``.  Put and Accumulate read *data*, Get
+    fills it.  Both transports apply through here -- locally for a
+    thread-transport origin, in the target's RMA service for a remote
+    one -- so bounds errors read the same everywhere.
+    """
+    buf, lock = entry
+    flat = buf.reshape(-1)
+    vals = data.reshape(-1)
+    sl = slice(offset, offset + vals.size)
+    if sl.stop > flat.size:
+        raise MPIError(f"{kind} overruns the target window")
+    with lock:
+        if kind == "Put":
+            flat[sl] = vals.astype(buf.dtype, copy=False)
+        elif kind == "Get":
+            vals[...] = flat[sl].astype(vals.dtype, copy=False)
+        else:
+            flat[sl] = op.np_func(flat[sl], vals)
 
 
 class Win:
@@ -42,13 +67,8 @@ class Win:
         self.comm = comm
         self._id = win_id
         self._epoch = False
-        world = comm.context.world
         with Win._registry_guard:
-            registry = getattr(world, "_rma_windows", None)
-            if registry is None:
-                registry = {}
-                world._rma_windows = registry
-            table = registry.setdefault(win_id, {})
+            table = comm.context.world.rma_windows.setdefault(win_id, {})
         table[comm.context.rank] = (buffer, threading.RLock())
         self._table: Dict[int, Tuple[np.ndarray, threading.Lock]] = table
         comm.barrier()  # Create is collective: all buffers registered
@@ -108,10 +128,10 @@ class Win:
     def _is_remote(self, rank: int) -> bool:
         """Does *rank*'s window buffer live in another process?
 
-        Thread backend: never (all buffers share the table).  Process
-        backend: any rank but our own -- those ops ship over the mesh to
-        the target's RMA service (:meth:`ProcessWorld._rma_apply_put`
-        and friends), which applies them under the target-side lock.
+        Thread transport: never (all buffers share the table).  Process
+        transport: any rank but our own -- those ops ship over the mesh
+        to the target's RMA service, which applies them with the same
+        :func:`apply_rma` under the target-side lock.
         """
         if not 0 <= rank < self.comm.size:
             raise RankError(f"rank {rank} out of range")
@@ -123,106 +143,53 @@ class Win:
             raise MPIError("one-sided operation outside an access epoch; "
                            "call Fence() or Lock() first")
 
+    def _access(self, kind: str, target_rank: int, offset: int,
+                data: np.ndarray, op: _ops.Op = None) -> None:
+        """One Put/Get/Accumulate on *target_rank*, counted and traced."""
+        self._check_epoch()
+        ctx = self.comm.context
+        if _CH.enabled:
+            _CH.on_op("rma", ctx.rank, peer=self.comm.world_rank(target_rank))
+        t0 = _TR.now() if _TR.enabled else 0.0
+        remote = self._is_remote(target_rank)
+        target = self.comm.world_rank(target_rank)
+        if remote:
+            ctx.world.rma_remote(kind, self._id, target, offset, data, op)
+        else:
+            apply_rma(kind, self._target_entry(target_rank), offset, data,
+                      op)
+        if kind == "Get":
+            # data flowed target -> origin; a remote target's service
+            # counted its own send
+            if not remote:
+                ctx.world.counters[target].record_send(ctx.rank, data.nbytes)
+            self.comm.counters().record_recv(target, data.nbytes)
+        else:
+            self.comm.counters().record_send(target, data.nbytes)
+        if _TR.enabled:
+            _TR.complete("mpi.rma", kind, t0, rank=ctx.rank, target=target,
+                         nbytes=data.nbytes)
+        if _MX.enabled:
+            _MX.inc("mpi.rma.bytes", data.nbytes, op=kind)
+
     def Put(self, origin: np.ndarray, target_rank: int,
             target_offset: int = 0) -> None:
         """Write *origin* into the target window at element offset."""
-        self._check_epoch()
-        if _CH.enabled:
-            _CH.on_op("rma", self.comm.context.rank,
-                      peer=self.comm.world_rank(target_rank))
-        t0 = _TR.now() if _TR.enabled else 0.0
-        data = np.ascontiguousarray(origin)
-        if self._is_remote(target_rank):
-            self.comm.context.world.rma_put(
-                self._id, self.comm.world_rank(target_rank),
-                target_offset, data)
-        else:
-            buf, lock = self._target_entry(target_rank)
-            flat = buf.reshape(-1)
-            n = data.size
-            if target_offset + n > flat.size:
-                raise MPIError("Put overruns the target window")
-            with lock:
-                flat[target_offset:target_offset + n] = \
-                    data.reshape(-1).astype(buf.dtype, copy=False)
-        self.comm.counters().record_send(
-            self.comm.world_rank(target_rank), data.nbytes)
-        if _TR.enabled:
-            _TR.complete("mpi.rma", "Put", t0, rank=self.comm.context.rank,
-                         target=self.comm.world_rank(target_rank),
-                         nbytes=data.nbytes)
-        if _MX.enabled:
-            _MX.inc("mpi.rma.bytes", data.nbytes, op="Put")
+        self._access("Put", target_rank, target_offset,
+                     np.ascontiguousarray(origin))
 
     def Get(self, origin: np.ndarray, target_rank: int,
             target_offset: int = 0) -> None:
         """Read from the target window into *origin*."""
-        self._check_epoch()
-        if _CH.enabled:
-            _CH.on_op("rma", self.comm.context.rank,
-                      peer=self.comm.world_rank(target_rank))
-        t0 = _TR.now() if _TR.enabled else 0.0
-        world = self.comm.context.world
-        target_world = self.comm.world_rank(target_rank)
-        out = origin.reshape(-1)
-        if self._is_remote(target_rank):
-            got = world.rma_get(self._id, target_world, target_offset,
-                                out.size, origin.dtype)
-            out[...] = got
-            # the target-side service recorded its send; count only the
-            # receive here
-        else:
-            buf, lock = self._target_entry(target_rank)
-            flat = buf.reshape(-1)
-            n = out.size
-            if target_offset + n > flat.size:
-                raise MPIError("Get overruns the target window")
-            with lock:
-                out[...] = flat[target_offset:target_offset + n].astype(
-                    origin.dtype, copy=False)
-            # data flowed target -> origin
-            world.counters[target_world].record_send(
-                self.comm.context.rank, out.nbytes)
-        self.comm.counters().record_recv(target_world, out.nbytes)
-        if _TR.enabled:
-            _TR.complete("mpi.rma", "Get", t0, rank=self.comm.context.rank,
-                         target=target_world, nbytes=out.nbytes)
-        if _MX.enabled:
-            _MX.inc("mpi.rma.bytes", out.nbytes, op="Get")
+        self._access("Get", target_rank, target_offset, origin.reshape(-1))
 
     def Accumulate(self, origin: np.ndarray, target_rank: int,
                    target_offset: int = 0,
                    op: _ops.Op = _ops.SUM) -> None:
         """Combine *origin* into the target window with *op* (atomically
         with respect to other accumulates on the same target)."""
-        self._check_epoch()
-        if _CH.enabled:
-            _CH.on_op("rma", self.comm.context.rank,
-                      peer=self.comm.world_rank(target_rank))
-        t0 = _TR.now() if _TR.enabled else 0.0
-        data = np.ascontiguousarray(origin)
-        if self._is_remote(target_rank):
-            self.comm.context.world.rma_acc(
-                self._id, self.comm.world_rank(target_rank),
-                target_offset, data, op)
-        else:
-            buf, lock = self._target_entry(target_rank)
-            flat = buf.reshape(-1)
-            n = data.size
-            if target_offset + n > flat.size:
-                raise MPIError("Accumulate overruns the target window")
-            with lock:
-                sl = slice(target_offset, target_offset + n)
-                flat[sl] = op.np_func(flat[sl], data.reshape(-1))
-        self.comm.counters().record_send(
-            self.comm.world_rank(target_rank), data.nbytes)
-        if _TR.enabled:
-            _TR.complete("mpi.rma", "Accumulate", t0,
-                         rank=self.comm.context.rank,
-                         target=self.comm.world_rank(target_rank),
-                         nbytes=data.nbytes)
-        if _MX.enabled:
-            _MX.inc("mpi.rma.bytes", data.nbytes, op="Accumulate")
+        self._access("Accumulate", target_rank, target_offset,
+                     np.ascontiguousarray(origin), op)
 
     def Free(self) -> None:
         """Collective teardown."""

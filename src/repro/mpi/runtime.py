@@ -1,7 +1,8 @@
 """SPMD thread runtime: the machine under the MPI-like interface.
 
 The paper's substrate is real MPI on a cluster.  Offline we execute the same
-single-program-multiple-data model with one OS thread per rank.  Each rank
+single-program-multiple-data model with one OS thread per rank (or one
+forked process per rank: :mod:`repro.mpi.transport`).  Each rank
 owns a mailbox; sends are eager and buffered (payloads are copied/pickled at
 send time), so the memory-isolation semantics of distributed ranks are
 preserved even though the ranks share an address space.  Blocking operations
@@ -221,7 +222,15 @@ class World:
     One :class:`World` backs one SPMD run (or one ODIN worker pool).  Rank
     numbering inside the world is the "world rank"; communicators map their
     own ranks onto these.
+
+    Every runtime algorithm lives here once; a transport overrides only
+    the seam methods (see :mod:`repro.mpi.transport`).  This class is
+    the thread transport, whose seam is trivial.
     """
+
+    #: Whether every rank runs in the caller's interpreter (and so sees
+    #: its module state: the chaos engine, the ``@odin.local`` registry).
+    shares_memory = True
 
     def __init__(self, nranks: int, timeout: Optional[float] = None,
                  deadline: Optional[float] = None):
@@ -258,13 +267,48 @@ class World:
         # rendezvous here because mailbox traffic with a dead member hangs
         self._agree_cond = threading.Condition()
         self._agree_slots: dict = {}
-        # rank -> executing thread (the lease).  Only recovery-enabled
-        # runtimes register: in plain run_spmd a silently-dead thread
-        # keeps surfacing as DeadlockError, exactly as before.
-        self._rank_threads: dict = {}
+        # rank -> lease (anything with is_alive(): a thread or a process).
+        # Only ODIN registers: in plain run_spmd a silently-dead rank
+        # keeps surfacing as DeadlockError.
+        self._leases: dict = {}
+        # RMA windows exposed in this address space:
+        # win_id -> {world rank: (buffer, lock)}
+        self.rma_windows: dict = {}
+
+    # -- transport seam (overridden by ProcessWorld) ------------------------
+    def _post(self, dest: int, msg: Message, jump: int) -> None:
+        """Put one stamped message on the wire to *dest*."""
+        self.mailboxes[dest].deposit(msg, jump)
+
+    def _publish(self, msgtype: str, body) -> None:
+        """Tell every peer about a state change applied here: one of
+        ``"failstop"``, ``"abort"``, ``"revoke"``, ``"agree"``,
+        ``"decided"``.  Peers apply it with the matching ``_apply_*``
+        method and never re-publish, so propagation terminates.  Threads
+        share this object, so there is nobody to tell."""
+
+    def is_remote_rank(self, rank: int) -> bool:
+        """Whether *rank*'s state lives in another process."""
+        return False
+
+    def fetch_counters(self, rank: int):
+        """Snapshot of *rank*'s traffic counters."""
+        return self.counters[rank].snapshot()
+
+    def reset_all_counters(self) -> None:
+        for c in self.counters:
+            c.reset()
+
+    def close(self) -> None:
+        """Release transport resources (nothing to release here)."""
 
     # -- failure propagation ------------------------------------------------
     def abort(self, origin_rank: int, cause: BaseException) -> None:
+        if not self.aborted:
+            self._publish("abort", (origin_rank, cause))
+        self._apply_abort(origin_rank, cause)
+
+    def _apply_abort(self, origin_rank: int, cause: BaseException) -> None:
         first = False
         with self._abort_lock:
             if self._abort is None:
@@ -298,6 +342,14 @@ class World:
         ranks observe typed :class:`RankFailure` errors on operations
         involving the dead rank and may revoke/shrink and continue.
         """
+        if not self.is_failed(rank):
+            # a rank dying politely tells its peers the true cause before
+            # a transport-level loss would tell them a generic one
+            self._publish("failstop", (rank, cause))
+        self._apply_failed(rank, cause)
+
+    def _apply_failed(self, rank: int,
+                      cause: Optional[BaseException]) -> None:
         first = False
         with self._fail_lock:
             if rank not in self._failed:
@@ -324,16 +376,17 @@ class World:
         return self.has_failures and self.failure_cause(rank) is not _NOT_FAILED
 
     # -- rank leases --------------------------------------------------------
-    def register_rank_thread(self, rank: int, thread) -> None:
-        """Register *thread* as the lease for *rank*: if the thread dies
+    def register_lease(self, rank: int, handle) -> None:
+        """Register *handle* (anything with ``is_alive()``: the thread or
+        the process running *rank*) as the rank's lease: if it dies
         without reporting (any death mode, not just an injected fault),
         blocked peers detect the rank as failed on their next wake."""
-        self._rank_threads[rank] = thread
+        self._leases[rank] = handle
 
     def check_leases(self) -> None:
-        """Expire the lease of any registered rank whose thread is dead
+        """Expire the lease of any registered rank whose handle is dead
         but was never marked failed (e.g. it was killed by an uncaught
-        error before it could report).
+        error or a signal before it could report).
 
         Records the failure without :meth:`_wake_all`: callers poll from
         inside their own mailbox/agreement condition, and notifying every
@@ -341,14 +394,17 @@ class World:
         Other blocked ranks run this same check on their next 0.25 s
         wake, which preserves the detection latency bound.
         """
-        if not self._rank_threads:
+        if not self._leases:
             return
-        for rank, thread in list(self._rank_threads.items()):
-            if not thread.is_alive() and not self.is_failed(rank):
+        for rank, handle in list(self._leases.items()):
+            if not handle.is_alive() and not self.is_failed(rank):
+                code = getattr(handle, "exitcode", None)
                 with self._fail_lock:
                     if rank not in self._failed:
                         self._failed[rank] = RuntimeError(
-                            f"rank {rank}'s thread died without reporting")
+                            f"rank {rank} died without reporting"
+                            + ("" if code is None
+                               else f" (exit code {code})"))
                         self.has_failures = True
 
     # -- communicator revocation --------------------------------------------
@@ -356,6 +412,11 @@ class World:
         """Poison one communicator's context: every blocked or future op
         on it raises :class:`CommRevokedError`.  Derived communicators
         have distinct base ids and are untouched (ULFM semantics)."""
+        if not self.is_revoked(base_ctx_id):
+            self._publish("revoke", base_ctx_id)
+        self._apply_revoke(base_ctx_id)
+
+    def _apply_revoke(self, base_ctx_id) -> None:
         with self._fail_lock:
             self._revoked.add(base_ctx_id)
         self._wake_all()
@@ -430,8 +491,17 @@ class World:
         guarded by one condition variable.  Survivors return the same
         result because a failed rank never contributes after being marked
         failed, and the slot is immutable once complete.
+
+        Across processes every contribution is also published, each
+        process runs the same deterministic combine over the same sorted
+        contribution set, and the first to decide publishes the decision
+        so racy observers adopt it.  (With a rank SIGKILLed halfway
+        through publishing its contribution, two survivors could in
+        principle see different contribution sets; the published decision
+        shrinks that window but cannot close it -- docs/INTERNALS.md §11.)
         """
         participants = list(participants)
+        self._publish("agree", (key, rank, value))
         with self._agree_cond:
             slot = self._agree_slots.setdefault(key, {})
             if not isinstance(slot, dict):      # already decided
@@ -454,10 +524,12 @@ class World:
                     # computes the result once (under the lock), so every
                     # participant returns the identical value even if
                     # further failures land mid-agreement
-                    result = combine([slot[r] for r in sorted(slot)])
+                    pset = set(participants)
+                    result = combine([slot[r] for r in sorted(slot)
+                                      if r in pset])
                     self._agree_slots[key] = ("decided", result)
                     self._agree_cond.notify_all()
-                    return result
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     flight = _FL.notify_fault(
@@ -469,11 +541,27 @@ class World:
                         + (f"\nflight recorder dump: {flight}"
                            if flight else ""))
                 self._agree_cond.wait(timeout=min(remaining, 0.25))
+        self._publish("decided", (key, result))
+        return result
+
+    def _apply_agree(self, key, rank: int, value) -> None:
+        with self._agree_cond:
+            slot = self._agree_slots.setdefault(key, {})
+            if isinstance(slot, dict):
+                slot[rank] = value
+                self._agree_cond.notify_all()
+
+    def _apply_decided(self, key, result) -> None:
+        with self._agree_cond:
+            slot = self._agree_slots.get(key)
+            if slot is None or isinstance(slot, dict):
+                self._agree_slots[key] = ("decided", result)
+                self._agree_cond.notify_all()
 
     # -- transport ----------------------------------------------------------
     def deliver(self, src: int, dest: int, ctx_id, tag, kind, payload,
                 nbytes, jump: int = 0) -> int:
-        """Deposit a message into *dest*'s mailbox and count the traffic.
+        """Stamp, count and post one message from *src* to *dest*.
 
         Returns the message's per-(src, dest) sequence number, which the
         sender's trace event shares with the receiver's so post-mortem
@@ -486,8 +574,8 @@ class World:
         self._pair_seq[(src, dest)] = seq
         self._heartbeat[src] = time.monotonic()
         self.counters[src].record_send(dest, nbytes)
-        self.mailboxes[dest].deposit(
-            Message(ctx_id, src, tag, kind, payload, nbytes, seq), jump)
+        self._post(dest, Message(ctx_id, src, tag, kind, payload, nbytes,
+                                 seq), jump)
         return seq
 
     def total_traffic(self):
@@ -495,17 +583,6 @@ class World:
         msgs = sum(c.snapshot().sends for c in self.counters)
         nbytes = sum(c.snapshot().bytes_sent for c in self.counters)
         return msgs, nbytes
-
-    # -- transport topology (overridden by ProcessWorld) --------------------
-    # Thread worlds share one address space: every rank is local, and
-    # shared structures (RMA windows, agreement slots) are reached
-    # directly.  The process backend overrides these to route through
-    # its socket mesh.
-    is_process_backend = False
-
-    def is_remote_rank(self, rank: int) -> bool:
-        """Whether *rank*'s state lives in another process."""
-        return False
 
 
 class RankContext:
@@ -632,7 +709,11 @@ def run_spmd(fn: Callable[..., Any], nranks: int, args: Sequence = (),
     default from ``REPRO_MPI_BACKEND``, then ``"thread"``): threads
     share one address space and one GIL; the process backend forks one
     OS process per rank for real multicore parallelism (see
-    :mod:`repro.mpi.transport`).
+    :mod:`repro.mpi.transport`).  On the process backend *fn* and its
+    arguments cross the fork by inheritance (closures are fine) while
+    results must pickle, and a rank that dies without reporting (e.g.
+    SIGKILL) surfaces as a ``RuntimeError`` naming the rank instead of
+    the original exception object.
 
     *fault_mode* selects what a rank death means for the others:
 
@@ -641,61 +722,58 @@ def run_spmd(fn: Callable[..., Any], nranks: int, args: Sequence = (),
     - ``"failstop"``: an :class:`InjectedFault` marks just that rank
       failed; survivors see typed :class:`RankFailure` errors and may
       ``revoke()``/``shrink()`` and continue.  The dead rank's entry in
-      the result list is its ``InjectedFault``; survivor exceptions other
-      than the fault still re-raise.
+      the result list is its ``InjectedFault`` (or, for a process that
+      died without reporting, the ``RuntimeError`` naming it); survivor
+      exceptions other than the fault still re-raise.
 
     Returns the list of per-rank return values (index = rank).
     """
     from .comm import Intracomm  # local import: comm builds on runtime
-    from .transport import resolve_backend
+    from .transport import launch
 
     if fault_mode not in ("abort", "failstop"):
         raise ValueError(f"unknown fault_mode {fault_mode!r}")
-    if resolve_backend(backend) == "process":
-        from .transport.process_backend import run_spmd_process
-        return run_spmd_process(fn, nranks, args=args, kwargs=kwargs,
-                                timeout=timeout, pass_comm=pass_comm,
-                                fault_mode=fault_mode)
     kwargs = kwargs or {}
-    world = World(nranks, timeout=timeout)
-    results: List[Any] = [None] * nranks
-    errors: List[Optional[BaseException]] = [None] * nranks
 
-    def body(rank: int) -> None:
+    def body(world: World, rank: int):
         ctx = RankContext(world, rank)
         ctx.bind()
         try:
             comm = Intracomm(ctx, list(range(nranks)))
             if pass_comm:
-                results[rank] = fn(comm, *args, **kwargs)
-            else:
-                results[rank] = fn(*args, **kwargs)
+                return "ok", fn(comm, *args, **kwargs)
+            return "ok", fn(*args, **kwargs)
         except InjectedFault as exc:
-            errors[rank] = exc
             if fault_mode == "failstop":
-                results[rank] = exc
                 world.mark_failed(rank, exc)
-            else:
-                world.abort(rank, exc)
-        except BaseException as exc:  # noqa: BLE001 - must propagate any error
-            errors[rank] = exc
+                return "fault", exc
             world.abort(rank, exc)
+            return "err", exc
+        except BaseException as exc:  # noqa: BLE001 - must propagate any error
+            world.abort(rank, exc)
+            return "err", exc
         finally:
             ctx.unbind()
 
-    threads = [threading.Thread(target=body, args=(r,),
-                                name=f"spmd-rank-{r}", daemon=True)
-               for r in range(nranks)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    _world, ranks = launch(body, nranks, backend=backend, timeout=timeout)
+    reports = ranks.finish()
 
-    for rank, exc in enumerate(errors):
-        if exc is None or isinstance(exc, AbortError):
+    results: List[Any] = [None] * nranks
+    errors: List[Optional[BaseException]] = [None] * nranks
+    # ranks whose death *is* the experiment under failstop: a scripted
+    # fault, or a process that died without reporting
+    died = set()
+    for rank, (tag, value) in enumerate(reports):
+        if tag == "ok":
+            results[rank] = value
             continue
-        if fault_mode == "failstop" and isinstance(exc, InjectedFault):
-            continue  # the scripted death is the experiment, not a failure
+        errors[rank] = value
+        if fault_mode == "failstop" and tag in ("fault", "lost"):
+            results[rank] = value
+            died.add(rank)
+    for rank, exc in enumerate(errors):
+        if exc is None or isinstance(exc, AbortError) or rank in died:
+            continue
         raise exc
     if fault_mode == "abort":
         for exc in errors:

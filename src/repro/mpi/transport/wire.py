@@ -8,7 +8,7 @@ chunks whose sizes the header declares:
 
 The header is ``(msgtype, body, chunk_lens)``.  ``DATA`` messages carry
 a :class:`~repro.mpi.runtime.Message` envelope; everything else is
-control traffic (failure propagation, agreement, counters, RMA
+control traffic (what ``World._publish`` announces, counters, RMA
 service).  Bulk ndarray frames above :func:`~.shm.shm_threshold` do not
 travel as chunks at all -- they go through shared memory (see
 :mod:`.shm`) and only their segment name rides the header.
@@ -31,25 +31,22 @@ import numpy as np
 from .shm import ShmPool, shm_threshold
 
 __all__ = ["Channel", "DATA", "FAILSTOP", "ABORT", "REVOKE", "AGREE",
-           "DECIDED", "CTRS_REQ", "CTRS_REP", "CTRS_RESET", "RMA_PUT",
-           "RMA_GET", "RMA_REP", "RMA_ACC", "HB",
-           "encode_payload", "decode_payload"]
+           "DECIDED", "CTRS_REQ", "CTRS_REP", "CTRS_RESET", "RMA_REQ",
+           "RMA_REP", "encode_payload", "decode_payload"]
 
 # message types
 DATA = 1          # (envelope_meta, payload_spec)
-FAILSTOP = 2      # (rank, cause_pickle)
-ABORT = 3         # (origin_rank, cause_pickle)
-REVOKE = 4        # (base_ctx_id,)
+FAILSTOP = 2      # (rank, cause)
+ABORT = 3         # (origin_rank, cause)
+REVOKE = 4        # base_ctx_id
 AGREE = 5         # (key, rank, value)
 DECIDED = 6       # (key, result)
-CTRS_REQ = 7      # (reply_id,)
+CTRS_REQ = 7      # reply_id
 CTRS_REP = 8      # (reply_id, CounterSnapshot)
-CTRS_RESET = 9    # ()
-RMA_PUT = 10      # (win_id, offset, dtype_str, data)
-RMA_GET = 11      # (win_id, offset, count, dtype_str, reply_id)
-RMA_REP = 12      # (reply_id, data | exception)
-RMA_ACC = 13      # (win_id, offset, op_name, dtype_str, data)
-HB = 14           # () piggybacked liveness stamp
+CTRS_RESET = 9    # None
+RMA_REQ = 10      # (kind, win_id, offset, data | (count, dtype_str), op,
+#                    reply_id)
+RMA_REP = 11      # (reply_id, None | data | exception)
 
 _LEN = struct.Struct("!I")
 

@@ -23,11 +23,11 @@ Design constraints, mirroring :class:`repro.trace.tracer.Tracer`:
   thread (``REPRO_OBS_FLIGHT=N`` overrides; ``0``/``off`` disables the
   recorder entirely).
 
-Dumps are rate-limited (at most one per second) so a fault storm -- a
-chaos sweep injecting hundreds of crashes -- costs bounded I/O, and
-they never print: the chaos CLI's byte-identical-replay contract owns
-stdout.  ``REPRO_OBS_DUMP`` fixes the dump path (``0``/``off``
-suppresses auto-dumps); the default is
+Dumps are rate-limited (at most one per second per dump path) so a
+fault storm -- a chaos sweep injecting hundreds of crashes -- costs
+bounded I/O, and they never print: the chaos CLI's
+byte-identical-replay contract owns stdout.  ``REPRO_OBS_DUMP`` fixes
+the dump path (``0``/``off`` suppresses auto-dumps); the default is
 ``$TMPDIR/repro-flight-<pid>.json``.
 """
 
@@ -81,7 +81,10 @@ class FlightRecorder:
         self._rings: List[_Ring] = []
         self._tls = threading.local()
         self._min_dump_interval = float(min_dump_interval)
-        self._last_dump_t = -float("inf")  # monotonic clock
+        # dump path -> monotonic time of its last dump: the rate limit is
+        # per target, so a fault aimed at a fresh path is never answered
+        # with another target's (stale) file
+        self._last_dump_t: Dict[str, float] = {}
         #: Path of the most recent dump (None until the first one).
         self.last_dump_path: Optional[str] = None
         #: ``{"kind", "detail", "op_id", "epoch_id", "ranks"}`` of the
@@ -201,8 +204,9 @@ class FlightRecorder:
         snapshot captured by the caller at the moment of the fault; it
         rides in :attr:`last_fault` so post-mortem artifacts carry the
         pending-op evidence even after the world is gone.  Returns the
-        dump path (possibly from an earlier rate-limited dump), or
-        ``None`` when the recorder or dumping is disabled.
+        dump path (possibly written by an earlier dump to the same path
+        within the rate-limit window), or ``None`` when the recorder or
+        dumping is disabled.
         """
         if not self.enabled:
             return None
@@ -216,15 +220,19 @@ class FlightRecorder:
             "epoch_id": eid,
             "ranks": ranks,
         }
+        path = self.default_dump_path()
+        if path is None:
+            return None
         now = time.monotonic()
         with self._lock:
-            throttled = now - self._last_dump_t < self._min_dump_interval
+            last = self._last_dump_t.get(path, -float("inf"))
+            throttled = now - last < self._min_dump_interval
             if not throttled:
-                self._last_dump_t = now
+                self._last_dump_t[path] = now
         if throttled:
-            return self.last_dump_path
+            return path
         try:
-            return self.dump()
+            return self.dump(path)
         except OSError:
             return None
 

@@ -22,7 +22,6 @@ op-per-round-trip behavior.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -35,8 +34,8 @@ from ..metrics import REGISTRY as _MX
 from ..mpi.comm import Intracomm
 from ..mpi.errors import (AbortError, CommRevokedError, DeadlockError,
                           InjectedFault, RankFailure)
-from ..mpi.runtime import RankContext, World
-from ..mpi.transport import resolve_backend
+from ..mpi.runtime import RankContext
+from ..mpi.transport import launch, resolve_backend
 from ..obs import causal as _CZ
 from ..obs import status as _OBS
 from ..obs.flight import FLIGHT as _FL
@@ -56,10 +55,10 @@ __all__ = ["OdinContext", "init", "shutdown", "get_context",
 # economics of the paper's design.
 local_registry: Dict[str, Callable] = {}
 
-# Live process-backend contexts: @odin.local registration must reach
-# their already-forked workers via REGISTER_LOCAL (thread contexts share
+# Live contexts: @odin.local registration must reach workers that do not
+# share this interpreter via REGISTER_LOCAL (workers that do share it see
 # local_registry by reference and need no broadcast).
-_live_process_contexts: "weakref.WeakSet[OdinContext]" = weakref.WeakSet()
+_live_contexts: "weakref.WeakSet[OdinContext]" = weakref.WeakSet()
 
 _worker_tls = threading.local()
 
@@ -136,17 +135,32 @@ def worker_state():
 
 
 # ----------------------------------------------------------------------
-# worker side (shared by the thread and process backends)
+# worker side
 # ----------------------------------------------------------------------
-def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
-                 is_closing: Callable[[], bool]) -> None:
-    """One worker's life: serve ops until SHUTDOWN, recovering across
-    communicator generations when *recover* is set.
+def _worker_main(world, rank: int, recover: bool,
+                 is_closing: Callable[[], bool]):
+    """Entry point of one worker rank, however it was launched.
 
-    Free function on purpose: thread workers call it with the driver's
-    ``self``-derived closure, process workers from a forked interpreter
-    where no ``OdinContext`` exists at all.
+    Returns the launcher's ``(tag, value)`` report: ``"ok"`` only after
+    a clean SHUTDOWN.  *is_closing* reads the driver's closing flag,
+    which only workers sharing the driver's interpreter can see change.
     """
+    ctx = RankContext(world, rank)
+    ctx.bind()
+    try:
+        served = _worker_loop(ctx, world.nranks, recover, is_closing)
+    except Exception:  # noqa: BLE001 - world aborted; driver already knows
+        served = False
+    finally:
+        ctx.unbind()
+    return ("ok" if served else "gone"), None
+
+
+def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
+                 is_closing: Callable[[], bool]) -> bool:
+    """One worker's life: serve ops until SHUTDOWN, recovering across
+    communicator generations when *recover* is set.  Returns whether it
+    ended in a clean SHUTDOWN."""
     world = ctx.world
     windex = ctx.rank - 1
     comm: Optional[Intracomm] = None
@@ -166,21 +180,21 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                 _worker_tls.index = windex
                 _worker_tls.state = state
             _worker_serve(comm, state)
-            return  # clean SHUTDOWN
+            return True
         except InjectedFault as exc:
             if recover:
                 # fail-stop: this rank dies, survivors see typed
                 # RankFailure and negotiate a shrink
                 world.mark_failed(ctx.rank, exc)
-                return
+                return False
             # chaos-scripted rank crash without recovery: die loudly so
             # the driver and the surviving workers fail fast with
             # AbortError instead of waiting out the deadlock timeout
             world.abort(ctx.rank, exc)
-            return
+            return False
         except (RankFailure, CommRevokedError):
             if not recover or is_closing():
-                return  # teardown, or nobody will coordinate
+                return False  # teardown, or nobody will coordinate
             # survivor: poison both comms so every other survivor
             # unblocks (the driver only revokes the full comm; a peer
             # blocked in a worker-comm collective needs this revoke),
@@ -192,10 +206,10 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                 try:
                     new_full = comm.shrink()
                 except DeadlockError:
-                    # process backend, driver shutting down: nobody will
-                    # complete the shrink agreement -- exit, the parent
-                    # reaps us
-                    return
+                    # the driver is shutting down where this worker cannot
+                    # see it: nobody will complete the shrink agreement --
+                    # exit, the parent reaps us
+                    return False
                 new_wcomm = new_full.split(0, new_full.rank)
                 new_index = new_full.rank - 1
                 if state is None:
@@ -213,24 +227,7 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                 _worker_tls.index = new_index
                 _worker_tls.state = state
                 continue
-            return
-
-
-def _shutdown_stats(comm: Intracomm):
-    """Per-worker observability payload shipped in the SHUTDOWN gather.
-
-    With thread workers the driver already shares counters and trace
-    buffers, so this is None.  A process worker's counters and trace
-    events live in its own interpreter and would die with it -- ship
-    snapshots back for the driver-side merge (``CommCounters.absorb`` /
-    ``Tracer.absorb``).
-    """
-    world = comm.context.world
-    if not getattr(world, "is_process_backend", False):
-        return None
-    snap = world.counters[comm.context.rank].snapshot()
-    events = _TR.events() if _TR.enabled else None
-    return ("proc-stats", snap, events)
+            return False
 
 
 def _worker_serve(comm: Intracomm, state: WorkerState) -> None:
@@ -258,7 +255,7 @@ def _worker_serve(comm: Intracomm, state: WorkerState) -> None:
         if fire_and_forget:
             op = op[1]
         if op[0] == opcodes.SHUTDOWN:
-            comm.gather(("ok", _shutdown_stats(comm), deferred), root=0)
+            comm.gather(("ok", None, deferred), root=0)
             return
         if op[0] == opcodes.FLUSH:
             comm.gather(("ok", None, deferred), root=0)
@@ -286,28 +283,6 @@ def _worker_serve(comm: Intracomm, state: WorkerState) -> None:
         deferred = []
 
 
-def _process_worker_main(mesh, windex: int, nworkers: int, recover: bool,
-                         timeout: Optional[float]) -> None:
-    """Entry point of one forked ODIN worker process."""
-    from ..mpi.transport.process_backend import ProcessWorld
-
-    rank = windex + 1
-    socks = mesh.activate(rank)
-    world = ProcessWorld(nworkers + 1, rank, mesh.session_id, socks,
-                         timeout=timeout)
-    if _TR.enabled:
-        _TR.clear()  # drop fork-inherited events; ship only our own
-    ctx = RankContext(world, rank)
-    ctx.bind()
-    try:
-        _worker_loop(ctx, nworkers + 1, recover, is_closing=lambda: False)
-    except Exception:  # noqa: BLE001 - world aborted; driver already knows
-        pass
-    finally:
-        ctx.unbind()
-        world.close()
-
-
 class OdinContext:
     """One driver plus *nworkers* persistent workers.
 
@@ -329,16 +304,20 @@ class OdinContext:
             raise ValueError("need at least one worker")
         self.nworkers = nworkers
         self._backend = resolve_backend(backend)
-        # the recover flag is needed before the workers start (process
-        # workers take it across the fork as an argument)
+        # both flags are read by the workers, so they exist before launch
         self._recover = _recover_default() if recover is None \
             else bool(recover)
-        self._threads: List[threading.Thread] = []
-        self._procs: List[Any] = []
-        if self._backend == "process":
-            self.world = self._start_process_workers(nworkers, timeout)
-        else:
-            self.world = World(nworkers + 1, timeout=timeout)
+        self._closing = False
+        self.world, self._ranks = launch(
+            lambda world, rank: _worker_main(world, rank, self._recover,
+                                             lambda: self._closing),
+            nworkers + 1, backend=self._backend, timeout=timeout,
+            driver=True)
+        # leases: a worker that dies without reporting (an uncaught
+        # error, SIGKILL, a fatal signal) is detected as a failed rank by
+        # blocked peers on their next 0.25 s wake
+        for rank, handle in enumerate(self._ranks.handles, start=1):
+            self.world.register_lease(rank, handle)
         self._driver_ctx = RankContext(self.world, 0)
         self.comm = Intracomm(self._driver_ctx,
                               list(range(nworkers + 1)))
@@ -366,7 +345,6 @@ class OdinContext:
         self._ckpt_dead: set = set()
         self._ckpt_n = nworkers
         self._recovering = False
-        self._closing = False
         # live DistArray handles, re-pointed after a recovery replay
         self._handles: "weakref.WeakValueDictionary[int, Any]" = \
             weakref.WeakValueDictionary()
@@ -375,22 +353,7 @@ class OdinContext:
         # /status endpoint (started here iff REPRO_OBS_PORT is set)
         _CZ.note_rank_thread("driver")
         _OBS.register_context(self)
-        if self._backend == "process":
-            _live_process_contexts.add(self)
-        else:
-            self._threads = [
-                threading.Thread(target=self._worker_main, args=(w,),
-                                 name=f"odin-worker-{w}", daemon=True)
-                for w in range(nworkers)
-            ]
-            for t in self._threads:
-                t.start()
-            if self._recover:
-                # lease registration: a worker thread that dies without
-                # reporting (any death mode, not just InjectedFault) is
-                # detected as a failed rank by blocked peers
-                for w, t in enumerate(self._threads):
-                    self.world.register_rank_thread(w + 1, t)
+        _live_contexts.add(self)
         # Workers split off their own comm; the driver passes a negative
         # color so it is excluded (split over the full comm, collective).
         # A chaos crash can land inside this startup collective; recovery
@@ -401,62 +364,6 @@ class OdinContext:
             if not self._recover:
                 raise
             self._recover_and_replay(exc)
-
-    def _start_process_workers(self, nworkers: int,
-                               timeout: Optional[float]):
-        """Fork the worker processes and claim rank 0 of the mesh.
-
-        Order matters: the mesh is created (all socketpairs open), every
-        worker forks with the full fd set, and only then does the parent
-        activate rank 0 -- activating first would hand the children
-        already-closed fds.  The atexit sweep is registered after the
-        forks so exiting children never sweep the live session.
-        """
-        from ..mpi.transport.process_backend import (ProcessMesh,
-                                                     ProcessWorld)
-        from ..mpi.transport.shm import register_atexit_sweep
-
-        mesh = ProcessMesh(nworkers + 1)
-        mp = multiprocessing.get_context("fork")
-        try:
-            self._procs = [
-                mp.Process(target=_process_worker_main,
-                           args=(mesh, w, nworkers, self._recover,
-                                 timeout),
-                           name=f"odin-worker-{w}", daemon=True)
-                for w in range(nworkers)
-            ]
-            for p in self._procs:
-                p.start()
-        except BaseException:
-            mesh.close_all()
-            raise
-        socks = mesh.activate(0)
-        register_atexit_sweep(mesh.session_id)
-        world = ProcessWorld(nworkers + 1, 0, mesh.session_id, socks,
-                             timeout=timeout)
-        # process leases: a worker that dies without reporting (SIGKILL,
-        # fatal signal) is detected by blocked waiters on their next
-        # 0.25 s mailbox wake -- real fail-stop, not simulated
-        for w, p in enumerate(self._procs):
-            world.register_rank_process(w + 1, p)
-        return world
-
-    # ------------------------------------------------------------------
-    # worker side (thread backend entry; the loop itself is module-level)
-    # ------------------------------------------------------------------
-    def _worker_main(self, windex: int) -> None:
-        ctx = RankContext(self.world, windex + 1)
-        ctx.bind()
-        try:
-            _worker_loop(ctx, len(self._threads) + 1, self._recover,
-                         is_closing=lambda: self._closing)
-        except Exception:
-            # runtime failure (e.g. world aborted): leave quietly, the
-            # driver will see the abort on its own next operation.
-            return
-        finally:
-            ctx.unbind()
 
     # ------------------------------------------------------------------
     # driver side
@@ -973,22 +880,12 @@ class OdinContext:
         snap = self.world.counters[0].snapshot()
         return snap.sends, snap.bytes_sent
 
-    def _worker_counters(self, world_rank: int):
-        """One worker's counter snapshot; fetched over the mesh in
-        process mode (its live counters are in another interpreter),
-        falling back to whatever the driver absorbed at shutdown."""
-        if self._backend == "process" and self._alive:
-            snap = self.world.fetch_counters(world_rank)
-            if snap is not None:
-                return snap
-        return self.world.counters[world_rank].snapshot()
-
     def worker_traffic(self):
         """(messages, bytes) of worker-to-worker data-plane traffic."""
         msgs = 0
         nbytes = 0
         for wr in self.comm._world_ranks[1:]:
-            snap = self._worker_counters(wr)
+            snap = self.world.fetch_counters(wr)
             for peer, b in snap.by_peer.items():
                 if peer != 0:  # exclude worker->driver result traffic
                     nbytes += b
@@ -996,31 +893,27 @@ class OdinContext:
         return msgs, nbytes
 
     def reset_counters(self) -> None:
-        if self._backend == "process" and self._alive:
-            self.world.reset_all_counters()
-            return
-        for c in self.world.counters:
-            c.reset()
+        self.world.reset_all_counters()
 
-    # -- process-backend control -------------------------------------------
+    # -- worker control ----------------------------------------------------
     def worker_pids(self) -> List[int]:
         """OS pids of the worker processes (process backend; empty list
         for thread workers).  Index j is worker j (world rank j+1)."""
-        return [p.pid for p in self._procs]
+        return [h.pid for h in self._ranks.handles if h.pid is not None]
 
     def install_chaos(self, plan) -> None:
         """Arm a :class:`~repro.chaos.core.FaultPlan` on every rank.
 
-        Thread workers share the process-wide engine, so the local
-        install covers them.  Process workers each get a CHAOS_INSTALL
-        control op first (synchronizing, so the plan is armed before any
-        later op executes); their rank-local step counts start a few ops
-        later than thread mode's -- the install round-trip itself --
-        which shifts *where* a crash rule fires, never whether results
-        stay oracle-conformant.
+        Workers sharing this interpreter share the process-wide engine,
+        so the local install covers them.  Workers in other processes
+        each get a CHAOS_INSTALL control op first (synchronizing, so the
+        plan is armed before any later op executes); their rank-local
+        step counts start a few ops later than thread mode's -- the
+        install round-trip itself -- which shifts *where* a crash rule
+        fires, never whether results stay oracle-conformant.
         """
         from ..chaos.core import ENGINE
-        if self._backend == "process":
+        if not self.world.shares_memory:
             self._issue(opcodes.CHAOS_INSTALL, plan.to_dict())
         ENGINE.install(plan)
 
@@ -1029,7 +922,7 @@ class OdinContext:
         abort-poisoned world cannot leave the local engine hot)."""
         from ..chaos.core import ENGINE
         ENGINE.uninstall()
-        if self._backend == "process" and self._alive:
+        if not self.world.shares_memory and self._alive:
             try:
                 self._issue(opcodes.CHAOS_UNINSTALL)
             except Exception:  # noqa: BLE001 - aborted world: the engine
@@ -1037,10 +930,11 @@ class OdinContext:
 
     @staticmethod
     def broadcast_local(name: str, fn: Callable) -> None:
-        """Ship an ``@odin.local`` registration to every live
-        process-backend context (forked workers cannot see registry
-        mutations made after the fork)."""
-        live = [c for c in list(_live_process_contexts) if c._alive]
+        """Ship an ``@odin.local`` registration to every live context
+        whose workers do not share this interpreter (forked workers
+        cannot see registry mutations made after the fork)."""
+        live = [c for c in list(_live_contexts)
+                if c._alive and not c.world.shares_memory]
         if not live:
             return
         spec = _ship_function(fn)
@@ -1109,43 +1003,14 @@ class OdinContext:
                 except Exception:  # noqa: BLE001 - teardown best effort
                     pass
             self._alive = False
-        if statuses is not None and self._backend == "process":
-            self._absorb_proc_stats(statuses)
-        for t in self._threads:
-            t.join(timeout=10)
-        for p in self._procs:
-            p.join(timeout=10)
-            if p.is_alive():
-                p.kill()
-                p.join(timeout=10)
-        if self._backend == "process":
-            from ..mpi.transport.shm import sweep_session
-            self.world.close()
-            sweep_session(self.world.session_id)
+        # join (or reap) the workers; the launcher folds the counters and
+        # trace events of workers in other interpreters into ours, so
+        # post-shutdown worker_traffic() and trace exports see them
+        self._ranks.finish(10)
+        self.world.close()
         # deferred errors from a trailing epoch must not vanish silently
         if statuses is not None:
             self._process_statuses(statuses, str(opcodes.SHUTDOWN))
-
-    def _absorb_proc_stats(self, statuses) -> None:
-        """Driver-side merge point: fold each process worker's counter
-        snapshot and trace events (shipped in its SHUTDOWN reply) into
-        the driver's tables, so post-shutdown ``worker_traffic()`` /
-        trace exports see the whole world like the thread backend does.
-        The payload slot is cleared so ``_process_statuses`` treats the
-        reply exactly like a thread worker's ``("ok", None, deferred)``.
-        """
-        for i, status in enumerate(statuses[1:], start=1):
-            if not (isinstance(status, tuple) and len(status) == 3):
-                continue
-            tag, payload, deferred = status
-            if (isinstance(payload, tuple) and len(payload) == 3
-                    and payload[0] == "proc-stats"):
-                _kind, snap, events = payload
-                wr = self.comm._world_ranks[i]
-                self.world.counters[wr].absorb(snap)
-                if events and _TR.enabled:
-                    _TR.absorb(events)
-                statuses[i] = (tag, None, deferred)
 
     def __enter__(self):
         return self

@@ -88,7 +88,15 @@ def _cache_dir() -> str:
 
 
 def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
-    """Compile a C translation unit to a shared object and load it."""
+    """Compile a C translation unit to a shared object and load it.
+
+    The disk cache is shared by every process using the same temp
+    directory.  Each compile writes its source and object under names
+    unique to it and publishes them with an atomic ``os.replace``, so
+    processes racing on the same cold kernel each end with a complete,
+    loadable ``<base>.so`` (whichever rename lands last wins, and both
+    are identical) and leave no temporaries behind.
+    """
     if not compiler_available():
         raise RuntimeError("no C compiler available")
     from ..metrics import REGISTRY as _MX  # local: backend is a leaf module
@@ -100,19 +108,28 @@ def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
             _MX.inc("seamless.cc.disk_cache",
                     result="hit" if os.path.exists(so_path) else "miss")
         if not os.path.exists(so_path):
-            c_path = base + ".c"
-            with open(c_path, "w", encoding="utf-8") as fh:
-                fh.write(source)
-            cmd = [_cc_path, "-O2", "-shared", "-fPIC", "-o",
-                   so_path + ".tmp", c_path, "-lm"]
-            if "#pragma omp" in source:
-                cmd.insert(1, "-fopenmp")
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise RuntimeError(
-                    f"C compilation failed:\n{proc.stderr}\n--- source ---\n"
-                    f"{source}")
-            os.replace(so_path + ".tmp", so_path)
+            fd, c_tmp = tempfile.mkstemp(prefix=os.path.basename(base) + ".",
+                                         suffix=".c",
+                                         dir=os.path.dirname(base))
+            so_tmp = c_tmp[:-2] + ".so.tmp"
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(source)
+                cmd = [_cc_path, "-O2", "-shared", "-fPIC", "-o", so_tmp,
+                       c_tmp, "-lm"]
+                if "#pragma omp" in source:
+                    cmd.insert(1, "-fopenmp")
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    raise RuntimeError(
+                        f"C compilation failed:\n{proc.stderr}\n"
+                        f"--- source ---\n{source}")
+                os.replace(c_tmp, base + ".c")
+                os.replace(so_tmp, so_path)
+            finally:
+                for leftover in (c_tmp, so_tmp):
+                    if os.path.exists(leftover):
+                        os.remove(leftover)
     return ctypes.CDLL(so_path)
 
 

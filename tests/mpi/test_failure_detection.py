@@ -98,7 +98,7 @@ class TestRankLeases:
         t = threading.Thread(target=lambda: None)
         t.start()
         t.join()  # thread is now dead without having reported anything
-        world.register_rank_thread(1, t)
+        world.register_lease(1, t)
         assert not world.is_failed(1)
         world.check_leases()
         assert world.is_failed(1)
@@ -132,7 +132,7 @@ class TestRankLeases:
         t1 = threading.Thread(target=rank1)
         t1.start()
         t1.join()
-        world.register_rank_thread(1, t1)
+        world.register_lease(1, t1)
 
         def rank0():
             ctx = RankContext(world, 0)

@@ -1,6 +1,7 @@
 """Flight recorder: ring wraparound, dumps, fault notification."""
 
 import json
+import os
 
 import pytest
 
@@ -78,6 +79,23 @@ def test_notify_fault_records_and_rate_limits(tmp_path, monkeypatch):
     # the fault itself landed in the ring as an instant
     kinds = [ev[2] for ev in rec.events() if ev[1] == "obs.fault"]
     assert kinds == ["DeadlockError", "AbortError"]
+
+
+def test_rate_limit_is_per_dump_target(tmp_path, monkeypatch):
+    """Two faults within the window aimed at different targets are both
+    written; a repeat at the same target is still throttled."""
+    rec = FlightRecorder(capacity=32)
+    first = str(tmp_path / "first.json")
+    second = str(tmp_path / "second.json")
+    monkeypatch.setenv("REPRO_OBS_DUMP", first)
+    assert rec.notify_fault("AbortError") == first
+    monkeypatch.setenv("REPRO_OBS_DUMP", second)
+    assert rec.notify_fault("DeadlockError") == second
+    assert os.path.exists(first) and os.path.exists(second)
+    # same target inside the window: not rewritten, but named
+    os.remove(second)
+    assert rec.notify_fault("RankFailure") == second
+    assert not os.path.exists(second)
 
 
 def test_dump_env_off_suppresses_auto_dump(monkeypatch):

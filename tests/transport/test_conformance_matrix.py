@@ -7,11 +7,20 @@ worker-side plan cache -- parametrized over ``backend=thread|process``
 with the oracle on both backends proves backend equivalence.
 """
 
+import multiprocessing
+import os
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro import mpi, odin
 from repro.mpi import MAX, SUM
+from repro.mpi.runtime import RankContext, World
+from repro.mpi.transport.process_backend import ProcessWorld
+from repro.mpi.transport.shm import new_session_id
 
 ALLREDUCE_ALGOS = ("reduce+bcast", "recursive-doubling", "ring",
                    "rabenseifner")
@@ -242,6 +251,91 @@ class TestRMA:
             return out
 
         assert spmd(body, 2) == ["typed", "typed"]
+
+    def test_overrun_text_same_for_self_and_remote_targets(self, spmd):
+        def body(comm):
+            buf = np.zeros(4)
+            win = mpi.Win.Create(buf, comm)
+            win.Fence()
+            texts = {}
+            for where, target in (("self", comm.rank),
+                                  ("remote", (comm.rank + 1) % comm.size)):
+                for kind, call in (
+                        ("Put", lambda t: win.Put(np.zeros(9), t, 0)),
+                        ("Get", lambda t: win.Get(np.zeros(9), t, 0)),
+                        ("Accumulate",
+                         lambda t: win.Accumulate(np.ones(9), t, 0))):
+                    try:
+                        call(target)
+                        texts[kind, where] = "no-error"
+                    except mpi.MPIError as exc:
+                        texts[kind, where] = str(exc)
+            win.Fence()
+            win.Free()
+            return texts
+
+        for texts in spmd(body, 2):
+            for kind in ("Put", "Get", "Accumulate"):
+                assert texts[kind, "self"] == texts[kind, "remote"] \
+                    == f"{kind} overruns the target window"
+
+
+class TestFailureSeams:
+    """The failure paths every transport reaches through one World."""
+
+    def test_expired_lease_is_a_rank_failure_within_the_wake_bound(
+            self, backend):
+        # the lease is the only detector here: on the process transport
+        # the test itself holds the dead rank's socket end open, so no
+        # EOF can report the death first
+        died_after = 0.2
+        peer_end = None
+        if backend == "thread":
+            world = World(2, timeout=30.0)
+            handle = threading.Thread(target=time.sleep, args=(died_after,))
+        else:
+            ours, peer_end = socket.socketpair()
+            world = ProcessWorld(2, 0, new_session_id(), {1: ours},
+                                 timeout=30.0)
+            mp = multiprocessing.get_context("fork")
+            handle = mp.Process(
+                target=lambda: (time.sleep(died_after), os._exit(3)))
+        ctx = RankContext(world, 0)
+        try:
+            handle.start()
+            world.register_lease(1, handle)
+            t0 = time.monotonic()
+            with pytest.raises(mpi.RankFailure) as ei:
+                ctx.recv_message(("lease", "p"), 1, 0)
+            elapsed = time.monotonic() - t0
+        finally:
+            handle.join(timeout=10)
+            world.close()
+            if peer_end is not None:
+                peer_end.close()
+        assert not handle.is_alive()
+        assert ei.value.rank == 1
+        assert "died without reporting" in str(ei.value)
+        # one 0.25 s wake after the death, plus scheduling slack
+        assert elapsed - died_after < 0.25 + 0.5
+
+    def test_agreement_timeout_names_the_flight_dump(self, spmd, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_DUMP", str(tmp_path / "agree.json"))
+
+        def body(comm):
+            if comm.rank == 1:
+                time.sleep(1.5)   # never contributes, never fails
+                return None
+            try:
+                comm.agree(1)
+                return "agreed"
+            except mpi.DeadlockError as exc:
+                return str(exc)
+
+        msg = spmd(body, 2, timeout=0.5)[0]
+        assert "agreement" in msg and "timed out" in msg
+        assert "flight recorder dump" in msg
 
 
 class TestOdin:
