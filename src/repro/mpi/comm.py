@@ -7,7 +7,9 @@ interpretation overhead.  Collectives are implemented *on top of* the
 point-to-point layer with the classic algorithms (binomial trees, rings,
 recursive doubling, pairwise exchange, dissemination barrier) so that
 message counters reflect genuine algorithmic traffic rather than magic
-shared-memory shortcuts.
+shared-memory shortcuts.  Each algorithm is written once, as a kernel
+over a ``(send, recv)`` pair; the object and buffer forms of a collective
+differ only in the pair they hand it (:meth:`Intracomm._io`).
 
 Broadcast, reduce and allreduce are *adaptive*: each call picks the
 cheapest algorithm for its message size, communicator size and declared
@@ -46,10 +48,10 @@ __all__ = ["Group", "Intracomm", "set_collective_tuning",
            "collective_label_catalogue"]
 
 
-def _loads(msg):
-    """Decode a received message, surfacing corruption as a typed error.
+def _loads(payload, kind: str = "pickle"):
+    """Decode a pickled payload, surfacing corruption as a typed error.
 
-    ``pickle5`` messages carry their ndarray data as out-of-band frames;
+    ``pickle5`` payloads carry their ndarray data as out-of-band frames;
     unpickling reconstructs arrays as *read-only views* of the frames (the
     sender's single isolation copy) -- zero additional copies on the
     receive side.  A payload truncated in flight (chaos injection, or any
@@ -59,14 +61,14 @@ def _loads(msg):
     solvers can handle it.
     """
     try:
-        if msg.kind == "pickle5":
-            blob, frames = msg.payload
+        if kind == "pickle5":
+            blob, frames = payload
             return pickle.loads(blob, buffers=frames)
-        return pickle.loads(msg.payload)
+        return pickle.loads(payload)
     except Exception as exc:
         raise TruncationError(
-            f"received message payload failed to decode ({exc!r}); "
-            f"payload was truncated or corrupted in flight") from exc
+            f"received payload failed to decode ({exc!r}); payload was "
+            f"truncated or corrupted in flight") from exc
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +85,15 @@ _DEFAULT_TOPOLOGY: Optional[Topology] = None
 #: the (SPMD-consistent) selection; without an explicit ``size_hint`` the
 #: selection assumes a small message.
 _OBJECT_SIZE_GUESS = 512
+
+#: Algorithms that combine operands out of rank order: commutative ops
+#: only.  (``binomial-tree`` reorders only as a reduction; a broadcast
+#: always selects with ``commutative=True``.)
+_REORDERING = frozenset({"binomial-tree", "ring", "rabenseifner",
+                         "hierarchical"})
+#: Reductions that cut the payload into per-member blocks: ndarrays only.
+#: (An object broadcast carries scatter-allgather as its pickled bytes.)
+_SEGMENTED = frozenset({"ring", "rabenseifner"})
 
 
 def set_collective_tuning(cost_model: Optional[CostModel] = None,
@@ -112,6 +123,35 @@ def _block_bounds(n: int, m: int) -> List[Tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
+
+
+def _spans(counts, displs) -> List[Tuple[int, int]]:
+    """Block bounds of a v-collective's ``counts``/``displs`` layout."""
+    return [(d, d + c) for c, d in zip(counts, displs)]
+
+
+class _Blocks:
+    """Per-member blocks of one flat buffer, indexed like the list an
+    object collective holds: ``blocks[k]`` is a view of block k and
+    ``blocks[k] = value`` copies into it.  Handing a kernel this or a
+    list is what lets one kernel serve both forms of a collective."""
+
+    __slots__ = ("flat", "bounds")
+
+    def __init__(self, flat: np.ndarray, bounds: List[Tuple[int, int]]):
+        self.flat = flat
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        lo, hi = self.bounds[k]
+        return self.flat[lo:hi]
+
+    def __setitem__(self, k: int, value) -> None:
+        lo, hi = self.bounds[k]
+        self.flat[lo:hi] = value
 
 
 def _traced_collective(default_algorithm: str):
@@ -351,18 +391,38 @@ class Intracomm:
 
     def _select(self, coll: str, nbytes: int, count: Optional[int],
                 commutative: bool, algorithm: Optional[str]) -> str:
-        """Forced algorithm (validated) or the cost-model argmin."""
-        if algorithm is not None:
+        """The algorithm one call runs: *algorithm* if forced, else the
+        cost-model argmin -- legal on every rank alike, or ``ValueError``.
+
+        *count* is the element count, ``None`` for a non-ndarray object.
+        Illegal: an unknown or ``local`` name, an order-sensitive op on a
+        reordering algorithm, a segmented reduction of an object, and
+        ``hierarchical`` without a topology declared for this size.
+        """
+        model, topo = self._tuning()
+        if algorithm is None:
+            algo = select_algorithm(coll, self._size, int(nbytes), model,
+                                    topology=topo, commutative=commutative,
+                                    count=count)
+        else:
             legal = COLLECTIVE_ALGORITHMS[coll]
             if algorithm not in legal or algorithm == "local":
                 raise ValueError(
                     f"unknown {coll} algorithm {algorithm!r}; choose from "
                     f"{sorted(a for a in legal if a != 'local')}")
-            return algorithm
-        model, topo = self._tuning()
-        return select_algorithm(coll, self._size, int(nbytes), model,
-                                topology=topo, commutative=commutative,
-                                count=count)
+            algo = algorithm
+        if not commutative and algo in _REORDERING:
+            raise ValueError(
+                f"{coll} algorithm {algo!r} reorders operands; "
+                f"non-commutative ops need an order-preserving variant")
+        if count is None and algo in _SEGMENTED:
+            raise ValueError(
+                f"{coll} algorithm {algo!r} requires ndarray payloads")
+        if algo == "hierarchical" and self._groups() is None:
+            raise ValueError(
+                f"hierarchical {coll} requires a topology declared for "
+                f"this communicator size")
+        return algo
 
     def _groups(self) -> Optional[List[List[int]]]:
         """Usable topology groups for this communicator, else None."""
@@ -424,8 +484,33 @@ class Intracomm:
         return (self._ctx_id, "c", seq), 0
 
     # ------------------------------------------------------------------
-    # point-to-point: Python objects (pickle path)
+    # point-to-point
     # ------------------------------------------------------------------
+    def _source(self, source: int, tag: int) -> int:
+        """Validate a receive's (source, tag); return the source's world
+        rank (``ANY_SOURCE`` passes through)."""
+        self._check_rank(source, allow_any=True)
+        self._check_tag(tag, allow_any=True)
+        return ANY_SOURCE if source == ANY_SOURCE \
+            else self._world_ranks[source]
+
+    def _fill_status(self, status: Optional[Status], msg) -> None:
+        if status is not None:
+            status.source = self._rank_of_world[msg.src]
+            status.tag = msg.tag
+            status.count_bytes = msg.nbytes
+
+    def _p2p_recv(self, source: int, tag: int, status: Optional[Status]):
+        """Blocking receive of one point-to-point message.  A wildcard
+        source watches every member: a death anywhere in the comm fails
+        it rather than leaving it waiting on a sender that may be dead."""
+        msg = self._ctx.recv_message(self._p2p_ctx(),
+                                     self._source(source, tag), tag,
+                                     members=self._world_ranks)
+        self._fill_status(status, msg)
+        return msg
+
+    # Python objects (pickle path)
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_rank(dest)
         self._check_tag(tag)
@@ -434,47 +519,27 @@ class Intracomm:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Optional[Status] = None) -> Any:
-        self._check_rank(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._world_ranks[source])
-        msg = self._ctx.recv_message(self._p2p_ctx(), src_world, tag,
-                                     members=self._world_ranks)
-        if status is not None:
-            status.source = self._rank_of_world[msg.src]
-            status.tag = msg.tag
-            status.count_bytes = msg.nbytes
-        return _loads(msg)
+        msg = self._p2p_recv(source, tag, status)
+        return _loads(msg.payload, msg.kind)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> SendRequest:
         self.send(obj, dest, tag)
         return SendRequest()
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        self._check_rank(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._world_ranks[source])
+        src_world = self._source(source, tag)
 
         def complete(status):
-            msg = self._ctx.recv_message(self._p2p_ctx(), src_world, tag,
-                                         members=self._world_ranks)
-            if status is not None:
-                status.source = self._rank_of_world[msg.src]
-                status.tag = msg.tag
-                status.count_bytes = msg.nbytes
-            return _loads(msg)
+            msg = self._p2p_recv(source, tag, status)
+            return _loads(msg.payload, msg.kind)
 
         def poll(status):
             msg = self._ctx.poll_message(self._p2p_ctx(), src_world, tag,
                                          remove=True)
             if msg is None:
                 return False, None
-            if status is not None:
-                status.source = self._rank_of_world[msg.src]
-                status.tag = msg.tag
-                status.count_bytes = msg.nbytes
-            return True, _loads(msg)
+            self._fill_status(status, msg)
+            return True, _loads(msg.payload, msg.kind)
 
         return RecvRequest(complete, poll)
 
@@ -487,39 +552,26 @@ class Intracomm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               status: Optional[Status] = None) -> Status:
         """Block until a matching message is available (without receiving)."""
-        self._check_rank(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._world_ranks[source])
+        src_world = self._source(source, tag)
         mb = self._ctx.world.mailboxes[self._ctx.rank]
         msg = mb.retrieve(self._p2p_ctx(), src_world, tag,
                           self._ctx.world.timeout, remove=False,
                           members=self._world_ranks)
         st = status if status is not None else Status()
-        st.source = self._rank_of_world[msg.src]
-        st.tag = msg.tag
-        st.count_bytes = msg.nbytes
+        self._fill_status(st, msg)
         return st
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                status: Optional[Status] = None) -> bool:
-        self._check_rank(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._world_ranks[source])
-        msg = self._ctx.poll_message(self._p2p_ctx(), src_world, tag,
+        msg = self._ctx.poll_message(self._p2p_ctx(),
+                                     self._source(source, tag), tag,
                                      remove=False)
         if msg is None:
             return False
-        if status is not None:
-            status.source = self._rank_of_world[msg.src]
-            status.tag = msg.tag
-            status.count_bytes = msg.nbytes
+        self._fill_status(status, msg)
         return True
 
-    # ------------------------------------------------------------------
-    # point-to-point: NumPy buffers (fast path)
-    # ------------------------------------------------------------------
+    # NumPy buffers (fast path)
     def Send(self, buf, dest: int, tag: int = 0) -> None:
         self._check_rank(dest)
         self._check_tag(tag)
@@ -529,24 +581,14 @@ class Intracomm:
 
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Optional[Status] = None) -> None:
-        self._check_rank(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        flat, count, dt = decode_buffer_spec(buf)
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._world_ranks[source])
-        msg = self._ctx.recv_message(self._p2p_ctx(), src_world, tag,
-                                     members=self._world_ranks)
-        incoming = np.asarray(msg.payload)
+        flat, _count, dt = decode_buffer_spec(buf)
+        incoming = np.asarray(self._p2p_recv(source, tag, status).payload)
         if incoming.nbytes > flat.nbytes:
             raise TruncationError(
                 f"message of {incoming.nbytes} bytes does not fit receive "
                 f"buffer of {flat.nbytes} bytes")
         n = incoming.nbytes // dt.extent
         flat[:n] = incoming.view(dt.np_dtype)[:n]
-        if status is not None:
-            status.source = self._rank_of_world[msg.src]
-            status.tag = msg.tag
-            status.count_bytes = msg.nbytes
 
     def Isend(self, buf, dest: int, tag: int = 0) -> SendRequest:
         self.Send(buf, dest, tag)
@@ -559,10 +601,8 @@ class Intracomm:
             return None
 
         def poll(status):
-            self._check_rank(source, allow_any=True)
-            src_world = (ANY_SOURCE if source == ANY_SOURCE
-                         else self._world_ranks[source])
-            if self._ctx.poll_message(self._p2p_ctx(), src_world, tag,
+            if self._ctx.poll_message(self._p2p_ctx(),
+                                      self._source(source, tag), tag,
                                       remove=False) is None:
                 return False, None
             self.Recv(buf, source, tag, status)
@@ -578,67 +618,55 @@ class Intracomm:
         self.Recv(recvbuf, source, recvtag, status)
 
     # ------------------------------------------------------------------
-    # collective plumbing: send/recv closures over a member list
+    # collective plumbing: the one (send, recv) pair per payload kind
     # ------------------------------------------------------------------
-    def _obj_io(self, ctx_id, ws):
-        """(send, recv) closures moving pickled objects between members.
+    def _io(self, ctx_id, ws, np_dtype=None, expect=None):
+        """The (send, recv) pair a collective kernel moves data through.
 
         *ws* is a list of world ranks; both closures address peers by
-        index into it, so one algorithm implementation serves the full
-        communicator and any hierarchical subgroup alike.  Receives watch
-        the whole communicator's membership, so a death anywhere aborts
-        the collective instead of hanging a chain of waiters.
+        index into it, so one kernel serves the full communicator, a
+        rotated view of it and any hierarchical subgroup alike.  Without
+        *np_dtype* the pair moves pickled objects.  With it the pair
+        moves flat buffers, and every receive insists on exactly *expect*
+        elements -- or ``slot.size`` when the kernel names the block the
+        payload will fill -- so a payload truncated or inflated in flight
+        raises :class:`TruncationError` instead of corrupting the result.
         """
         ctx = self._ctx
-        members = self._world_ranks
+        if np_dtype is None:
+            def send(obj, j, t):
+                ctx.send_object(ws[j], ctx_id, t, obj)
 
-        def send(payload, j, t):
-            ctx.send_object(ws[j], ctx_id, t, payload)
+            def recv(j, t, slot=None):
+                msg = ctx.recv_message(ctx_id, ws[j], t)
+                return _loads(msg.payload, msg.kind)
 
-        def recv(j, t):
-            return _loads(ctx.recv_message(ctx_id, ws[j], t,
-                                           members=members))
+            return send, recv
 
-        return send, recv
+        def send(block, j, t):
+            ctx.send_buffer(ws[j], ctx_id, t, block)
 
-    def _buf_io(self, ctx_id, ws, np_dtype, expect, opname):
-        """(send, recv) closures moving fixed-size buffers between members.
-
-        Every receive insists on exactly *expect* elements: a payload
-        truncated or inflated in flight raises :class:`TruncationError`
-        rather than corrupting the reduction.
-        """
-        ctx = self._ctx
-        members = self._world_ranks
-
-        def send(payload, j, t):
-            ctx.send_buffer(ws[j], ctx_id, t, payload)
-
-        def recv(j, t):
-            msg = ctx.recv_message(ctx_id, ws[j], t, members=members)
-            incoming = np.asarray(msg.payload).view(np_dtype)
-            if incoming.size != expect:
+        def recv(j, t, slot=None):
+            n = expect if slot is None else slot.size
+            msg = ctx.recv_message(ctx_id, ws[j], t)
+            got = np.asarray(msg.payload).view(np_dtype)
+            if got.size != n:
                 raise TruncationError(
-                    f"{opname} expected {expect} elements, received "
-                    f"{incoming.size}: payload truncated or oversized "
-                    f"in flight")
-            return incoming
+                    f"collective receive from world rank {ws[j]} expected "
+                    f"{n} elements, received {got.size}: payload truncated "
+                    f"or oversized in flight")
+            return got
 
         return send, recv
 
-    def _recv_flat(self, ctx_id, src_world, tag, np_dtype, expect, opname):
-        """One exact-size buffer receive (segmented-algorithm helper)."""
-        msg = self._ctx.recv_message(ctx_id, src_world, tag,
-                                     members=self._world_ranks)
-        incoming = np.asarray(msg.payload).view(np_dtype)
-        if incoming.size != expect:
-            raise TruncationError(
-                f"{opname} expected {expect} elements, received "
-                f"{incoming.size}: payload truncated or oversized in flight")
-        return incoming
+    def _coll_io(self, np_dtype=None, expect=None):
+        """``(tag, send, recv)``: a fresh collective context and the pair
+        over the whole communicator."""
+        ctx_id, tag = self._next_coll()
+        return (tag,) + self._io(ctx_id, self._world_ranks, np_dtype, expect)
 
     # ------------------------------------------------------------------
-    # collective algorithm kernels (generic over the io closures)
+    # collective algorithm kernels (generic over the io pair)
     # ------------------------------------------------------------------
     def _bcast_tree(self, tag, ws, i, root_i, value, send, recv):
         """Binomial-tree broadcast over *ws* rooted at index *root_i*.
@@ -767,39 +795,87 @@ class Intracomm:
             send(acc, 2 * pn + 1, tag + 2)
         return acc
 
-    def _buf_allreduce_ring(self, ctx_id, tag, ws, i, acc, op):
+    def _scatter_linear(self, tag, i, root, blocks, send, recv, slot=None):
+        """Linear-root scatter: the root sends ``blocks[j]`` to every
+        other member j; returns this member's block (*slot* is where a
+        buffer receive will land)."""
+        if i != root:
+            return recv(root, tag, slot)
+        for j in range(len(blocks)):
+            if j != root:
+                send(blocks[j], j, tag)
+        return blocks[root]
+
+    def _gather_linear(self, tag, i, root, mine, blocks, send, recv):
+        """Linear-root gather: every other member sends *mine*; the root
+        receives member j's block into ``blocks[j]`` (its own slot is the
+        caller's to fill)."""
+        if i != root:
+            send(mine, root, tag)
+            return
+        for j in range(len(blocks)):
+            if j != root:
+                blocks[j] = recv(j, tag, blocks[j])
+
+    def _ring_allgather(self, tag, i, blocks, send, recv):
+        """Ring allgather: member i starts holding ``blocks[i]``; each of
+        m-1 steps passes the newest block right and takes one from the
+        left, so the ring position names every arriving block."""
+        m = len(blocks)
+        cur = i
+        for _k in range(m - 1):
+            send(blocks[cur], (i + 1) % m, tag)
+            cur = (cur - 1) % m
+            blocks[cur] = recv((i - 1) % m, tag, blocks[cur])
+        return blocks
+
+    def _ring_reduce_scatter(self, tag, i, blocks, combine, send, recv):
+        """Ring reduce-scatter: each of m-1 steps passes one block right
+        and folds the one arriving from the left into ``blocks``.  Blocks
+        fold in ring arrival order, so commutative ops only.  Member i
+        ends owning the fully reduced ``blocks[(i + 1) % m]``."""
+        m = len(blocks)
+        for k in range(m - 1):
+            send(blocks[(i - k) % m], (i + 1) % m, tag)
+            b = (i - k - 1) % m
+            blocks[b] = combine(blocks[b], recv((i - 1) % m, tag, blocks[b]))
+
+    def _pairwise_exchange(self, tag, i, blocks, out, send, recv):
+        """Pairwise-exchange alltoall: step k sends ``blocks[i + k]`` and
+        receives ``out[i - k]``; ``out[i]`` is the caller's to fill."""
+        m = len(out)
+        for k in range(1, m):
+            dest, src = (i + k) % m, (i - k) % m
+            send(blocks[dest], dest, tag)
+            out[src] = recv(src, tag, out[src])
+        return out
+
+    def _linear_chain(self, tag, i, value, combine, send, recv):
+        """Linear-chain prefix: member i receives the exclusive prefix
+        from i - 1, folds its own value in and forwards the result to
+        i + 1.  Returns ``(exclusive prefix or None, inclusive prefix)``."""
+        prefix = recv(i - 1, tag) if i > 0 else None
+        acc = value if prefix is None else combine(prefix, value)
+        if i + 1 < self._size:
+            send(acc, i + 1, tag)
+        return prefix, acc
+
+    def _allreduce_ring(self, tag, ws, i, acc, combine, send, recv):
         """Ring allreduce: ring reduce-scatter then ring allgather.
 
         2(m-1) steps each moving ~1/m of the vector; bandwidth-optimal,
-        latency-heavy.  Commutative ops only (blocks fold in ring arrival
-        order).  Tags: ``tag`` reduce-scatter, ``tag + 1`` allgather.
+        latency-heavy.  Commutative ops only.  Tags: ``tag``
+        reduce-scatter, ``tag + 1`` allgather.
         """
-        m = len(ws)
-        ctx = self._ctx
-        dt = acc.dtype
-        bounds = _block_bounds(acc.size, m)
-        right = ws[(i + 1) % m]
-        left = ws[(i - 1) % m]
-        for k in range(m - 1):
-            s0, s1 = bounds[(i - k) % m]
-            ctx.send_buffer(right, ctx_id, tag, acc[s0:s1])
-            r0, r1 = bounds[(i - k - 1) % m]
-            incoming = self._recv_flat(ctx_id, left, tag, dt, r1 - r0,
-                                       "Allreduce(ring)")
-            acc[r0:r1] = op.np_func(acc[r0:r1], incoming)
-        # member i now owns the fully reduced block (i + 1) % m
-        cur = (i + 1) % m
-        for _k in range(m - 1):
-            s0, s1 = bounds[cur]
-            ctx.send_buffer(right, ctx_id, tag + 1, acc[s0:s1])
-            cur = (cur - 1) % m
-            r0, r1 = bounds[cur]
-            incoming = self._recv_flat(ctx_id, left, tag + 1, dt, r1 - r0,
-                                       "Allreduce(ring)")
-            acc[r0:r1] = incoming
+        bounds = _block_bounds(acc.size, len(ws))
+        self._ring_reduce_scatter(tag, i, _Blocks(acc, bounds), combine,
+                                  send, recv)
+        # member i owns reduced block i + 1: rotate so the ring starts there
+        owned = _Blocks(acc, bounds[1:] + bounds[:1])
+        self._ring_allgather(tag + 1, i, owned, send, recv)
         return acc
 
-    def _buf_allreduce_rabenseifner(self, ctx_id, tag, ws, i, acc, op):
+    def _allreduce_rabenseifner(self, tag, ws, i, acc, combine, send, recv):
         """Rabenseifner allreduce: recursive-halving reduce-scatter plus
         recursive-doubling allgather -- ring's bandwidth term at tree
         latency.  Commutative ops only.  Tags: ``tag`` pow2 fold-in,
@@ -807,50 +883,37 @@ class Intracomm:
         return to folded-out members.
         """
         m = len(ws)
-        ctx = self._ctx
-        dt = acc.dtype
         q = 1 << (m.bit_length() - 1)
         r = m - q
         if i < 2 * r:
             if i & 1:
-                ctx.send_buffer(ws[i - 1], ctx_id, tag, acc)
-                incoming = self._recv_flat(ctx_id, ws[i - 1], tag + 3, dt,
-                                           acc.size,
-                                           "Allreduce(rabenseifner)")
-                acc[:] = incoming
+                send(acc, i - 1, tag)
+                acc[:] = recv(i - 1, tag + 3)
                 return acc
-            incoming = self._recv_flat(ctx_id, ws[i + 1], tag, dt, acc.size,
-                                       "Allreduce(rabenseifner)")
-            acc = op.np_func(acc, incoming)
+            acc = combine(acc, recv(i + 1, tag))
             pn = i // 2
         else:
             pn = i - r
 
-        def wrank(pk):
-            return ws[2 * pk if pk < r else pk + r]
+        def member(pk):
+            return 2 * pk if pk < r else pk + r
 
-        bounds = _block_bounds(acc.size, q)
-        off = [b[0] for b in bounds] + [acc.size]
+        off = [b[0] for b in _block_bounds(acc.size, q)] + [acc.size]
         # recursive halving: each round swap half of the live window with
         # the partner and fold the half we keep
         lo, hi = 0, q
         mask = q >> 1
         while mask:
-            pj = pn ^ mask
+            j = member(pn ^ mask)
             mid = lo + mask
             if pn & mask:
-                send_sl = acc[off[lo]:off[mid]]
-                keep0, keep1 = off[mid], off[hi]
+                give, keep = acc[off[lo]:off[mid]], acc[off[mid]:off[hi]]
                 lo = mid
             else:
-                send_sl = acc[off[mid]:off[hi]]
-                keep0, keep1 = off[lo], off[mid]
+                give, keep = acc[off[mid]:off[hi]], acc[off[lo]:off[mid]]
                 hi = mid
-            ctx.send_buffer(wrank(pj), ctx_id, tag + 1, send_sl)
-            incoming = self._recv_flat(ctx_id, wrank(pj), tag + 1, dt,
-                                       keep1 - keep0,
-                                       "Allreduce(rabenseifner)")
-            acc[keep0:keep1] = op.np_func(acc[keep0:keep1], incoming)
+            send(give, j, tag + 1)
+            keep[:] = combine(keep, recv(j, tag + 1, keep))
             mask >>= 1
         # recursive doubling allgather of the owned blocks
         mask = 1
@@ -858,143 +921,68 @@ class Intracomm:
             pj = pn ^ mask
             my_lo = (pn // mask) * mask
             pr_lo = (pj // mask) * mask
-            ctx.send_buffer(wrank(pj), ctx_id, tag + 2,
-                            acc[off[my_lo]:off[my_lo + mask]])
-            incoming = self._recv_flat(ctx_id, wrank(pj), tag + 2, dt,
-                                       off[pr_lo + mask] - off[pr_lo],
-                                       "Allreduce(rabenseifner)")
-            acc[off[pr_lo]:off[pr_lo + mask]] = incoming
+            send(acc[off[my_lo]:off[my_lo + mask]], member(pj), tag + 2)
+            theirs = acc[off[pr_lo]:off[pr_lo + mask]]
+            theirs[:] = recv(member(pj), tag + 2, theirs)
             mask <<= 1
         if pn < r:
-            ctx.send_buffer(ws[2 * pn + 1], ctx_id, tag + 3, acc)
+            send(acc, 2 * pn + 1, tag + 3)
         return acc
 
-    def _buf_reduce_ring(self, ctx_id, tag, ws, i, root_i, acc, op):
+    def _reduce_ring(self, tag, ws, i, root_i, acc, combine, send, recv):
         """Ring reduce: ring reduce-scatter, owned blocks hop to the root.
 
         Commutative ops only.  Tags: ``tag`` reduce-scatter, ``tag + 1``
         block gather at the root.
         """
-        m = len(ws)
-        ctx = self._ctx
-        dt = acc.dtype
-        bounds = _block_bounds(acc.size, m)
-        right = ws[(i + 1) % m]
-        left = ws[(i - 1) % m]
-        for k in range(m - 1):
-            s0, s1 = bounds[(i - k) % m]
-            ctx.send_buffer(right, ctx_id, tag, acc[s0:s1])
-            r0, r1 = bounds[(i - k - 1) % m]
-            incoming = self._recv_flat(ctx_id, left, tag, dt, r1 - r0,
-                                       "Reduce(ring)")
-            acc[r0:r1] = op.np_func(acc[r0:r1], incoming)
-        own = (i + 1) % m
-        o0, o1 = bounds[own]
-        if i != root_i:
-            ctx.send_buffer(ws[root_i], ctx_id, tag + 1, acc[o0:o1])
-            return None
-        out = np.empty_like(acc)
-        out[o0:o1] = acc[o0:o1]
-        for b in range(m):
-            owner = (b - 1) % m
-            if owner == i:
-                continue
-            b0, b1 = bounds[b]
-            incoming = self._recv_flat(ctx_id, ws[owner], tag + 1, dt,
-                                       b1 - b0, "Reduce(ring)")
-            out[b0:b1] = incoming
-        return out
+        bounds = _block_bounds(acc.size, len(ws))
+        self._ring_reduce_scatter(tag, i, _Blocks(acc, bounds), combine,
+                                  send, recv)
+        owned = _Blocks(acc, bounds[1:] + bounds[:1])
+        self._gather_linear(tag + 1, i, root_i, owned[i], owned, send, recv)
+        return acc if i == root_i else None
 
-    def _buf_bcast_scatter_allgather(self, ctx_id, tag, ws, i, root_i,
-                                     flat, count, np_dtype):
-        """van de Geijn broadcast: binomial scatter + ring allgather.
+    def _bcast_scatter_allgather(self, tag, i, root_i, flat, io_for):
+        """van de Geijn broadcast of the buffer *flat*: binomial scatter
+        + ring allgather, both in root-rotated virtual ranks over the
+        pair *io_for* builds for the rotated member list.
 
         Halves the bandwidth term of the binomial tree for large
         messages at the cost of extra latency.  Tags: ``tag`` scatter,
         ``tag + 1`` allgather.
         """
+        ws = self._world_ranks
         m = len(ws)
-        ctx = self._ctx
-        bounds = _block_bounds(count, m)
-        off = [b[0] for b in bounds] + [count]
         v = (i - root_i) % m
-
-        def wrank(vr):
-            return ws[(vr + root_i) % m]
-
-        # binomial scatter in virtual-rank space: v receives blocks
-        # [v, v + lowbit(v)) from v - lowbit(v), then halves its span
-        # downward
+        send, recv = io_for(ws[root_i:] + ws[:root_i])
+        bounds = _block_bounds(flat.size, m)
+        off = [b[0] for b in bounds] + [flat.size]
+        # binomial scatter: v receives blocks [v, v + lowbit(v)) from
+        # v - lowbit(v), then halves its span downward
         mask = 1
         while mask < m:
             if v & mask:
-                hi_blk = min(v + mask, m)
-                incoming = self._recv_flat(
-                    ctx_id, wrank(v - mask), tag, np_dtype,
-                    off[hi_blk] - off[v], "Bcast(scatter-allgather)")
-                flat[off[v]:off[hi_blk]] = incoming
+                span = flat[off[v]:off[min(v + mask, m)]]
+                span[:] = recv(v - mask, tag, span)
                 break
             mask <<= 1
         mask >>= 1
         while mask:
-            dv = v + mask
-            if dv < m:
-                hi_blk = min(dv + mask, m)
-                ctx.send_buffer(wrank(dv), ctx_id, tag,
-                                flat[off[dv]:off[hi_blk]])
+            if v + mask < m:
+                send(flat[off[v + mask]:off[min(v + 2 * mask, m)]],
+                     v + mask, tag)
             mask >>= 1
-        # ring allgather in virtual-rank space
-        right = wrank((v + 1) % m)
-        left = wrank((v - 1) % m)
-        cur = v
-        for _k in range(m - 1):
-            ctx.send_buffer(right, ctx_id, tag + 1,
-                            flat[off[cur]:off[cur + 1]])
-            cur = (cur - 1) % m
-            incoming = self._recv_flat(ctx_id, left, tag + 1, np_dtype,
-                                       off[cur + 1] - off[cur],
-                                       "Bcast(scatter-allgather)")
-            flat[off[cur]:off[cur + 1]] = incoming
+        self._ring_allgather(tag + 1, v, _Blocks(flat, bounds), send, recv)
+        return flat
 
-    def _obj_bcast_scatter_allgather(self, ctx_id, tag, ws, i, root_i, obj):
-        """Scatter-allgather broadcast of a pickled object.
-
-        The root serializes once; the byte blob then rides the buffer
-        kernel (a size header travels down a binomial tree first so
-        non-roots can allocate).  Tags ``tag`` (header) through
-        ``tag + 2``.
-        """
-        if i == root_i:
-            blob = pickle.dumps(obj, protocol=5)
-            data = np.frombuffer(blob, dtype=np.uint8).copy()
-            n = data.size
-        else:
-            data = None
-            n = None
-        send, recv = self._obj_io(ctx_id, ws)
-        n = self._bcast_tree(tag, ws, i, root_i, n, send, recv)
-        if data is None:
-            data = np.empty(int(n), dtype=np.uint8)
-        self._buf_bcast_scatter_allgather(ctx_id, tag + 1, ws, i, root_i,
-                                          data, int(n), np.dtype(np.uint8))
-        if i == root_i:
-            return obj
-        try:
-            return pickle.loads(data.tobytes())
-        except Exception as exc:
-            raise TruncationError(
-                f"scatter-allgather bcast payload failed to decode "
-                f"({exc!r}); payload was truncated or corrupted in "
-                f"flight") from exc
-
-    def _hier_bcast(self, ctx_id, tag, groups, root, value, io_for):
+    def _hier_bcast(self, tag, groups, root, value, io_for):
         """Hierarchical broadcast: root -> its group leader -> leaders'
         binomial tree -> intra-group binomial trees.
 
         *groups* are comm-rank groups from the declared topology;
-        *io_for(ws)* builds (send, recv) closures for a member list, so
-        the same skeleton drives the object and buffer paths.  Tags:
-        ``tag`` root hop, ``tag + 1`` leader tree, ``tag + 2`` intra.
+        *io_for(ws)* builds the (send, recv) pair for a member list.
+        Tags: ``tag`` root hop, ``tag + 1`` leader tree, ``tag + 2``
+        intra.
         """
         full_ws = self._world_ranks
         me = self._rank
@@ -1018,7 +1006,7 @@ class Intracomm:
         return self._bcast_tree(tag + 2, gws, mine.index(me), 0, value,
                                 send, recv)
 
-    def _hier_allreduce(self, ctx_id, tag, groups, value, combine, io_for):
+    def _hier_allreduce(self, tag, groups, value, combine, io_for):
         """Hierarchical allreduce: intra-group fold -> leader
         recursive-doubling -> intra-group broadcast.  Commutative ops
         only (group membership need not follow rank order).  Tags:
@@ -1039,6 +1027,78 @@ class Intracomm:
             acc = self._allreduce_recdbl(tag + 1, lws, leaders.index(me),
                                          acc, combine, lsend, lrecv)
         return self._bcast_tree(tag + 4, gws, gi, 0, acc, send, recv)
+
+    # ------------------------------------------------------------------
+    # adaptive dispatch: one per collective, shared by both forms
+    # ------------------------------------------------------------------
+    def _bcast(self, value, root, algorithm, nbytes, count, np_dtype):
+        """Select, label and run one broadcast; *np_dtype* ``None`` means
+        *value* is an object, else a flat buffer of *count* elements."""
+        algo = self._select("bcast", nbytes, count, True, algorithm)
+        self._note_algorithm(algo)
+        ctx_id, tag = self._next_coll()
+        ws, i = self._world_ranks, self._rank
+        if algo == "binomial-tree":
+            return self._bcast_tree(tag, ws, i, root, value,
+                                    *self._io(ctx_id, ws, np_dtype, count))
+
+        def io_for(mws):
+            return self._io(ctx_id, mws, np_dtype, count)
+
+        if algo == "hierarchical":
+            return self._hier_bcast(tag, self._groups(), root, value, io_for)
+        if np_dtype is not None:
+            return self._bcast_scatter_allgather(tag, i, root, value, io_for)
+        # scatter-allgather of an object: it rides the buffer kernel as its
+        # pickled bytes, behind a size header sent down a binomial tree
+        blob = pickle.dumps(value, protocol=5) if i == root else None
+        n = self._bcast_tree(tag, ws, i, root,
+                             None if blob is None else len(blob),
+                             *io_for(ws))
+        data = (np.frombuffer(blob, dtype=np.uint8).copy()
+                if i == root else np.empty(int(n), dtype=np.uint8))
+        self._bcast_scatter_allgather(
+            tag + 1, i, root, data,
+            lambda mws: self._io(ctx_id, mws, np.uint8))
+        return value if i == root else _loads(data.tobytes())
+
+    def _reduce(self, value, op, root, algorithm, nbytes, count, np_dtype):
+        """Select, label and run one reduction to *root* (``None`` off
+        the root)."""
+        algo = self._select("reduce", nbytes, count, op.commutative,
+                            algorithm)
+        self._note_algorithm(algo)
+        tag, send, recv = self._coll_io(np_dtype, count)
+        kernel = {"binomial-tree": self._reduce_rotated,
+                  "rank-ordered-tree": self._reduce_ordered,
+                  "gather-fold": self._reduce_gather_fold,
+                  "ring": self._reduce_ring}[algo]
+        combine = op if np_dtype is None else op.np_func
+        return kernel(tag, self._world_ranks, self._rank, root, value,
+                      combine, send, recv)
+
+    def _allreduce(self, value, op, algorithm, nbytes, count, np_dtype,
+                   compose):
+        """Select, label and run one allreduce.  ``reduce+bcast`` is a
+        composition of the two public collectives, which each form
+        supplies as *compose*."""
+        algo = self._select("allreduce", nbytes, count, op.commutative,
+                            algorithm)
+        self._note_algorithm(algo)
+        if algo == "reduce+bcast":
+            return compose()
+        ctx_id, tag = self._next_coll()
+        ws = self._world_ranks
+        combine = op if np_dtype is None else op.np_func
+        if algo == "hierarchical":
+            return self._hier_allreduce(
+                tag, self._groups(), value, combine,
+                lambda mws: self._io(ctx_id, mws, np_dtype, count))
+        kernel = {"recursive-doubling": self._allreduce_recdbl,
+                  "ring": self._allreduce_ring,
+                  "rabenseifner": self._allreduce_rabenseifner}[algo]
+        return kernel(tag, ws, self._rank, value, combine,
+                      *self._io(ctx_id, ws, np_dtype, count))
 
     # ------------------------------------------------------------------
     # collectives: object (pickle) path
@@ -1075,102 +1135,54 @@ class Intracomm:
         small message.  *algorithm* forces a specific variant.
         """
         self._check_rank(root)
-        p = self._size
-        if p == 1:
+        if self._size == 1:
             self._note_algorithm("local")
             return obj
         nbytes = int(size_hint) if size_hint else _OBJECT_SIZE_GUESS
         count = int(size_hint) if size_hint else None
-        algo = self._select("bcast", nbytes, count, True, algorithm)
-        groups = self._groups()
-        if algo == "hierarchical" and groups is None:
-            raise ValueError(
-                "hierarchical bcast requires a topology declared for "
-                "this communicator size")
-        self._note_algorithm(algo)
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        if algo == "scatter-allgather":
-            return self._obj_bcast_scatter_allgather(ctx_id, tag, ws,
-                                                     self._rank, root, obj)
-        if algo == "hierarchical":
-            return self._hier_bcast(ctx_id, tag, groups, root, obj,
-                                    lambda mws: self._obj_io(ctx_id, mws))
-        send, recv = self._obj_io(ctx_id, ws)
-        return self._bcast_tree(tag, ws, self._rank, root, obj, send, recv)
+        return self._bcast(obj, root, algorithm, nbytes, count, None)
 
     @_traced_collective("linear-root")
     def scatter(self, sendobj: Optional[Sequence] = None,
                 root: int = 0) -> Any:
         self._check_rank(root)
-        ctx_id, tag = self._next_coll()
-        if self._rank == root:
-            if sendobj is None or len(sendobj) != self._size:
-                raise ValueError("root must supply a sequence of comm.size "
-                                 "elements to scatter")
-            mine = sendobj[root]
-            for r in range(self._size):
-                if r != root:
-                    self._ctx.send_object(self._world_ranks[r], ctx_id,
-                                          tag, sendobj[r])
-            return mine
-        msg = self._ctx.recv_message(ctx_id, self._world_ranks[root], tag)
-        return _loads(msg)
+        tag, send, recv = self._coll_io()
+        if self._rank == root and (sendobj is None
+                                   or len(sendobj) != self._size):
+            raise ValueError("root must supply a sequence of comm.size "
+                             "elements to scatter")
+        return self._scatter_linear(tag, self._rank, root, sendobj,
+                                    send, recv)
 
     @_traced_collective("linear-root")
     def gather(self, sendobj: Any, root: int = 0) -> Optional[List[Any]]:
         self._check_rank(root)
-        ctx_id, tag = self._next_coll()
+        tag, send, recv = self._coll_io()
+        out = None
         if self._rank == root:
-            out: List[Any] = [None] * self._size
+            out = [None] * self._size
             out[root] = sendobj
-            for r in range(self._size):
-                if r != root:
-                    msg = self._ctx.recv_message(
-                        ctx_id, self._world_ranks[r], tag)
-                    out[r] = _loads(msg)
-            return out
-        self._ctx.send_object(self._world_ranks[root], ctx_id, tag, sendobj)
-        return None
+        self._gather_linear(tag, self._rank, root, sendobj, out, send, recv)
+        return out
 
     @_traced_collective("ring")
     def allgather(self, sendobj: Any) -> List[Any]:
         """Ring allgather: p-1 steps, each forwarding one block."""
-        ctx_id, tag = self._next_coll()
-        p = self._size
-        out: List[Any] = [None] * p
+        tag, send, recv = self._coll_io()
+        out: List[Any] = [None] * self._size
         out[self._rank] = sendobj
-        if p == 1:
-            return out
-        right = self._world_ranks[(self._rank + 1) % p]
-        left_rank = (self._rank - 1) % p
-        left = self._world_ranks[left_rank]
-        cur = sendobj
-        cur_idx = self._rank
-        for _step in range(p - 1):
-            self._ctx.send_object(right, ctx_id, tag, (cur_idx, cur))
-            msg = self._ctx.recv_message(ctx_id, left, tag)
-            cur_idx, cur = _loads(msg)
-            out[cur_idx] = cur
-        return out
+        return self._ring_allgather(tag, self._rank, out, send, recv)
 
     @_traced_collective("pairwise-exchange")
     def alltoall(self, sendobjs: Sequence[Any]) -> List[Any]:
         """Pairwise-exchange alltoall."""
         if len(sendobjs) != self._size:
             raise ValueError("alltoall needs comm.size send objects")
-        ctx_id, tag = self._next_coll()
-        p = self._size
-        out: List[Any] = [None] * p
+        tag, send, recv = self._coll_io()
+        out: List[Any] = [None] * self._size
         out[self._rank] = sendobjs[self._rank]
-        for offset in range(1, p):
-            dest = (self._rank + offset) % p
-            src = (self._rank - offset) % p
-            self._ctx.send_object(self._world_ranks[dest], ctx_id, tag,
-                                  sendobjs[dest])
-            msg = self._ctx.recv_message(ctx_id, self._world_ranks[src], tag)
-            out[src] = _loads(msg)
-        return out
+        return self._pairwise_exchange(tag, self._rank, sendobjs, out,
+                                       send, recv)
 
     @_traced_collective("binomial-tree")
     def reduce(self, sendobj: Any, op: _ops.Op = _ops.SUM,
@@ -1184,8 +1196,7 @@ class Intracomm:
         machinery, where large vectors may take the ring variant.
         """
         self._check_rank(root)
-        p = self._size
-        if p == 1:
+        if self._size == 1:
             self._note_algorithm("local")
             return sendobj
         if isinstance(sendobj, np.ndarray) and sendobj.dtype != object:
@@ -1195,27 +1206,7 @@ class Intracomm:
             self._reduce_buffer(arr, recvarr, op, root, algorithm)
             return recvarr
         nbytes = int(size_hint) if size_hint else _OBJECT_SIZE_GUESS
-        algo = self._select("reduce", nbytes, None, op.commutative,
-                            algorithm)
-        if not op.commutative and algo in ("binomial-tree", "ring"):
-            raise ValueError(
-                f"reduce algorithm {algo!r} reorders operands; use "
-                f"rank-ordered-tree or gather-fold for non-commutative ops")
-        if algo == "ring":
-            raise ValueError("ring reduce requires ndarray payloads")
-        self._note_algorithm(algo)
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        send, recv = self._obj_io(ctx_id, ws)
-        i = self._rank
-        if algo == "rank-ordered-tree":
-            return self._reduce_ordered(tag, ws, i, root, sendobj, op,
-                                        send, recv)
-        if algo == "gather-fold":
-            return self._reduce_gather_fold(tag, ws, i, root, sendobj, op,
-                                            send, recv)
-        return self._reduce_rotated(tag, ws, i, root, sendobj, op,
-                                    send, recv)
+        return self._reduce(sendobj, op, root, algorithm, nbytes, None, None)
 
     @_traced_collective("reduce+bcast")
     def allreduce(self, sendobj: Any, op: _ops.Op = _ops.SUM,
@@ -1229,8 +1220,7 @@ class Intracomm:
         (approximate serialized bytes, SPMD-consistent) steers selection
         for object payloads.
         """
-        p = self._size
-        if p == 1:
+        if self._size == 1:
             self._note_algorithm("local")
             return sendobj
         if isinstance(sendobj, np.ndarray) and sendobj.dtype != object:
@@ -1239,63 +1229,27 @@ class Intracomm:
             self._allreduce_buffer(arr, out, op, algorithm)
             return out
         nbytes = int(size_hint) if size_hint else _OBJECT_SIZE_GUESS
-        algo = self._select("allreduce", nbytes, None, op.commutative,
-                            algorithm)
-        if algo in ("ring", "rabenseifner"):
-            raise ValueError(
-                f"allreduce algorithm {algo!r} requires ndarray payloads")
-        groups = self._groups()
-        if algo == "hierarchical":
-            if groups is None:
-                raise ValueError(
-                    "hierarchical allreduce requires a topology declared "
-                    "for this communicator size")
-            if not op.commutative:
-                raise ValueError("hierarchical allreduce requires a "
-                                 "commutative op")
-        self._note_algorithm(algo)
-        if algo == "reduce+bcast":
-            result = self.reduce(sendobj, op=op, root=0,
-                                 size_hint=size_hint)
+
+        def compose():
+            result = self.reduce(sendobj, op=op, root=0, size_hint=size_hint)
             return self.bcast(result, root=0, size_hint=size_hint)
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        if algo == "hierarchical":
-            return self._hier_allreduce(ctx_id, tag, groups, sendobj, op,
-                                        lambda mws: self._obj_io(ctx_id,
-                                                                 mws))
-        send, recv = self._obj_io(ctx_id, ws)
-        return self._allreduce_recdbl(tag, ws, self._rank, sendobj, op,
-                                      send, recv)
+
+        return self._allreduce(sendobj, op, algorithm, nbytes, None, None,
+                               compose)
 
     @_traced_collective("linear-chain")
     def scan(self, sendobj: Any, op: _ops.Op = _ops.SUM) -> Any:
         """Inclusive prefix reduction along rank order (linear chain)."""
-        ctx_id, tag = self._next_coll()
-        acc = sendobj
-        if self._rank > 0:
-            msg = self._ctx.recv_message(
-                ctx_id, self._world_ranks[self._rank - 1], tag)
-            acc = op(_loads(msg), sendobj)
-        if self._rank + 1 < self._size:
-            self._ctx.send_object(self._world_ranks[self._rank + 1],
-                                  ctx_id, tag, acc)
-        return acc
+        tag, send, recv = self._coll_io()
+        return self._linear_chain(tag, self._rank, sendobj, op,
+                                  send, recv)[1]
 
     @_traced_collective("linear-chain")
     def exscan(self, sendobj: Any, op: _ops.Op = _ops.SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
-        ctx_id, tag = self._next_coll()
-        prefix = None
-        if self._rank > 0:
-            msg = self._ctx.recv_message(
-                ctx_id, self._world_ranks[self._rank - 1], tag)
-            prefix = _loads(msg)
-        if self._rank + 1 < self._size:
-            acc = sendobj if prefix is None else op(prefix, sendobj)
-            self._ctx.send_object(self._world_ranks[self._rank + 1],
-                                  ctx_id, tag, acc)
-        return prefix
+        tag, send, recv = self._coll_io()
+        return self._linear_chain(tag, self._rank, sendobj, op,
+                                  send, recv)[0]
 
     # ------------------------------------------------------------------
     # collectives: buffer path
@@ -1305,199 +1259,122 @@ class Intracomm:
               algorithm: Optional[str] = None) -> None:
         """Size-adaptive broadcast of a NumPy buffer."""
         self._check_rank(root)
-        p = self._size
-        if p == 1:
+        if self._size == 1:
             self._note_algorithm("local")
             return
         flat, count, dt = decode_buffer_spec(buf)
-        algo = self._select("bcast", count * dt.extent, count, True,
-                            algorithm)
-        groups = self._groups()
-        if algo == "hierarchical" and groups is None:
-            raise ValueError(
-                "hierarchical Bcast requires a topology declared for "
-                "this communicator size")
-        self._note_algorithm(algo)
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        if algo == "scatter-allgather":
-            self._buf_bcast_scatter_allgather(ctx_id, tag, ws, self._rank,
-                                              root, flat, count,
-                                              dt.np_dtype)
-            return
+        value = self._bcast(flat, root, algorithm, count * dt.extent, count,
+                            dt.np_dtype)
+        if value is not flat:
+            flat[:] = value
 
-        def io_for(mws):
-            return self._buf_io(ctx_id, mws, dt.np_dtype, count, "Bcast")
-
-        if algo == "hierarchical":
-            value = self._hier_bcast(ctx_id, tag, groups, root,
-                                     flat[:count], io_for)
-        else:
-            send, recv = io_for(ws)
-            value = self._bcast_tree(tag, ws, self._rank, root,
-                                     flat[:count], send, recv)
-        if self._rank != root:
-            flat[:count] = value
-
+    # Scatter/Gather/Allgather run their v-form's body, not the decorated
+    # v-method: one call records one collective.
     @_traced_collective("linear-root")
     def Scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
         """Scatter equal contiguous blocks of *sendbuf* from the root."""
         self._check_rank(root)
-        rflat, rcount, rdt = decode_buffer_spec(recvbuf)
-        counts = [rcount] * self._size
-        displs = [rcount * r for r in range(self._size)]
-        self.Scatterv(sendbuf, counts, displs, recvbuf, root=root)
+        _rflat, rcount, _rdt = decode_buffer_spec(recvbuf)
+        self._scatterv(sendbuf, [rcount] * self._size,
+                       [rcount * r for r in range(self._size)], recvbuf,
+                       root)
 
     @_traced_collective("linear-root")
     def Scatterv(self, sendbuf, counts, displs, recvbuf,
                  root: int = 0) -> None:
+        """Scatter block r (``counts[r]`` elements at ``displs[r]``) to
+        rank r, which must receive exactly that many elements."""
         self._check_rank(root)
-        ctx_id, tag = self._next_coll()
-        rflat, rcount, rdt = decode_buffer_spec(recvbuf)
-        if self._rank == root:
-            sflat, _scount, sdt = decode_buffer_spec(sendbuf)
-            for r in range(self._size):
-                block = sflat[displs[r]:displs[r] + counts[r]]
-                if r == root:
-                    rflat[:counts[r]] = block
-                else:
-                    self._ctx.send_buffer(self._world_ranks[r], ctx_id,
-                                          tag, block)
-        else:
-            msg = self._ctx.recv_message(ctx_id, self._world_ranks[root], tag)
-            incoming = np.asarray(msg.payload).view(rdt.np_dtype)
-            if incoming.size > rcount:
-                raise TruncationError("Scatterv recv buffer too small")
-            rflat[:incoming.size] = incoming
+        self._scatterv(sendbuf, counts, displs, recvbuf, root)
+
+    def _scatterv(self, sendbuf, counts, displs, recvbuf, root) -> None:
+        rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
+        tag, send, recv = self._coll_io(rdt.np_dtype)
+        i = self._rank
+        blocks = None
+        if i == root:
+            sflat, _scount, _sdt = decode_buffer_spec(sendbuf)
+            blocks = _Blocks(sflat, _spans(counts, displs))
+        mine = rflat[:counts[i]]
+        mine[:] = self._scatter_linear(tag, i, root, blocks, send, recv,
+                                       mine)
 
     @_traced_collective("linear-root")
     def Gather(self, sendbuf, recvbuf, root: int = 0) -> None:
-        sflat, scount, _sdt = decode_buffer_spec(sendbuf)
-        counts = [scount] * self._size
-        displs = [scount * r for r in range(self._size)]
-        self.Gatherv(sendbuf, recvbuf, counts, displs, root=root)
+        self._check_rank(root)
+        _sflat, scount, _sdt = decode_buffer_spec(sendbuf)
+        self._gatherv(sendbuf, recvbuf, [scount] * self._size,
+                      [scount * r for r in range(self._size)], root)
 
     @_traced_collective("linear-root")
     def Gatherv(self, sendbuf, recvbuf, counts, displs,
                 root: int = 0) -> None:
+        """Gather rank r's block into ``counts[r]`` elements at
+        ``displs[r]`` of the root's *recvbuf*; it must be exactly that
+        long."""
         self._check_rank(root)
-        ctx_id, tag = self._next_coll()
+        self._gatherv(sendbuf, recvbuf, counts, displs, root)
+
+    def _gatherv(self, sendbuf, recvbuf, counts, displs, root) -> None:
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        if self._rank == root:
+        i = self._rank
+        out = None
+        np_dtype = sdt.np_dtype
+        if i == root:
             rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
-            rflat[displs[root]:displs[root] + scount] = sflat[:scount]
-            for r in range(self._size):
-                if r == root:
-                    continue
-                msg = self._ctx.recv_message(ctx_id, self._world_ranks[r],
-                                             tag)
-                incoming = np.asarray(msg.payload).view(rdt.np_dtype)
-                if incoming.size > counts[r]:
-                    raise TruncationError("Gatherv recv slot too small")
-                rflat[displs[r]:displs[r] + incoming.size] = incoming
-        else:
-            self._ctx.send_buffer(self._world_ranks[root], ctx_id, tag,
-                                  sflat[:scount])
+            np_dtype = rdt.np_dtype
+            out = _Blocks(rflat, _spans(counts, displs))
+            rflat[displs[root]:displs[root] + scount] = sflat
+        tag, send, recv = self._coll_io(np_dtype)
+        self._gather_linear(tag, i, root, sflat, out, send, recv)
 
     @_traced_collective("ring")
     def Allgather(self, sendbuf, recvbuf) -> None:
-        sflat, scount, _dt = decode_buffer_spec(sendbuf)
-        counts = [scount] * self._size
-        displs = [scount * r for r in range(self._size)]
-        self.Allgatherv(sendbuf, recvbuf, counts, displs)
+        _sflat, scount, _dt = decode_buffer_spec(sendbuf)
+        self._allgatherv(sendbuf, recvbuf, [scount] * self._size,
+                         [scount * r for r in range(self._size)])
 
     @_traced_collective("ring")
     def Allgatherv(self, sendbuf, recvbuf, counts, displs) -> None:
-        """Ring allgather over buffers."""
-        ctx_id, tag = self._next_coll()
-        p = self._size
-        sflat, scount, sdt = decode_buffer_spec(sendbuf)
+        """Ring allgather over buffers; every block must arrive with
+        exactly ``counts[r]`` elements."""
+        self._allgatherv(sendbuf, recvbuf, counts, displs)
+
+    def _allgatherv(self, sendbuf, recvbuf, counts, displs) -> None:
+        sflat, scount, _sdt = decode_buffer_spec(sendbuf)
         rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
+        tag, send, recv = self._coll_io(rdt.np_dtype)
         me = self._rank
-        rflat[displs[me]:displs[me] + scount] = sflat[:scount].view(rdt.np_dtype)
-        if p == 1:
-            return
-        right = self._world_ranks[(me + 1) % p]
-        left = self._world_ranks[(me - 1) % p]
-        cur_idx = me
-        for _step in range(p - 1):
-            block = rflat[displs[cur_idx]:displs[cur_idx] + counts[cur_idx]]
-            # prepend the block index as a tiny header via object send would
-            # lose the buffer path; instead derive the index from ring math.
-            self._ctx.send_buffer(right, ctx_id, tag, block)
-            msg = self._ctx.recv_message(ctx_id, left, tag)
-            cur_idx = (cur_idx - 1) % p
-            incoming = np.asarray(msg.payload).view(rdt.np_dtype)
-            if incoming.size != counts[cur_idx]:
-                raise TruncationError(
-                    f"Allgatherv expected {counts[cur_idx]} elements for "
-                    f"block {cur_idx}, received {incoming.size}: payload "
-                    f"truncated or oversized in flight")
-            rflat[displs[cur_idx]:displs[cur_idx] + counts[cur_idx]] = incoming
+        rflat[displs[me]:displs[me] + scount] = sflat.view(rdt.np_dtype)
+        blocks = _Blocks(rflat, _spans(counts, displs))
+        self._ring_allgather(tag, me, blocks, send, recv)
 
     @_traced_collective("pairwise-exchange")
     def Alltoall(self, sendbuf, recvbuf) -> None:
-        ctx_id, tag = self._next_coll()
         p = self._size
-        sflat, scount, sdt = decode_buffer_spec(sendbuf)
+        sflat, scount, _sdt = decode_buffer_spec(sendbuf)
         rflat, rcount, rdt = decode_buffer_spec(recvbuf)
         if scount % p or rcount % p:
             raise ValueError("Alltoall buffers must divide evenly by size")
-        sblk = scount // p
-        rblk = rcount // p
-        rflat[self._rank * rblk:(self._rank + 1) * rblk] = \
-            sflat[self._rank * sblk:(self._rank + 1) * sblk].view(rdt.np_dtype)
-        for offset in range(1, p):
-            dest = (self._rank + offset) % p
-            src = (self._rank - offset) % p
-            self._ctx.send_buffer(self._world_ranks[dest], ctx_id, tag,
-                                  sflat[dest * sblk:(dest + 1) * sblk])
-            msg = self._ctx.recv_message(ctx_id, self._world_ranks[src], tag)
-            incoming = np.asarray(msg.payload).view(rdt.np_dtype)
-            if incoming.size != rblk:
-                raise TruncationError(
-                    f"Alltoall expected {rblk} elements from rank {src}, "
-                    f"received {incoming.size}: payload truncated or "
-                    f"oversized in flight")
-            rflat[src * rblk:(src + 1) * rblk] = incoming
+        tag, send, recv = self._coll_io(rdt.np_dtype)
+        blocks = _Blocks(sflat, _block_bounds(scount, p))
+        out = _Blocks(rflat, _block_bounds(rcount, p))
+        out[self._rank] = blocks[self._rank].view(rdt.np_dtype)
+        self._pairwise_exchange(tag, self._rank, blocks, out, send, recv)
 
     def _reduce_buffer(self, sendbuf, recvbuf, op, root, algorithm) -> None:
         """Shared engine behind :meth:`Reduce` and ndarray :meth:`reduce`."""
-        p = self._size
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        acc = sflat[:scount].astype(sdt.np_dtype, copy=True)
-        if p == 1:
+        acc = sflat.astype(sdt.np_dtype, copy=True)
+        if self._size == 1:
             self._note_algorithm("local")
             if recvbuf is not None:
                 rflat, _rc, rdt = decode_buffer_spec(recvbuf)
                 rflat[:acc.size] = acc.view(rdt.np_dtype)
             return
-        algo = self._select("reduce", acc.nbytes, scount, op.commutative,
-                            algorithm)
-        if not op.commutative and algo in ("binomial-tree", "ring"):
-            raise ValueError(
-                f"Reduce algorithm {algo!r} reorders operands; use "
-                f"rank-ordered-tree or gather-fold for non-commutative ops")
-        self._note_algorithm(algo)
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        i = self._rank
-        if algo == "ring":
-            result = self._buf_reduce_ring(ctx_id, tag, ws, i, root, acc,
-                                           op)
-        else:
-            send, recv = self._buf_io(ctx_id, ws, sdt.np_dtype, scount,
-                                      "Reduce")
-            if algo == "rank-ordered-tree":
-                result = self._reduce_ordered(tag, ws, i, root, acc,
-                                              op.np_func, send, recv)
-            elif algo == "gather-fold":
-                result = self._reduce_gather_fold(tag, ws, i, root, acc,
-                                                  op.np_func, send, recv)
-            else:
-                result = self._reduce_rotated(tag, ws, i, root, acc,
-                                              op.np_func, send, recv)
-        if i == root and recvbuf is not None and result is not None:
+        result = self._reduce(acc, op, root, algorithm, acc.nbytes, scount,
+                              sdt.np_dtype)
+        if result is not None and recvbuf is not None:
             rflat, _rc, rdt = decode_buffer_spec(recvbuf)
             rflat[:scount] = np.asarray(result).view(rdt.np_dtype)[:scount]
 
@@ -1513,53 +1390,21 @@ class Intracomm:
         :meth:`allreduce`."""
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
         rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
-        acc = sflat[:scount].astype(sdt.np_dtype, copy=True)
-        p = self._size
-        if p == 1:
+        acc = sflat.astype(sdt.np_dtype, copy=True)
+        if self._size == 1:
             self._note_algorithm("local")
             rflat[:scount] = acc.view(rdt.np_dtype)
             return
-        algo = self._select("allreduce", acc.nbytes, scount,
-                            op.commutative, algorithm)
-        if not op.commutative and algo in ("ring", "rabenseifner"):
-            raise ValueError(
-                f"Allreduce algorithm {algo!r} reorders operands; "
-                f"non-commutative ops need reduce+bcast or "
-                f"recursive-doubling")
-        groups = None
-        if algo == "hierarchical":
-            groups = self._groups()
-            if groups is None:
-                raise ValueError(
-                    "hierarchical Allreduce requires a topology declared "
-                    "for this communicator size")
-            if not op.commutative:
-                raise ValueError("hierarchical Allreduce requires a "
-                                 "commutative op")
-        self._note_algorithm(algo)
-        if algo == "reduce+bcast":
+
+        def compose():
             self.Reduce(sendbuf, recvbuf, op=op, root=0)
             self.Bcast(recvbuf, root=0)
-            return
-        ctx_id, tag = self._next_coll()
-        ws = self._world_ranks
-        i = self._rank
-        if algo == "ring":
-            result = self._buf_allreduce_ring(ctx_id, tag, ws, i, acc, op)
-        elif algo == "rabenseifner":
-            result = self._buf_allreduce_rabenseifner(ctx_id, tag, ws, i,
-                                                      acc, op)
-        elif algo == "hierarchical":
-            result = self._hier_allreduce(
-                ctx_id, tag, groups, acc, op.np_func,
-                lambda mws: self._buf_io(ctx_id, mws, sdt.np_dtype,
-                                         scount, "Allreduce"))
-        else:
-            send, recv = self._buf_io(ctx_id, ws, sdt.np_dtype, scount,
-                                      "Allreduce")
-            result = self._allreduce_recdbl(tag, ws, i, acc, op.np_func,
-                                            send, recv)
-        rflat[:scount] = np.asarray(result).view(rdt.np_dtype)[:scount]
+            return rflat
+
+        result = self._allreduce(acc, op, algorithm, acc.nbytes, scount,
+                                 sdt.np_dtype, compose)
+        if result is not rflat:
+            rflat[:scount] = np.asarray(result).view(rdt.np_dtype)[:scount]
 
     @_traced_collective("reduce+bcast")
     def Allreduce(self, sendbuf, recvbuf, op: _ops.Op = _ops.SUM,
@@ -1583,21 +1428,10 @@ class Intracomm:
     @_traced_collective("linear-chain")
     def Scan(self, sendbuf, recvbuf, op: _ops.Op = _ops.SUM) -> None:
         """Inclusive prefix reduction over buffers (linear chain)."""
-        ctx_id, tag = self._next_coll()
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        acc = sflat[:scount].astype(sdt.np_dtype, copy=True)
-        if self._rank > 0:
-            msg = self._ctx.recv_message(
-                ctx_id, self._world_ranks[self._rank - 1], tag)
-            incoming = np.asarray(msg.payload).view(sdt.np_dtype)
-            if incoming.size != acc.size:
-                raise TruncationError(
-                    f"Scan expected {acc.size} elements, received "
-                    f"{incoming.size}: payload truncated in flight")
-            acc = op.np_func(incoming, acc)
-        if self._rank + 1 < self._size:
-            self._ctx.send_buffer(self._world_ranks[self._rank + 1],
-                                  ctx_id, tag, acc)
+        tag, send, recv = self._coll_io(sdt.np_dtype, scount)
+        _prefix, acc = self._linear_chain(tag, self._rank, sflat,
+                                          op.np_func, send, recv)
         rflat, _rc, rdt = decode_buffer_spec(recvbuf)
         rflat[:acc.size] = acc.view(rdt.np_dtype)
 
@@ -1605,22 +1439,10 @@ class Intracomm:
     def Exscan(self, sendbuf, recvbuf, op: _ops.Op = _ops.SUM) -> None:
         """Exclusive prefix reduction over buffers; rank 0's recvbuf is
         left untouched (MPI leaves it undefined)."""
-        ctx_id, tag = self._next_coll()
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        prefix = None
-        if self._rank > 0:
-            msg = self._ctx.recv_message(
-                ctx_id, self._world_ranks[self._rank - 1], tag)
-            prefix = np.asarray(msg.payload).view(sdt.np_dtype).copy()
-            if prefix.size != scount:
-                raise TruncationError(
-                    f"Exscan expected {scount} elements, received "
-                    f"{prefix.size}: payload truncated in flight")
-        if self._rank + 1 < self._size:
-            acc = sflat[:scount].astype(sdt.np_dtype, copy=True) \
-                if prefix is None else op.np_func(prefix, sflat[:scount])
-            self._ctx.send_buffer(self._world_ranks[self._rank + 1],
-                                  ctx_id, tag, np.asarray(acc))
+        tag, send, recv = self._coll_io(sdt.np_dtype, scount)
+        prefix, _acc = self._linear_chain(tag, self._rank, sflat,
+                                          op.np_func, send, recv)
         if prefix is not None:
             rflat, _rc, rdt = decode_buffer_spec(recvbuf)
             rflat[:prefix.size] = prefix.view(rdt.np_dtype)

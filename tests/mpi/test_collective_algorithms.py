@@ -421,6 +421,22 @@ class TestTruncation:
             lambda c: c.Reduce(np.ones(1000), np.empty(1000), SUM,
                                root=0, algorithm="ring"),
             lambda c: c.Alltoall(np.ones(16), np.empty(16)),
+            # a short block must not leave stale data in the receive
+            # buffer: every block arrives with exactly counts[r] elements
+            lambda c: c.Scatter(np.ones(16) if c.rank == 0 else None,
+                                np.empty(4), root=0),
+            lambda c: c.Scatterv(np.ones(16) if c.rank == 0 else None,
+                                 [4] * 4, [0, 4, 8, 12], np.empty(4),
+                                 root=0),
+            lambda c: c.Gather(np.ones(4),
+                               np.empty(16) if c.rank == 0 else None,
+                               root=0),
+            lambda c: c.Gatherv(np.ones(4),
+                                np.empty(16) if c.rank == 0 else None,
+                                [4] * 4, [0, 4, 8, 12], root=0),
+            lambda c: c.Allgather(np.ones(4), np.empty(16)),
+            lambda c: c.Scan(np.ones(8), np.empty(8), SUM),
+            lambda c: c.Exscan(np.ones(8), np.empty(8), SUM),
         ]
         for i, coll in enumerate(cases):
             chaos.install(FaultPlan(seed=100 + i)
@@ -606,6 +622,58 @@ class TestLabelAudit:
         # nothing outside the catalogue ever appears
         legal = {lbl for labels in catalogue.values() for lbl in labels}
         assert set(a for _op, a in counter_counts) <= legal
+
+    def test_one_call_records_one_collective(self):
+        """One call leaves exactly one (op, algorithm) pair, keyed by the
+        method called: Scatter, Gather and Allgather do not also record
+        their v-forms.  (allreduce's reduce+bcast and reduce_scatter's
+        alltoall+fold are compositions whose labels name the inner
+        collectives they record, so they are not in this list.)"""
+        def body(comm):
+            p, r = comm.Get_size(), comm.Get_rank()
+            buf, out4, outp = np.full(4, float(r)), np.empty(4), \
+                np.empty(4 * p)
+            counts, displs = [4] * p, [4 * i for i in range(p)]
+            send = np.ones(4 * p) if r == 0 else None
+            gathered = outp if r == 0 else None
+            calls = {
+                "barrier": lambda: comm.barrier(),
+                "bcast": lambda: comm.bcast(r, root=0),
+                "scatter": lambda: comm.scatter(
+                    list(range(p)) if r == 0 else None, root=0),
+                "gather": lambda: comm.gather(r, root=0),
+                "allgather": lambda: comm.allgather(r),
+                "alltoall": lambda: comm.alltoall([r] * p),
+                "scan": lambda: comm.scan(r, SUM),
+                "exscan": lambda: comm.exscan(r, SUM),
+                "reduce": lambda: comm.reduce(r, SUM, root=0),
+                "Bcast": lambda: comm.Bcast(buf, root=0),
+                "Scatter": lambda: comm.Scatter(send, out4, root=0),
+                "Scatterv": lambda: comm.Scatterv(send, counts, displs,
+                                                  out4, root=0),
+                "Gather": lambda: comm.Gather(buf, gathered, root=0),
+                "Gatherv": lambda: comm.Gatherv(buf, gathered, counts,
+                                                displs, root=0),
+                "Allgather": lambda: comm.Allgather(buf, outp),
+                "Allgatherv": lambda: comm.Allgatherv(buf, outp, counts,
+                                                      displs),
+                "Alltoall": lambda: comm.Alltoall(np.ones(p), np.empty(p)),
+                "Scan": lambda: comm.Scan(buf, out4, SUM),
+                "Exscan": lambda: comm.Exscan(buf, out4, SUM),
+                "Reduce": lambda: comm.Reduce(buf, out4, SUM, root=0),
+                "Allreduce": lambda: comm.Allreduce(buf, out4, SUM),
+            }
+            recorded = {}
+            for op, call in calls.items():
+                before = comm.traffic_snapshot()
+                call()
+                recorded[op] = (comm.traffic_snapshot() - before).coll_calls
+            return recorded
+
+        for recorded in mpi.run_spmd(body, 4):
+            for op, pairs in recorded.items():
+                assert list(pairs.values()) == [1], (op, pairs)
+                assert next(iter(pairs))[0] == op, (op, pairs)
 
     def test_local_label_at_size_one(self):
         """Adaptive ops degenerate to 'local' on a singleton comm; the

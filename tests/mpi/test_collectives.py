@@ -210,6 +210,70 @@ class TestBufferCollectives:
         assert spmd(p)(body) == [[0.0, -(p - 1.0)]] * p
 
 
+def _both_forms(comm):
+    """(object form, buffer form) of each collective, as zero-argument
+    calls: the fixed-algorithm collectives plus forced order-preserving
+    variants of the adaptive ones."""
+    p, r = comm.size, comm.rank
+    mine = np.full(3, float(r))
+    blocks = np.zeros(3 * p)
+    return {
+        "scatter": (
+            lambda: comm.scatter(list(range(p)) if r == 0 else None),
+            lambda: comm.Scatter(blocks if r == 0 else None, np.zeros(3))),
+        "gather": (
+            lambda: comm.gather(r),
+            lambda: comm.Gather(mine, blocks if r == 0 else None)),
+        "allgather": (
+            lambda: comm.allgather(r),
+            lambda: comm.Allgather(mine, np.zeros(3 * p))),
+        "alltoall": (
+            lambda: comm.alltoall(list(range(p))),
+            lambda: comm.Alltoall(np.ones(3 * p), np.zeros(3 * p))),
+        "scan": (lambda: comm.scan(r),
+                 lambda: comm.Scan(mine, np.zeros(3))),
+        "exscan": (lambda: comm.exscan(r),
+                   lambda: comm.Exscan(mine, np.zeros(3))),
+        "bcast/binomial-tree": (
+            lambda: comm.bcast(r, algorithm="binomial-tree"),
+            lambda: comm.Bcast(mine, algorithm="binomial-tree")),
+        "reduce/binomial-tree": (
+            lambda: comm.reduce(r, algorithm="binomial-tree"),
+            lambda: comm.Reduce(mine, np.zeros(3),
+                                algorithm="binomial-tree")),
+        "reduce/rank-ordered-tree": (
+            lambda: comm.reduce(r, algorithm="rank-ordered-tree"),
+            lambda: comm.Reduce(mine, np.zeros(3),
+                                algorithm="rank-ordered-tree")),
+        "allreduce/recursive-doubling": (
+            lambda: comm.allreduce(r, algorithm="recursive-doubling"),
+            lambda: comm.Allreduce(mine, np.zeros(3),
+                                   algorithm="recursive-doubling")),
+    }
+
+
+@pytest.mark.parametrize("p", SIZES)
+def test_object_and_buffer_forms_run_one_schedule(p):
+    """The two forms of a collective differ only in their send/recv
+    pair, so on every rank they send and receive the same number of
+    messages to and from the same peers."""
+    def body(comm):
+        shapes = {}
+        for name, forms in _both_forms(comm).items():
+            shapes[name] = []
+            for call in forms:
+                before = comm.traffic_snapshot()
+                call()
+                delta = comm.traffic_snapshot() - before
+                shapes[name].append((delta.sends, delta.recvs,
+                                     sorted(delta.by_peer)))
+        return shapes
+
+    for shapes in spmd(p)(body):
+        for name, (obj_form, buf_form) in shapes.items():
+            assert obj_form == buf_form, name
+
+
 class TestCollectiveProperties:
     @given(values=st.lists(st.integers(-1000, 1000), min_size=4,
                            max_size=4))
