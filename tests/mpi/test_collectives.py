@@ -212,8 +212,8 @@ class TestBufferCollectives:
 
 def _both_forms(comm):
     """(object form, buffer form) of each collective, as zero-argument
-    calls: the fixed-algorithm collectives plus forced order-preserving
-    variants of the adaptive ones."""
+    calls: the fixed-algorithm collectives plus forced tree and
+    recursive-doubling variants of the adaptive ones."""
     p, r = comm.size, comm.rank
     mine = np.full(3, float(r))
     blocks = np.zeros(3 * p)
