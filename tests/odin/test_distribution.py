@@ -104,6 +104,25 @@ class TestBlockCyclic:
         with pytest.raises(ValueError):
             BlockCyclicDistribution((5,), 0, 2, block_size=0)
 
+    @pytest.mark.parametrize("n,p,b,expect", [
+        (10, 2, 4, [[0, 1, 2, 3, 8, 9], [4, 5, 6, 7]]),  # ragged last block
+        (5, 4, 2, [[0, 1], [2, 3], [4], []]),            # worker 3 owns none
+        (5, 2, 8, [[0, 1, 2, 3, 4], []]),                # b > n: one block
+    ])
+    def test_edge_layouts(self, n, p, b, expect):
+        d = BlockCyclicDistribution((n,), 0, p, block_size=b)
+        got = [d.indices_for(w) for w in range(p)]
+        assert all(g.dtype == np.int64 for g in got)
+        assert [g.tolist() for g in got] == expect
+
+    @given(n=st.integers(0, 120), p=st.integers(1, 6), b=st.integers(1, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_indices_match_block_arithmetic(self, n, p, b):
+        d = BlockCyclicDistribution((n,), 0, p, block_size=b)
+        for w in range(p):
+            assert d.indices_for(w).tolist() == \
+                [g for g in range(n) if (g // b) % p == w]
+
 
 class TestArbitrary:
     def test_explicit_lists(self):
