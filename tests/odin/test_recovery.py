@@ -83,6 +83,22 @@ class TestCheckpointReplay:
         finally:
             odin.shutdown()
 
+    def test_one_axis_grid_array_restores(self):
+        """A grid over one axis is located by grid coordinates, so it is
+        restored by the allgather-assemble path, not the alltoall plan."""
+        ctx = odin.init(3, recover=True)
+        try:
+            src = np.arange(70.0).reshape(10, 7)
+            g = odin.array(src, dist=odin.GridDistribution(src.shape, (0,),
+                                                           (3,)))
+            ctx.checkpoint()
+            killed = []
+            _killer("grid crash", 2, killed)(g)
+            assert ctx.nworkers == 2
+            assert np.array_equal(np.asarray(g), src)
+        finally:
+            odin.shutdown()
+
     def test_auto_checkpoint_every_n_ops(self):
         ctx = odin.init(3, recover=True, ckpt_every=2)
         try:
