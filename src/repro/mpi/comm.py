@@ -32,7 +32,6 @@ import numpy as np
 from ..chaos.core import ENGINE as _CH
 from ..metrics import REGISTRY as _MX
 from ..obs import causal as _CZ
-from ..obs.flight import FLIGHT as _FL
 from ..trace import TRACER as _TR
 from . import ops as _ops
 from .costmodel import (COLLECTIVE_ALGORITHMS, COMMODITY_CLUSTER, CostModel,
@@ -174,10 +173,10 @@ def _traced_collective(default_algorithm: str):
             # instance, never receives at all)
             self._check_usable(name)
             ctrs = self._ctx.world.counters[self._ctx.rank]
-            tr, mx, fl = _TR.enabled, _MX.enabled, _FL.enabled
+            rec, mx = _TR.recording, _MX.enabled
             # plain attribute read: exactness not worth a lock here
             b0 = ctrs.bytes_sent if mx else 0
-            t0 = _TR.now() if (tr or fl) else 0.0
+            t0 = _TR.now() if rec else 0.0
             notes = self._algo_notes
             notes.append(default_algorithm)
             try:
@@ -189,17 +188,10 @@ def _traced_collective(default_algorithm: str):
             # its causal identity (None outside any tagged op)
             op_id = _CZ.current_op_id()
             ctrs.record_coll(name, algorithm, op_id)
-            if tr:
-                if op_id is None:
-                    _TR.complete("mpi.coll", name, t0, rank=self._ctx.rank,
-                                 algorithm=algorithm, size=self._size)
-                else:
-                    _TR.complete("mpi.coll", name, t0, rank=self._ctx.rank,
-                                 algorithm=algorithm, size=self._size,
-                                 op_id=op_id)
-            if fl:
-                _FL.complete("mpi.coll", name, self._ctx.rank, t0,
-                             algorithm=algorithm, op_id=op_id)
+            if rec:
+                _TR.complete("mpi.coll", name, t0, rank=self._ctx.rank,
+                             algorithm=algorithm, size=self._size,
+                             op_id=op_id)
             if mx:
                 sent = ctrs.bytes_sent - b0
                 _MX.inc("mpi.coll.calls", op=name, algorithm=algorithm)

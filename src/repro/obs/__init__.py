@@ -8,9 +8,10 @@ which driver op caused it":
 - :mod:`repro.obs.causal` -- the (op_id, epoch_id) identity every
   control op carries from the ODIN driver to worker spans, metrics and
   tagged collective counters.
-- :mod:`repro.obs.flight` -- :data:`FLIGHT`, the always-on bounded
-  ring of recent events, auto-dumped on faults as analyzer-loadable
-  Chrome trace JSON.
+- :mod:`repro.obs.flight` -- :data:`FLIGHT`, the fault policy over the
+  tracer's flight ring (the bounded retention of the one recorder,
+  :data:`repro.trace.TRACER`): on a fault it records an ``obs.fault``
+  instant and dumps the ring as analyzer-loadable Chrome trace JSON.
 - :mod:`repro.obs.server` -- :func:`serve`, the opt-in HTTP endpoint
   (``/metrics``, ``/status``, ``/flight``, ``/profile``); also started
   automatically when ``REPRO_OBS_PORT`` is set.

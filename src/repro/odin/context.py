@@ -38,7 +38,6 @@ from ..mpi.runtime import RankContext
 from ..mpi.transport import launch, resolve_backend
 from ..obs import causal as _CZ
 from ..obs import status as _OBS
-from ..obs.flight import FLIGHT as _FL
 from ..recover import OpLog, remap_op_dists
 from ..trace import TRACER as _TR
 from .distribution import BlockDistribution, Distribution
@@ -382,9 +381,9 @@ class OdinContext:
         self._op_seq += 1
         oid = self._op_seq
         _CZ.set_current(oid, self._epoch_id)
-        if _FL.enabled:
+        if _TR.recording:
             inner = op[1] if op[0] == opcodes.ASYNC else op
-            _FL.instant("odin.control", f"bcast:{inner[0]}", rank="driver",
+            _TR.instant("odin.control", f"bcast:{inner[0]}", rank="driver",
                         op_id=oid, epoch_id=self._epoch_id)
         self.comm.bcast((opcodes.TAGGED, oid, self._epoch_id, op), root=0)
 
@@ -424,7 +423,7 @@ class OdinContext:
         otherwise broadcast + collect per-worker results (driver)."""
         if self._batch and op[0] in ASYNC_OPCODES:
             return self._issue_async(op)
-        if _TR.enabled or _FL.enabled:
+        if _TR.recording:
             t0 = _TR.now()
             try:
                 out = self._with_recovery(self._issue_impl, *op)
@@ -433,13 +432,9 @@ class OdinContext:
                 # recovery the retried broadcast's fresh id is current,
                 # which is the id the workers executed the op under
                 oid, eid = _CZ.current()
-                if _TR.enabled:
-                    _TR.complete("odin.control", str(op[0]), t0,
-                                 rank="driver", nworkers=self.nworkers,
-                                 op_id=oid, epoch_id=eid)
-                if _FL.enabled:
-                    _FL.complete("odin.control", str(op[0]), "driver", t0,
-                                 op_id=oid, epoch_id=eid)
+                _TR.complete("odin.control", str(op[0]), t0, rank="driver",
+                             nworkers=self.nworkers, op_id=oid,
+                             epoch_id=eid)
         else:
             out = self._with_recovery(self._issue_impl, *op)
         self._log_op(op)
@@ -458,19 +453,15 @@ class OdinContext:
     def _issue_async(self, op) -> List[Any]:
         """Fire-and-forget: broadcast only, no result gather.  Errors are
         recorded on the workers and surface at the next synchronizing op."""
-        if _TR.enabled or _FL.enabled:
+        if _TR.recording:
             t0 = _TR.now()
             try:
                 self._with_recovery(self._issue_async_impl, op)
             finally:
                 oid, eid = _CZ.current()
-                if _TR.enabled:
-                    _TR.complete("odin.control", f"{op[0]}.async", t0,
-                                 rank="driver", nworkers=self.nworkers,
-                                 op_id=oid, epoch_id=eid)
-                if _FL.enabled:
-                    _FL.complete("odin.control", f"{op[0]}.async",
-                                 "driver", t0, op_id=oid, epoch_id=eid)
+                _TR.complete("odin.control", f"{op[0]}.async", t0,
+                             rank="driver", nworkers=self.nworkers,
+                             op_id=oid, epoch_id=eid)
         else:
             self._with_recovery(self._issue_async_impl, op)
         self._log_op(op)
@@ -631,114 +622,110 @@ class OdinContext:
         distributions.
         """
         self._recovering = True
-        t0 = time.perf_counter()
+        t0 = _TR.now()
+        replayed = 0
         try:
             if _MX.enabled:
                 _MX.inc("recover.detections")
-            if _FL.enabled:
-                _FL.instant("recover", "shrink+replay.start", rank="driver",
-                            cause=repr(exc),
-                            op_id=getattr(exc, "op_id", None))
             old_ranks = list(self.comm._world_ranks)
-            with _TR.span("recover", "shrink+replay", rank="driver",
-                          cause=str(exc)):
-                self.comm.revoke()
-                new_full = self.comm.shrink()
-                old_workers = old_ranks[1:]
-                survivors = set(new_full._world_ranks)
-                new_workers = list(new_full._world_ranks[1:])
-                if not new_workers:
-                    raise RuntimeError(
-                        "unrecoverable: every ODIN worker has failed"
-                    ) from exc
-                # survivor j's old index, and the old indices now dead
-                old_indices = [old_workers.index(wr) for wr in new_workers]
-                dead_indices = [i for i, wr in enumerate(old_workers)
-                                if wr not in survivors]
-                self.comm = new_full
-                # compose this shrink into the checkpoint-generation map
-                # (exactly once per generation: a crash later in this
-                # method retries with the composed map already in place)
-                self._ckpt_dead |= {self._ckpt_map[i]
-                                    for i in dead_indices}
-                self._ckpt_map = [self._ckpt_map[i] for i in old_indices]
-                # workers split their private sub-comm off the shrunk
-                # comm as its first collective (tags stay aligned)
-                self.comm.split(-1, 0)
-                self.nworkers = len(new_workers)
-                if _MX.enabled:
-                    _MX.inc("recover.shrinks")
-                self._issue_impl(opcodes.RESTORE, self._ckpt_version,
-                                 self._ckpt_map,
-                                 sorted(self._ckpt_dead), self._ckpt_n)
-                replayed = 0
-                # length-changing ops (TRANSFORM, GROUPBY shuffle) yield
-                # different per-worker counts on the shrunk layout; their
-                # paired SET_DIST must be rebuilt from the replayed
-                # counts, not remapped from the logged distribution
-                fresh_counts: Dict[int, List[int]] = {}
-                for kind, entry in self._oplog.entries():
-                    try:
-                        if kind == "scatter":
-                            aid, dist, dtype, data = entry
-                            self._scatter_impl(
-                                aid, dist.with_nworkers(self.nworkers),
-                                np.asarray(data, dtype=dtype))
-                        else:
-                            op = remap_op_dists(entry, self.nworkers)
-                            if op[0] in (opcodes.TRANSFORM,
-                                         opcodes.GROUPBY):
-                                results = self._issue_impl(*op)
-                                fresh_counts[op[2]] = [
-                                    int(c) for c, _dt in results]
-                            elif (op[0] == opcodes.SET_DIST
-                                    and op[1] in fresh_counts):
-                                counts = fresh_counts.pop(op[1])
-                                dist = BlockDistribution(
-                                    (sum(counts),), 0, self.nworkers,
-                                    counts=counts)
-                                self._issue_impl(opcodes.SET_DIST,
-                                                 op[1], dist)
-                            elif self._batch and op[0] in ASYNC_OPCODES:
-                                self._issue_async_impl(op)
-                            else:
-                                self._issue_impl(*op)
-                    except (RankFailure, CommRevokedError, AbortError):
-                        raise
-                    except Exception:
-                        # app-level op error: it was already delivered to
-                        # the caller once, before the crash
-                        pass
-                    replayed += 1
-                # synchronize (tolerantly: deferred app errors were also
-                # delivered pre-crash) and re-point live handles
+            self.comm.revoke()
+            new_full = self.comm.shrink()
+            old_workers = old_ranks[1:]
+            survivors = set(new_full._world_ranks)
+            new_workers = list(new_full._world_ranks[1:])
+            if not new_workers:
+                raise RuntimeError(
+                    "unrecoverable: every ODIN worker has failed"
+                ) from exc
+            # survivor j's old index, and the old indices now dead
+            old_indices = [old_workers.index(wr) for wr in new_workers]
+            dead_indices = [i for i, wr in enumerate(old_workers)
+                            if wr not in survivors]
+            self.comm = new_full
+            # compose this shrink into the checkpoint-generation map
+            # (exactly once per generation: a crash later in this
+            # method retries with the composed map already in place)
+            self._ckpt_dead |= {self._ckpt_map[i]
+                                for i in dead_indices}
+            self._ckpt_map = [self._ckpt_map[i] for i in old_indices]
+            # workers split their private sub-comm off the shrunk
+            # comm as its first collective (tags stay aligned)
+            self.comm.split(-1, 0)
+            self.nworkers = len(new_workers)
+            if _MX.enabled:
+                _MX.inc("recover.shrinks")
+            self._issue_impl(opcodes.RESTORE, self._ckpt_version,
+                             self._ckpt_map,
+                             sorted(self._ckpt_dead), self._ckpt_n)
+            # length-changing ops (TRANSFORM, GROUPBY shuffle) yield
+            # different per-worker counts on the shrunk layout; their
+            # paired SET_DIST must be rebuilt from the replayed
+            # counts, not remapped from the logged distribution
+            fresh_counts: Dict[int, List[int]] = {}
+            for kind, entry in self._oplog.entries():
                 try:
-                    with self._lock:
-                        self._flush_locked()
+                    if kind == "scatter":
+                        aid, dist, dtype, data = entry
+                        self._scatter_impl(
+                            aid, dist.with_nworkers(self.nworkers),
+                            np.asarray(data, dtype=dtype))
+                    else:
+                        op = remap_op_dists(entry, self.nworkers)
+                        if op[0] in (opcodes.TRANSFORM,
+                                     opcodes.GROUPBY):
+                            results = self._issue_impl(*op)
+                            fresh_counts[op[2]] = [
+                                int(c) for c, _dt in results]
+                        elif (op[0] == opcodes.SET_DIST
+                                and op[1] in fresh_counts):
+                            counts = fresh_counts.pop(op[1])
+                            dist = BlockDistribution(
+                                (sum(counts),), 0, self.nworkers,
+                                counts=counts)
+                            self._issue_impl(opcodes.SET_DIST,
+                                             op[1], dist)
+                        elif self._batch and op[0] in ASYNC_OPCODES:
+                            self._issue_async_impl(op)
+                        else:
+                            self._issue_impl(*op)
                 except (RankFailure, CommRevokedError, AbortError):
                     raise
                 except Exception:
+                    # app-level op error: it was already delivered to
+                    # the caller once, before the crash
                     pass
-                self._sync_handles()
-                # re-anchor (SCR-style): the surviving partner copies are
-                # laid out for the old generation and cannot cover a
-                # second adjacent death, so snapshot the recovered state
-                # on the survivor layout and truncate the log
-                version = self._ckpt_version + 1
-                self._issue_impl(opcodes.CKPT, version)
-                self._ckpt_version = version
-                self._oplog.clear()
-                self._ckpt_map = list(range(self.nworkers))
-                self._ckpt_dead = set()
-                self._ckpt_n = self.nworkers
+                replayed += 1
+            # synchronize (tolerantly: deferred app errors were also
+            # delivered pre-crash) and re-point live handles
+            try:
+                with self._lock:
+                    self._flush_locked()
+            except (RankFailure, CommRevokedError, AbortError):
+                raise
+            except Exception:
+                pass
+            self._sync_handles()
+            # re-anchor (SCR-style): the surviving partner copies are
+            # laid out for the old generation and cannot cover a
+            # second adjacent death, so snapshot the recovered state
+            # on the survivor layout and truncate the log
+            version = self._ckpt_version + 1
+            self._issue_impl(opcodes.CKPT, version)
+            self._ckpt_version = version
+            self._oplog.clear()
+            self._ckpt_map = list(range(self.nworkers))
+            self._ckpt_dead = set()
+            self._ckpt_n = self.nworkers
             if _MX.enabled:
                 _MX.inc("recover.replayed_ops", replayed)
-                _MX.observe("recover.seconds", time.perf_counter() - t0)
-            if _FL.enabled:
-                _FL.instant("recover", "shrink+replay.done", rank="driver",
-                            replayed=replayed, nworkers=self.nworkers)
+                _MX.observe("recover.seconds", _TR.now() - t0)
         finally:
             self._recovering = False
+            if _TR.recording:
+                _TR.complete("recover", "shrink+replay", t0, rank="driver",
+                             cause=repr(exc),
+                             op_id=getattr(exc, "op_id", None),
+                             replayed=replayed, nworkers=self.nworkers)
 
     def _sync_handles(self) -> None:
         """Re-point live DistArray handles at their authoritative
@@ -785,7 +772,7 @@ class OdinContext:
                 array: np.ndarray) -> None:
         """Ship real data from the driver (data plane, not control)."""
         array = np.asarray(array)
-        if _TR.enabled or _FL.enabled:
+        if _TR.recording:
             # global -> local transition: real data leaves the driver
             t0 = _TR.now()
             try:
@@ -793,13 +780,9 @@ class OdinContext:
                                     array)
             finally:
                 oid, eid = _CZ.current()
-                if _TR.enabled:
-                    _TR.complete("odin.control", "scatter", t0,
-                                 rank="driver", nbytes=int(array.nbytes),
-                                 op_id=oid, epoch_id=eid)
-                if _FL.enabled:
-                    _FL.complete("odin.control", "scatter", "driver", t0,
-                                 nbytes=int(array.nbytes), op_id=oid)
+                _TR.complete("odin.control", "scatter", t0, rank="driver",
+                             nbytes=int(array.nbytes), op_id=oid,
+                             epoch_id=eid)
         else:
             self._with_recovery(self._scatter_impl, array_id, dist, array)
         if self._oplog is not None and not self._recovering:

@@ -5,8 +5,10 @@ loop via :func:`repro.seamless.compile_elementwise`, then applied to each
 worker's local blocks -- true loop fusion with no intermediate temporaries,
 which is the paper's promise for ODIN expression optimization.
 
-When no C compiler is available the caller falls back to the NumPy stack
-machine in :mod:`repro.odin.worker`.
+When no C compiler is available, or compilation fails, the caller falls
+back to the NumPy stack machine in :mod:`repro.odin.worker`; each
+fallback records an ``odin.fusion``/``fallback`` instant and counts
+``odin.fusion.fallbacks``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from ..metrics import REGISTRY as _MX
+from ..trace import TRACER as _TR
 
 __all__ = ["compiled_kernel"]
 
@@ -38,13 +43,15 @@ def compiled_kernel(program: Tuple[tuple, ...],
 def _build(program, n_inputs: int) -> Optional[Callable]:
     try:
         from ..seamless import compile_elementwise
-    except Exception:
-        return None
-    try:
         fn = compile_elementwise(program, n_inputs)
-    except Exception:
-        return None
+        reason = "no compiler"
+    except Exception as exc:  # noqa: BLE001 - any failure falls back
+        fn, reason = None, repr(exc)
     if fn is None:
+        if _TR.recording:
+            _TR.instant("odin.fusion", "fallback", reason=reason)
+        if _MX.enabled:
+            _MX.inc("odin.fusion.fallbacks")
         return None
 
     def kernel(blocks: List[np.ndarray]) -> np.ndarray:

@@ -12,7 +12,6 @@ import importlib
 import marshal
 import os
 import sys
-import time
 import types
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -23,7 +22,6 @@ import numpy as np
 from ..metrics import REGISTRY as _MX
 from ..mpi.comm import Intracomm
 from ..obs import causal as _CZ
-from ..obs.flight import FLIGHT as _FL
 from ..trace import TRACER as _TR
 from . import opcodes
 from .distribution import (ArbitraryDistribution, BlockDistribution,
@@ -734,24 +732,24 @@ def _unship_function(spec: tuple) -> Callable:
 # ----------------------------------------------------------------------
 def execute_op(state: WorkerState, op: tuple) -> Any:
     """Execute one control op; each op becomes one ``odin.worker`` span
-    (tagged with the causal op_id from the TAGGED envelope) and, with
-    metrics on, one per-opcode latency observation."""
-    if not (_TR.enabled or _MX.enabled or _FL.enabled):
+    (tagged with the causal op_id/epoch_id from the TAGGED envelope)
+    and, with metrics on, one per-opcode latency observation of the
+    same duration."""
+    rec, mx = _TR.recording, _MX.enabled
+    if not (rec or mx):
         return _execute_op_impl(state, op)
-    t0 = time.perf_counter()
     oid, eid = _CZ.current()
-    if _TR.enabled:
-        with _TR.span("odin.worker", str(op[0]), worker=state.index,
-                      op_id=oid, epoch_id=eid):
-            out = _execute_op_impl(state, op)
-    else:
+    t0 = _TR.now()
+    try:
         out = _execute_op_impl(state, op)
-    if _MX.enabled:
-        _MX.observe("odin.worker.op_seconds", time.perf_counter() - t0,
+    finally:
+        if rec:
+            dur = _TR.complete("odin.worker", str(op[0]), t0,
+                               worker=state.index, op_id=oid, epoch_id=eid)
+    if mx:
+        _MX.observe("odin.worker.op_seconds",
+                    dur if rec else _TR.now() - t0,
                     op=str(op[0]), worker=state.index)
-    if _FL.enabled:
-        _FL.complete("odin.worker", str(op[0]), _TR.thread_rank(),
-                     t0 - _TR._epoch, worker=state.index, op_id=oid)
     return out
 
 

@@ -17,7 +17,9 @@ path, and the communication matrix.  Any benchmark under
 counting sibling is :mod:`repro.metrics` (``--metrics out.json``).
 
 When disabled (the default), every instrumented site costs a single
-attribute-load-plus-branch.
+attribute-load-plus-branch; the coarse sites (control ops, worker ops,
+collectives) still feed the tracer's bounded flight ring, the crash
+evidence :mod:`repro.obs.flight` dumps.
 """
 
 from .tracer import (NULL_SPAN, TRACER, Tracer, clear, disable, enable,

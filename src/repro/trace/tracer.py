@@ -1,15 +1,34 @@
-"""Structured per-rank event tracing.
+"""Structured per-rank event recording: the one recorder.
 
-One process-wide :class:`Tracer` collects *span* (duration) and *instant*
-events from every layer of the stack -- the MPI substrate, ODIN workers,
-the driver control plane, and the solver stack.  Design constraints:
+One process-wide :class:`Tracer` records *span* (duration) and
+*instant* events from every layer of the stack -- the MPI substrate,
+ODIN workers, the driver control plane, and the solver stack.  Every
+event is one ``(ph, cat, name, rank, ts, dur, args)`` tuple, built once
+on one clock, and kept in up to two *retentions*:
 
-- **Disabled cost is one predicate per event site.**  Instrumented code
-  holds a reference to the singleton and guards each site with
-  ``if _TR.enabled:``; nothing else runs when tracing is off.
-- **No locks on the hot path.**  Each thread appends to its own buffer
-  (registered once, under a lock, on first use); export walks all
-  buffers and groups events by rank.
+- **the flight ring** -- a preallocated per-thread ring of the last
+  ``capacity`` events (``REPRO_OBS_FLIGHT=N``, default 4096; ``0``/``off``
+  turns it off).  On by default, so crash dumps, ``/flight`` and
+  :func:`~repro.obs.flight.FlightRecorder.notify_fault` always have
+  recent evidence; read it with :meth:`Tracer.ring_events`.
+- **the full trace** -- an unbounded per-thread list plus per-rank span
+  timers, kept only while tracing is on (``REPRO_TRACE=1`` or
+  :func:`enable`); read it with :meth:`Tracer.events`, which is what
+  the exporters and the multiprocess transport ship.
+
+Design constraints:
+
+- **One predicate per event site.**  Coarse sites (driver control ops,
+  worker op execution, collectives, recovery, fusion fallbacks) guard
+  with ``if _TR.recording:`` (ring or trace on) and make one call;
+  fine-grained sites (``mpi.p2p``, ``mpi.rma``, ``fused.*``,
+  ``redistribute.exchange``, solver iterations) guard with
+  ``if _TR.enabled:``, so by default they record nothing, and with
+  tracing on their events enter the ring too.  While both retentions
+  are on, each thread's ring holds its newest trace events.
+- **No locks and no growth on the ring's hot path.**  Each thread owns
+  its buffer (registered once, under a lock, on first use); a ring
+  append is an index store plus a bump.
 - **Per-rank attribution.**  :meth:`RankContext.bind()
   <repro.mpi.runtime.RankContext.bind>` publishes the world rank of the
   calling thread via :meth:`Tracer.set_thread_rank`, so events emitted
@@ -17,7 +36,9 @@ the driver control plane, and the solver stack.  Design constraints:
   Unbound threads (e.g. the ODIN driver's user thread) fall back to a
   thread-name label, and every emit API accepts an explicit ``rank=``.
 
-Span durations also accumulate into per-rank
+Toggle the retentions through :meth:`Tracer.enable`/:meth:`Tracer.disable`
+and :meth:`Tracer.set_flight`, which keep ``recording`` in step.  Span
+durations also accumulate into per-rank
 :class:`~repro.teuchos.timer.Time` objects (via their context-manager
 API), which is what the text :func:`~repro.trace.export.summary`
 exporter renders and merges with ``TimeMonitor.summarize()``.
@@ -43,18 +64,33 @@ RankLabel = Union[int, str]
 #   ts/dur are seconds relative to the tracer epoch; args a dict or None
 Event = Tuple[str, str, str, RankLabel, float, float, Optional[dict]]
 
+_DEFAULT_CAPACITY = 4096
+
 
 def _env_enabled() -> bool:
     return os.environ.get("REPRO_TRACE", "").strip().lower() in (
         "1", "true", "yes", "on")
 
 
+def _env_capacity() -> int:
+    raw = os.environ.get("REPRO_OBS_FLIGHT", "").strip().lower()
+    if raw in ("0", "off", "no", "false", "none"):
+        return 0
+    try:
+        return int(raw) if raw else _DEFAULT_CAPACITY
+    except ValueError:
+        return _DEFAULT_CAPACITY
+
+
 class _Buffer:
-    """One thread's private event list and span-timer registry."""
+    """One thread's flight ring, trace list and span-timer registry."""
 
-    __slots__ = ("events", "timers")
+    __slots__ = ("ring", "pos", "full", "events", "timers")
 
-    def __init__(self):
+    def __init__(self, capacity: int):
+        self.ring: List[Optional[Event]] = [None] * capacity
+        self.pos = 0
+        self.full = False
         self.events: List[Event] = []
         # (rank, "cat:name") -> accumulating Time
         self.timers: Dict[Tuple[RankLabel, str], Time] = {}
@@ -92,9 +128,8 @@ class _Span:
         tr = self._tracer
         ts = time.perf_counter() - tr._epoch
         self._timer.stop()
-        self._buf.events.append(
-            ("X", self._cat, self._name, self._rank, self._t0,
-             ts - self._t0, self._args))
+        tr._store(self._buf, ("X", self._cat, self._name, self._rank,
+                              self._t0, ts - self._t0, self._args))
 
     def add_args(self, **kwargs) -> "_Span":
         """Attach/extend event args from inside the span body."""
@@ -123,11 +158,19 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Process-wide trace collector with per-thread (per-rank) buffers."""
+    """Process-wide event recorder with per-thread (per-rank) buffers:
+    a bounded flight ring (``capacity`` slots, on while ``flight``) and
+    the full trace (on while ``enabled``)."""
 
-    def __init__(self, enabled: Optional[bool] = None):
+    def __init__(self, enabled: Optional[bool] = None,
+                 capacity: Optional[int] = None):
         self.enabled: bool = _env_enabled() if enabled is None \
             else bool(enabled)
+        cap = _env_capacity() if capacity is None else int(capacity)
+        self.capacity = max(cap, 0)
+        self.flight: bool = self.capacity > 0
+        #: ring or trace on: the predicate of every coarse site
+        self.recording: bool = self.enabled or self.flight
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._buffers: List[_Buffer] = []
@@ -154,11 +197,24 @@ class Tracer:
     def _thread_buffer(self) -> _Buffer:
         buf = getattr(self._tls, "buf", None)
         if buf is None:
-            buf = _Buffer()
+            buf = _Buffer(self.capacity)
             self._tls.buf = buf
             with self._lock:
                 self._buffers.append(buf)
         return buf
+
+    def _store(self, buf: _Buffer, ev: Event) -> None:
+        """Put one event into every retention that is on."""
+        if self.flight:
+            i = buf.pos
+            buf.ring[i] = ev
+            i += 1
+            if i == self.capacity:
+                i = 0
+                buf.full = True
+            buf.pos = i
+        if self.enabled:
+            buf.events.append(ev)
 
     # ------------------------------------------------------------------
     # emit API
@@ -172,17 +228,19 @@ class Tracer:
              **args):
         """A context manager recording a complete event around its body.
 
-        Returns a shared no-op when tracing is disabled, so
-        ``with tracer.span(...)`` stays safe either way; hot paths should
-        still guard the call with ``if tracer.enabled:``.
+        Returns a shared no-op when tracing is disabled (whatever the
+        ring's state), so ``with tracer.span(...)`` stays safe either
+        way; hot paths should still guard the call with
+        ``if tracer.enabled:``.
         """
         if not self.enabled:
             return NULL_SPAN
         return _Span(self, cat, name, rank, args or None)
 
     def complete(self, cat: str, name: str, t0: float,
-                 rank: Optional[RankLabel] = None, **args) -> None:
-        """Record a complete event that started at ``t0 = tracer.now()``.
+                 rank: Optional[RankLabel] = None, **args) -> float:
+        """Record a complete event that started at ``t0 = tracer.now()``;
+        returns its duration.
 
         The begin/complete pair is the cheapest span form: the disabled
         path is exactly one predicate at each end.
@@ -192,13 +250,15 @@ class Tracer:
             rank = self.thread_rank()
         buf = self._thread_buffer()
         dur = ts - t0
-        buf.events.append(("X", cat, name, rank, t0, dur, args or None))
-        key = (rank, cat + ":" + name)
-        timer = buf.timers.get(key)
-        if timer is None:
-            timer = buf.timers[key] = Time(key[1])
-        timer.total += dur
-        timer.calls += 1
+        self._store(buf, ("X", cat, name, rank, t0, dur, args or None))
+        if self.enabled:
+            key = (rank, cat + ":" + name)
+            timer = buf.timers.get(key)
+            if timer is None:
+                timer = buf.timers[key] = Time(key[1])
+            timer.total += dur
+            timer.calls += 1
+        return dur
 
     def instant(self, cat: str, name: str,
                 rank: Optional[RankLabel] = None, **args) -> None:
@@ -206,22 +266,33 @@ class Tracer:
         ts = time.perf_counter() - self._epoch
         if rank is None:
             rank = self.thread_rank()
-        self._thread_buffer().events.append(
-            ("i", cat, name, rank, ts, 0.0, args or None))
+        self._store(self._thread_buffer(),
+                    ("i", cat, name, rank, ts, 0.0, args or None))
 
     # ------------------------------------------------------------------
     # control / introspection
     # ------------------------------------------------------------------
     def enable(self) -> None:
-        self.enabled = True
+        self.enabled = self.recording = True
 
     def disable(self) -> None:
         self.enabled = False
+        self.recording = self.flight
+
+    def set_flight(self, flag: bool) -> None:
+        """Turn the flight ring on or off (it stays off when the tracer
+        was built with capacity 0)."""
+        self.flight = bool(flag) and self.capacity > 0
+        self.recording = self.enabled or self.flight
 
     def clear(self) -> None:
-        """Drop all recorded events and span timers (keeps the epoch)."""
+        """Drop every recorded event, ring and trace, and the span
+        timers (keeps the epoch and buffer registration)."""
         with self._lock:
             for buf in self._buffers:
+                buf.ring = [None] * self.capacity
+                buf.pos = 0
+                buf.full = False
                 buf.events.clear()
                 buf.timers.clear()
 
@@ -246,11 +317,29 @@ class Tracer:
                 timer.calls += 1
 
     def events(self) -> List[Event]:
-        """Snapshot of all events so far, in timestamp order."""
+        """Snapshot of the full trace so far, in timestamp order."""
         with self._lock:
             merged: List[Event] = []
             for buf in self._buffers:
                 merged.extend(buf.events)
+        merged.sort(key=lambda ev: ev[4])
+        return merged
+
+    def ring_events(self) -> List[Event]:
+        """The flight rings' surviving events, oldest first.
+
+        Readers race live writers benignly: with the GIL, each slot is
+        replaced atomically, so the worst case is one event read twice
+        or a fresh slot read as None (filtered out) -- acceptable for a
+        crash dump, and the writer is never slowed down.
+        """
+        with self._lock:
+            buffers = list(self._buffers)
+        merged: List[Event] = []
+        for buf in buffers:
+            ring, pos = buf.ring, buf.pos
+            chunk = ring[pos:] + ring[:pos] if buf.full else ring[:pos]
+            merged.extend(ev for ev in chunk if ev is not None)
         merged.sort(key=lambda ev: ev[4])
         return merged
 
@@ -271,7 +360,9 @@ class Tracer:
     def __repr__(self):
         n = sum(len(b.events) for b in self._buffers)
         state = "enabled" if self.enabled else "disabled"
-        return f"Tracer({state}, {n} events, {len(self._buffers)} buffers)"
+        return (f"Tracer({state}, {n} events, ring capacity "
+                f"{self.capacity if self.flight else 0}, "
+                f"{len(self._buffers)} buffers)")
 
 
 # The process-wide singleton every instrumentation site references.
@@ -296,7 +387,10 @@ def disable() -> None:
 
 
 def set_enabled(flag: bool) -> None:
-    TRACER.enabled = bool(flag)
+    if flag:
+        TRACER.enable()
+    else:
+        TRACER.disable()
 
 
 def clear() -> None:

@@ -1,4 +1,4 @@
-"""Flight recorder: ring wraparound, dumps, fault notification."""
+"""Flight recorder: the tracer's ring, dumps, fault notification."""
 
 import json
 import os
@@ -7,13 +7,19 @@ import pytest
 
 from repro.obs.flight import FlightRecorder
 from repro.trace.analyze import load_chrome_trace
+from repro.trace.tracer import Tracer
+
+
+def _recorder(capacity):
+    """Fault policy over a private ring-only tracer."""
+    return FlightRecorder(Tracer(enabled=False, capacity=capacity))
 
 
 def test_ring_wraparound_keeps_newest_in_order():
-    rec = FlightRecorder(capacity=8)
+    rec = _recorder(8)
     for i in range(20):
-        t0 = rec.now()
-        rec.complete("cat", f"ev{i}", 0, t0, i=i)
+        t0 = rec.tracer.now()
+        rec.tracer.complete("cat", f"ev{i}", t0, rank=0, i=i)
     events = rec.events()
     assert len(events) == 8
     # exactly the last 8 events survive, in ascending timestamp order
@@ -22,24 +28,24 @@ def test_ring_wraparound_keeps_newest_in_order():
 
 
 def test_partial_ring_has_no_none_slots():
-    rec = FlightRecorder(capacity=64)
+    rec = _recorder(64)
     for i in range(5):
-        rec.instant("cat", f"ev{i}", rank=0)
+        rec.tracer.instant("cat", f"ev{i}", rank=0)
     assert len(rec.events()) == 5
 
 
 def test_disabled_recorder_records_nothing():
-    rec = FlightRecorder(capacity=0)
+    rec = _recorder(0)
     assert not rec.enabled
-    rec.complete("cat", "ev", 0, 0.0)
-    rec.instant("cat", "ev", rank=0)
+    rec.tracer.complete("cat", "ev", 0.0, rank=0)
+    rec.tracer.instant("cat", "ev", rank=0)
     assert rec.events() == []
     assert rec.notify_fault("AbortError", "boom") is None
 
 
 def test_clear_resets_rings_and_fault():
-    rec = FlightRecorder(capacity=8)
-    rec.instant("cat", "ev", rank=0)
+    rec = _recorder(8)
+    rec.tracer.instant("cat", "ev", rank=0)
     rec.last_fault = {"kind": "AbortError"}
     rec.clear()
     assert rec.events() == []
@@ -47,10 +53,10 @@ def test_clear_resets_rings_and_fault():
 
 
 def test_dump_is_analyzer_loadable(tmp_path):
-    rec = FlightRecorder(capacity=32)
-    t0 = rec.now()
-    rec.complete("odin.control", "ufunc", "driver", t0, op_id=7)
-    rec.instant("obs.fault", "AbortError", rank=1)
+    rec = _recorder(32)
+    t0 = rec.tracer.now()
+    rec.tracer.complete("odin.control", "ufunc", t0, rank="driver", op_id=7)
+    rec.tracer.instant("obs.fault", "AbortError", rank=1)
     path = str(tmp_path / "flight.json")
     assert rec.dump(path) == path
     with open(path) as fh:
@@ -67,7 +73,7 @@ def test_dump_is_analyzer_loadable(tmp_path):
 
 def test_notify_fault_records_and_rate_limits(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_OBS_DUMP", str(tmp_path / "crash.json"))
-    rec = FlightRecorder(capacity=32)
+    rec = _recorder(32)
     path = rec.notify_fault("DeadlockError", "recv timed out",
                             ranks=[{"rank": 0, "pending": "recv"}])
     assert path == str(tmp_path / "crash.json")
@@ -84,7 +90,7 @@ def test_notify_fault_records_and_rate_limits(tmp_path, monkeypatch):
 def test_rate_limit_is_per_dump_target(tmp_path, monkeypatch):
     """Two faults within the window aimed at different targets are both
     written; a repeat at the same target is still throttled."""
-    rec = FlightRecorder(capacity=32)
+    rec = _recorder(32)
     first = str(tmp_path / "first.json")
     second = str(tmp_path / "second.json")
     monkeypatch.setenv("REPRO_OBS_DUMP", first)
@@ -100,7 +106,7 @@ def test_rate_limit_is_per_dump_target(tmp_path, monkeypatch):
 
 def test_dump_env_off_suppresses_auto_dump(monkeypatch):
     monkeypatch.setenv("REPRO_OBS_DUMP", "off")
-    rec = FlightRecorder(capacity=8)
+    rec = _recorder(8)
     assert rec.default_dump_path() is None
     assert rec.notify_fault("AbortError") is None
     assert rec.last_fault["kind"] == "AbortError"  # still recorded
@@ -108,9 +114,9 @@ def test_dump_env_off_suppresses_auto_dump(monkeypatch):
 
 def test_capacity_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_OBS_FLIGHT", "16")
-    assert FlightRecorder().capacity == 16
+    assert Tracer().capacity == 16
     monkeypatch.setenv("REPRO_OBS_FLIGHT", "0")
-    assert not FlightRecorder().enabled
+    assert not FlightRecorder(Tracer()).enabled
 
 
 def test_deadlock_error_names_flight_dump(tmp_path, monkeypatch):

@@ -66,7 +66,7 @@ class TestEndpoints:
             del x
 
     def test_flight_route_is_chrome_trace(self, server, flight):
-        flight.instant("obs.test", "marker", rank=0)
+        flight.tracer.instant("obs.test", "marker", rank=0)
         code, body = _get(server, "/flight")
         doc = json.loads(body)
         assert code == 200
@@ -160,7 +160,7 @@ class TestCLI:
         assert "rank 0" in out
 
     def test_cli_flight_summarizes(self, server, flight, capsys):
-        flight.instant("obs.test", "marker", rank=0)
+        flight.tracer.instant("obs.test", "marker", rank=0)
         rc = obs_cli.main(["flight", "--port", str(server.port)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -169,7 +169,7 @@ class TestCLI:
 
     def test_cli_out_writes_raw_response(self, server, flight, tmp_path,
                                          capsys):
-        flight.instant("obs.test", "marker", rank=0)
+        flight.tracer.instant("obs.test", "marker", rank=0)
         out_file = tmp_path / "flight.json"
         rc = obs_cli.main(["flight", "--port", str(server.port),
                            "--out", str(out_file)])
