@@ -64,11 +64,12 @@ _worker_tls = threading.local()
 # Opcodes whose per-worker result is always None: safe to fire-and-forget
 # within a batched epoch.  SAVE and LOAD are deliberately absent (external
 # file side effects should fail at the call site); result-bearing ops
-# synchronize.
+# synchronize.  A SCATTER's own collective confirms delivery, so only its
+# status ack rides the epoch.
 ASYNC_OPCODES = frozenset({
     opcodes.CREATE, opcodes.DELETE, opcodes.DELETE_MANY, opcodes.UFUNC,
     opcodes.FUSED, opcodes.REDIST, opcodes.TRANSPOSE, opcodes.SLICE,
-    opcodes.SETITEM, opcodes.SET_DIST,
+    opcodes.SETITEM, opcodes.SET_DIST, opcodes.SCATTER,
 })
 
 # an epoch auto-flushes after this many fire-and-forget ops so error
@@ -100,7 +101,7 @@ _LOGGED_OPCODES = frozenset({
     opcodes.CREATE, opcodes.DELETE, opcodes.DELETE_MANY, opcodes.UFUNC,
     opcodes.FUSED, opcodes.REDIST, opcodes.TRANSPOSE, opcodes.SLICE,
     opcodes.SETITEM, opcodes.SET_DIST, opcodes.REDUCE, opcodes.CALL_LOCAL,
-    opcodes.TRANSFORM, opcodes.GROUPBY, opcodes.LOAD,
+    opcodes.TRANSFORM, opcodes.GROUPBY, opcodes.LOAD, opcodes.SCATTER,
 })
 
 
@@ -379,13 +380,9 @@ class OdinContext:
         triggers on the driver thread) is attributed to it.
         """
         self._op_seq += 1
-        oid = self._op_seq
-        _CZ.set_current(oid, self._epoch_id)
-        if _TR.recording:
-            inner = op[1] if op[0] == opcodes.ASYNC else op
-            _TR.instant("odin.control", f"bcast:{inner[0]}", rank="driver",
-                        op_id=oid, epoch_id=self._epoch_id)
-        self.comm.bcast((opcodes.TAGGED, oid, self._epoch_id, op), root=0)
+        _CZ.set_current(self._op_seq, self._epoch_id)
+        self.comm.bcast((opcodes.TAGGED, self._op_seq, self._epoch_id, op),
+                        root=0)
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -418,106 +415,91 @@ class OdinContext:
             raise exc
         return results
 
-    def _issue(self, *op) -> List[Any]:
-        """Dispatch one op: fire-and-forget when batching allows it,
-        otherwise broadcast + collect per-worker results (driver)."""
-        if self._batch and op[0] in ASYNC_OPCODES:
-            return self._issue_async(op)
-        if _TR.recording:
-            t0 = _TR.now()
-            try:
-                out = self._with_recovery(self._issue_impl, *op)
-            finally:
+    def _issue(self, *op, data=None) -> List[Any]:
+        """Dispatch one user-level control op: send it under recovery,
+        record its ``odin.control`` span and log it for replay.  *data*
+        is the global array a SCATTER ships."""
+        rec = _TR.recording
+        t0 = _TR.now() if rec else 0.0
+        out: Optional[List[Any]] = []   # stays [] if the op raised
+        try:
+            out = self._with_recovery(self._send, op, data)
+        finally:
+            if rec:
                 # the causal ids are known only after _bcast ran; after a
                 # recovery the retried broadcast's fresh id is current,
                 # which is the id the workers executed the op under
                 oid, eid = _CZ.current()
-                _TR.complete("odin.control", str(op[0]), t0, rank="driver",
-                             nworkers=self.nworkers, op_id=oid,
-                             epoch_id=eid)
-        else:
-            out = self._with_recovery(self._issue_impl, *op)
-        self._log_op(op)
-        return out
+                if data is not None:
+                    # global -> local transition: real data leaves the
+                    # driver
+                    _TR.complete("odin.control", "scatter", t0,
+                                 rank="driver", nbytes=int(data.nbytes),
+                                 op_id=oid, epoch_id=eid)
+                else:
+                    name = str(op[0]) if out is not None \
+                        else f"{op[0]}.async"
+                    _TR.complete("odin.control", name, t0, rank="driver",
+                                 nworkers=self.nworkers, op_id=oid,
+                                 epoch_id=eid)
+        if (self._oplog is not None and not self._recovering
+                and op[0] in _LOGGED_OPCODES):
+            self._oplog.record(op, data)
+            self._maybe_auto_ckpt()
+        return [None] * self.nworkers if out is None else out
 
-    def _issue_impl(self, *op) -> List[Any]:
+    def _send(self, op, data=None) -> Optional[List[Any]]:
+        """Put one op on the wire: the driver's only route to its workers
+        besides SHUTDOWN.
+
+        Arrays whose handles were garbage collected go first, as one
+        DELETE_MANY: ``DistArray.__del__`` must not issue ops itself (GC
+        can fire in the middle of another op's bcast/gather pair), so it
+        only queues ids.  With batching on, an op in ASYNC_OPCODES rides
+        the current epoch -- broadcast only, errors deferred to the next
+        status gather, None returned; every other op closes the epoch
+        with a status gather and returns the per-worker results.  *data*
+        is split into per-worker blocks by the op's distribution and
+        scattered right after the broadcast.
+        """
         with self._lock:
             self._check_alive()
-            self._drain_pending_deletes()
-            self._bcast(op)
+            if self._pending_deletes:
+                ids, self._pending_deletes = self._pending_deletes, []
+                drain = (opcodes.DELETE_MANY, ids)
+                if self._oplog is not None and not self._recovering:
+                    # the drain rides the wire before the op that flushed
+                    # it, so it must precede that op in the log as well
+                    self._oplog.record(drain)
+                self._send(drain)
+            blocks = None
+            if data is not None:
+                # (SCATTER, array_id, dist, dtype): cut by the op's own
+                # distribution; the driver's slot is unused
+                dist = op[2]
+                blocks = [None] + [
+                    np.ascontiguousarray(data[dist.global_selector(w)])
+                    for w in range(self.nworkers)]
+            rides = self._batch and op[0] in ASYNC_OPCODES
+            self._bcast((opcodes.ASYNC, op) if rides else op)
+            if blocks is not None:
+                # workers take their block inside the op handler
+                self.comm.scatter(blocks, root=0)
+            if rides:
+                self._epoch_len += 1
+                if self._epoch_len >= _EPOCH_CAP:
+                    self._send((opcodes.FLUSH,))
+                return None
             self._epoch_len = 0
             statuses = self.comm.gather(None, root=0)
             self._epoch_id += 1
         return self._process_statuses(statuses, str(op[0]))
 
-    def _issue_async(self, op) -> List[Any]:
-        """Fire-and-forget: broadcast only, no result gather.  Errors are
-        recorded on the workers and surface at the next synchronizing op."""
-        if _TR.recording:
-            t0 = _TR.now()
-            try:
-                self._with_recovery(self._issue_async_impl, op)
-            finally:
-                oid, eid = _CZ.current()
-                _TR.complete("odin.control", f"{op[0]}.async", t0,
-                             rank="driver", nworkers=self.nworkers,
-                             op_id=oid, epoch_id=eid)
-        else:
-            self._with_recovery(self._issue_async_impl, op)
-        self._log_op(op)
-        return [None] * self.nworkers
-
-    def _issue_async_impl(self, op) -> None:
-        with self._lock:
-            self._check_alive()
-            self._drain_pending_deletes()
-            self._bcast((opcodes.ASYNC, op))
-            self._epoch_len += 1
-            if self._epoch_len >= _EPOCH_CAP:
-                self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        self._bcast((opcodes.FLUSH,))
-        self._epoch_len = 0
-        statuses = self.comm.gather(None, root=0)
-        self._epoch_id += 1
-        self._process_statuses(statuses, str(opcodes.FLUSH))
-
     def flush(self) -> None:
         """Synchronize with the workers and deliver any deferred errors
         from fire-and-forget ops in the current epoch."""
-        if not self._alive:
-            return
-        self._with_recovery(self._flush_impl)
-
-    def _flush_impl(self) -> None:
-        with self._lock:
-            if not self._alive:
-                return
-            self._drain_pending_deletes()
-            self._flush_locked()
-
-    def _drain_pending_deletes(self) -> None:
-        """Free arrays whose handles were garbage collected.
-
-        ``DistArray.__del__`` must not issue ops itself (GC can fire in the
-        middle of another op's bcast/gather pair); it enqueues ids here and
-        the next user-initiated op flushes them.  With batching the drain
-        rides the current epoch as one more fire-and-forget broadcast;
-        otherwise it costs its own round trip.  Caller holds the lock.
-        """
-        if self._pending_deletes:
-            ids, self._pending_deletes = self._pending_deletes, []
-            if self._oplog is not None and not self._recovering:
-                # the drain rides the wire before the op that flushed it,
-                # so it must precede that op in the log as well
-                self._oplog.record((opcodes.DELETE_MANY, ids))
-            if self._batch:
-                self._bcast((opcodes.ASYNC, (opcodes.DELETE_MANY, ids)))
-                self._epoch_len += 1
-            else:
-                self._bcast((opcodes.DELETE_MANY, ids))
-                self.comm.gather(None, root=0)
+        if self._alive:
+            self._with_recovery(self._send, (opcodes.FLUSH,))
 
     def new_array_id(self) -> int:
         with self._lock:
@@ -527,13 +509,6 @@ class OdinContext:
     # ------------------------------------------------------------------
     # fault recovery (repro.recover)
     # ------------------------------------------------------------------
-    def _log_op(self, op: Tuple) -> None:
-        """Record a successfully-issued mutating op for post-crash replay."""
-        if (self._oplog is not None and not self._recovering
-                and op[0] in _LOGGED_OPCODES):
-            self._oplog.record(op)
-            self._maybe_auto_ckpt()
-
     def _maybe_auto_ckpt(self) -> None:
         if (self._ckpt_every > 0 and self._oplog is not None
                 and not self._recovering
@@ -558,14 +533,9 @@ class OdinContext:
                 "checkpoint/replay is maintained")
         version = self._ckpt_version + 1
         t0 = time.perf_counter()
-        if _TR.enabled:
-            with _TR.span("recover", "checkpoint", rank="driver",
-                          version=version):
-                sizes = self._with_recovery(self._issue_impl,
-                                            opcodes.CKPT, version)
-        else:
-            sizes = self._with_recovery(self._issue_impl,
-                                        opcodes.CKPT, version)
+        with _TR.span("recover", "checkpoint", rank="driver",
+                      version=version):
+            sizes = self._with_recovery(self._send, (opcodes.CKPT, version))
         self._ckpt_version = version
         self._oplog.clear()
         self._ckpt_map = list(range(self.nworkers))
@@ -654,40 +624,23 @@ class OdinContext:
             self.nworkers = len(new_workers)
             if _MX.enabled:
                 _MX.inc("recover.shrinks")
-            self._issue_impl(opcodes.RESTORE, self._ckpt_version,
-                             self._ckpt_map,
-                             sorted(self._ckpt_dead), self._ckpt_n)
+            self._send((opcodes.RESTORE, self._ckpt_version, self._ckpt_map,
+                        sorted(self._ckpt_dead), self._ckpt_n))
             # length-changing ops (TRANSFORM, GROUPBY shuffle) yield
             # different per-worker counts on the shrunk layout; their
             # paired SET_DIST must be rebuilt from the replayed
             # counts, not remapped from the logged distribution
             fresh_counts: Dict[int, List[int]] = {}
-            for kind, entry in self._oplog.entries():
+            for op, data in self._oplog.entries():
                 try:
-                    if kind == "scatter":
-                        aid, dist, dtype, data = entry
-                        self._scatter_impl(
-                            aid, dist.with_nworkers(self.nworkers),
-                            np.asarray(data, dtype=dtype))
-                    else:
-                        op = remap_op_dists(entry, self.nworkers)
-                        if op[0] in (opcodes.TRANSFORM,
-                                     opcodes.GROUPBY):
-                            results = self._issue_impl(*op)
-                            fresh_counts[op[2]] = [
-                                int(c) for c, _dt in results]
-                        elif (op[0] == opcodes.SET_DIST
-                                and op[1] in fresh_counts):
-                            counts = fresh_counts.pop(op[1])
-                            dist = BlockDistribution(
-                                (sum(counts),), 0, self.nworkers,
-                                counts=counts)
-                            self._issue_impl(opcodes.SET_DIST,
-                                             op[1], dist)
-                        elif self._batch and op[0] in ASYNC_OPCODES:
-                            self._issue_async_impl(op)
-                        else:
-                            self._issue_impl(*op)
+                    op = remap_op_dists(op, self.nworkers)
+                    if op[0] == opcodes.SET_DIST and op[1] in fresh_counts:
+                        counts = fresh_counts.pop(op[1])
+                        op = (opcodes.SET_DIST, op[1], BlockDistribution(
+                            (sum(counts),), 0, self.nworkers, counts=counts))
+                    results = self._send(op, data)
+                    if op[0] in (opcodes.TRANSFORM, opcodes.GROUPBY):
+                        fresh_counts[op[2]] = [int(c) for c, _dt in results]
                 except (RankFailure, CommRevokedError, AbortError):
                     raise
                 except Exception:
@@ -698,8 +651,7 @@ class OdinContext:
             # synchronize (tolerantly: deferred app errors were also
             # delivered pre-crash) and re-point live handles
             try:
-                with self._lock:
-                    self._flush_locked()
+                self._send((opcodes.FLUSH,))
             except (RankFailure, CommRevokedError, AbortError):
                 raise
             except Exception:
@@ -710,7 +662,7 @@ class OdinContext:
             # second adjacent death, so snapshot the recovered state
             # on the survivor layout and truncate the log
             version = self._ckpt_version + 1
-            self._issue_impl(opcodes.CKPT, version)
+            self._send((opcodes.CKPT, version))
             self._ckpt_version = version
             self._oplog.clear()
             self._ckpt_map = list(range(self.nworkers))
@@ -733,7 +685,7 @@ class OdinContext:
         ids = list(self._handles.keys())
         if not ids:
             return
-        views = self._issue_impl(opcodes.DIST_SYNC, ids)
+        views = self._send((opcodes.DIST_SYNC, ids))
         dists = views[0] or {}
         for aid, dist in dists.items():
             arr = self._handles.get(aid)
@@ -754,8 +706,8 @@ class OdinContext:
         if (self._recover and not self._recovering
                 and arr.dist is not None
                 and arr.dist.nworkers != self.nworkers):
-            views = self._with_recovery(self._issue_impl,
-                                        opcodes.DIST_SYNC, [arr.array_id])
+            views = self._with_recovery(
+                self._send, (opcodes.DIST_SYNC, [arr.array_id]))
             dist = (views[0] or {}).get(arr.array_id)
             if dist is not None:
                 arr.dist = dist
@@ -772,51 +724,8 @@ class OdinContext:
                 array: np.ndarray) -> None:
         """Ship real data from the driver (data plane, not control)."""
         array = np.asarray(array)
-        if _TR.recording:
-            # global -> local transition: real data leaves the driver
-            t0 = _TR.now()
-            try:
-                self._with_recovery(self._scatter_impl, array_id, dist,
-                                    array)
-            finally:
-                oid, eid = _CZ.current()
-                _TR.complete("odin.control", "scatter", t0, rank="driver",
-                             nbytes=int(array.nbytes), op_id=oid,
-                             epoch_id=eid)
-        else:
-            self._with_recovery(self._scatter_impl, array_id, dist, array)
-        if self._oplog is not None and not self._recovering:
-            # replaying a scatter re-sends the data, so pin a copy
-            self._oplog.record_scatter(array_id, dist, array.dtype, array)
-            self._maybe_auto_ckpt()
-
-    def _scatter_impl(self, array_id: int, dist: Distribution,
-                      array: np.ndarray) -> None:
-        blocks = []
-        for w in range(self.nworkers):
-            blocks.append(np.ascontiguousarray(
-                array[dist.global_selector(w)]))
-        wire = (opcodes.SCATTER, array_id, dist, array.dtype.str)
-        with self._lock:
-            self._check_alive()
-            self._drain_pending_deletes()
-            if self._batch:
-                # the scatter collective itself confirms delivery; the
-                # per-worker status ack rides the next synchronizing op
-                self._bcast((opcodes.ASYNC, wire))
-                self.comm.scatter([None] + blocks, root=0)
-                self._epoch_len += 1
-                if self._epoch_len >= _EPOCH_CAP:
-                    self._flush_locked()
-                return
-            self._bcast(wire)
-            # workers participate in the scatter inside their op handler;
-            # the driver's own slot is unused
-            self.comm.scatter([None] + blocks, root=0)
-            self._epoch_len = 0
-            statuses = self.comm.gather(None, root=0)
-            self._epoch_id += 1
-        self._process_statuses(statuses, str(opcodes.SCATTER))
+        self._issue(opcodes.SCATTER, array_id, dist, array.dtype.str,
+                    data=array)
 
     def delete(self, array_id: int) -> None:
         """Queue an array for deletion (safe to call from __del__)."""

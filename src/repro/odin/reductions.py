@@ -15,6 +15,7 @@ import numpy as np
 
 from . import opcodes
 from .array import DistArray
+from .context import local_registry
 from .worker import REDUCERS
 
 __all__ = ["reduce_array", "sum", "prod", "amin", "amax", "mean", "std",
@@ -82,6 +83,30 @@ def _reduce_grid(a: DistArray, op_name: str, axis: int) -> np.ndarray:
     return out
 
 
+# Worker-side kernels, registered at import so that workers forked after
+# it (the process backend) find them; parameters travel as call args.
+def _histogram_kernel(block, bins, lo, hi):
+    counts, _edges = np.histogram(block, bins=bins, range=(lo, hi))
+    return counts
+
+
+def _bincount_kernel(block, length):
+    return np.bincount(block.reshape(-1), minlength=length)
+
+
+def _argextreme_kernel(block, mode):
+    """(value, local index) of this block's extreme, None when empty."""
+    if block.size == 0:
+        return None
+    local = int(np.argmin(block) if mode == "min" else np.argmax(block))
+    return float(block[local]), local
+
+
+local_registry["__odin_histogram__"] = _histogram_kernel
+local_registry["__odin_bincount__"] = _bincount_kernel
+local_registry["__odin_argextreme__"] = _argextreme_kernel
+
+
 def histogram(a: DistArray, bins: int = 10, range=None):  # noqa: A002
     """Distributed ``numpy.histogram``: each worker bins its local block,
     the per-worker counts sum on the driver.  Returns (counts, edges)."""
@@ -90,19 +115,10 @@ def histogram(a: DistArray, bins: int = 10, range=None):  # noqa: A002
         hi = float(a.max())
     else:
         lo, hi = float(range[0]), float(range[1])
-    from .context import local_registry
-
-    def fn(block):
-        counts, _edges = np.histogram(block, bins=bins, range=(lo, hi))
-        return counts
-
-    fname = f"__histogram_{id(fn)}__"
-    local_registry[fname] = fn
-    try:
-        results = a.ctx.call_local(fname, (("array", a.array_id),), {},
-                                   out_id=None)
-    finally:
-        local_registry.pop(fname, None)
+    results = a.ctx.call_local(
+        "__odin_histogram__", (("array", a.array_id), ("value", bins),
+                               ("value", lo), ("value", hi)), {},
+        out_id=None)
     counts = np.sum([payload for _tag, payload in results], axis=0)
     return counts, np.linspace(lo, hi, bins + 1)
 
@@ -112,18 +128,9 @@ def bincount(a: DistArray, minlength: int = 0) -> np.ndarray:
     if not np.issubdtype(a.dtype, np.integer):
         raise TypeError("bincount needs an integer array")
     length = max(int(a.max()) + 1, minlength)
-    from .context import local_registry
-
-    def fn(block):
-        return np.bincount(block.reshape(-1), minlength=length)
-
-    fname = f"__bincount_{id(fn)}__"
-    local_registry[fname] = fn
-    try:
-        results = a.ctx.call_local(fname, (("array", a.array_id),), {},
-                                   out_id=None)
-    finally:
-        local_registry.pop(fname, None)
+    results = a.ctx.call_local(
+        "__odin_bincount__", (("array", a.array_id), ("value", length)), {},
+        out_id=None)
     return np.sum([payload for _tag, payload in results], axis=0)
 
 
@@ -131,22 +138,9 @@ def _argextreme(a: DistArray, mode: str) -> int:
     """Global argmin/argmax of a 1-D array (ties -> lowest global index)."""
     if a.ndim != 1:
         raise ValueError(f"arg{mode} supports 1-D arrays")
-    from .context import local_registry
-
-    def fn(block):
-        if block.size == 0:
-            return None
-        local = int(np.argmin(block) if mode == "min" else
-                    np.argmax(block))
-        return float(block[local]), local
-
-    fname = f"__arg{mode}_{id(fn)}__"
-    local_registry[fname] = fn
-    try:
-        results = a.ctx.call_local(fname, (("array", a.array_id),), {},
-                                   out_id=None)
-    finally:
-        local_registry.pop(fname, None)
+    results = a.ctx.call_local(
+        "__odin_argextreme__", (("array", a.array_id), ("value", mode)), {},
+        out_id=None)
     best_gid = None
     best_val = None
     for w, (_tag, payload) in enumerate(results):

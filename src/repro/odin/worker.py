@@ -498,25 +498,27 @@ def _eval_program(state: WorkerState, program, blocks: List[np.ndarray],
                   use_seamless: bool) -> np.ndarray:
     """Evaluate a postfix elementwise program over conformable blocks.
 
-    With ``use_seamless`` the program is compiled to a single native loop
-    via :mod:`repro.seamless` (true loop fusion); otherwise a NumPy stack
-    machine evaluates it block-at-a-time (still one control round-trip for
-    the whole expression instead of one per op).
+    With ``use_seamless``, float64 blocks and real constants the program
+    is compiled to a single native loop via :mod:`repro.seamless` (true
+    loop fusion); otherwise a NumPy stack machine evaluates it
+    block-at-a-time (still one control round-trip for the whole
+    expression instead of one per op).  The native loop computes in
+    float64 only, so any other dtype takes the stack machine, which
+    follows NumPy's type promotion.
     """
-    if use_seamless:
-        try:
-            from .fusion import compiled_kernel
-            kernel = compiled_kernel(tuple(program), len(blocks))
-            if kernel is not None:
-                if _TR.enabled:
-                    t0 = _TR.now()
-                    out = kernel(blocks)
-                    _TR.complete("odin.worker", "fused.kernel", t0,
-                                 ops=len(program), engine="seamless")
-                    return out
-                return kernel(blocks)
-        except Exception:
-            pass  # fall back to the stack machine
+    if (use_seamless and all(b.dtype == np.float64 for b in blocks)
+            and all(np.isrealobj(inst[1]) for inst in program
+                    if inst[0] == "const")):
+        from .fusion import compiled_kernel
+        kernel = compiled_kernel(tuple(program), len(blocks))
+        if kernel is not None:
+            if _TR.enabled:
+                t0 = _TR.now()
+                out = kernel(blocks)
+                _TR.complete("odin.worker", "fused.kernel", t0,
+                             ops=len(program), engine="seamless")
+                return out
+            return kernel(blocks)
     t0 = _TR.now() if _TR.enabled else 0.0
     stack: List[np.ndarray] = []
     for inst in program:

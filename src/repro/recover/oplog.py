@@ -15,7 +15,7 @@ when the log is replayed on fewer workers.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,37 +49,33 @@ class OpLog:
     """Ordered record of mutating control-plane ops since the last
     checkpoint.
 
-    Scatters additionally pin the scattered global array (the driver's
+    Each entry is ``(op, data)``: *data* is None except for a scatter,
+    which pins a copy of the scattered global array (the driver's
     payload is gone after the wire scatter, so replay needs its own
     reference).  The log lives entirely on the driver; workers hold the
     complementary state half (partner block checkpoints).
     """
 
     def __init__(self):
-        self._ops: List[Tuple[str, Any]] = []
+        self._ops: List[Tuple[Tuple, Optional[np.ndarray]]] = []
 
     def __len__(self) -> int:
         return len(self._ops)
 
-    def record(self, op: Tuple) -> None:
-        """Log a broadcast control-plane op for replay."""
-        self._ops.append(("op", op))
-
-    def record_scatter(self, array_id: int, dist: Distribution,
-                       dtype: np.dtype, data: np.ndarray) -> None:
-        """Log a scatter: the global payload itself must be kept, since
-        replaying a scatter re-sends the data."""
-        self._ops.append(("scatter",
-                          (array_id, dist, dtype, np.array(data, copy=True))))
+    def record(self, op: Tuple, data: Optional[np.ndarray] = None) -> None:
+        """Log a broadcast control-plane op, and a copy of the data it
+        shipped, for replay."""
+        self._ops.append((op, None if data is None
+                          else np.array(data, copy=True)))
 
     def clear(self) -> None:
         """Drop the log -- called when a checkpoint supersedes it."""
         self._ops = []
 
-    def entries(self) -> List[Tuple[str, Any]]:
+    def entries(self) -> List[Tuple[Tuple, Optional[np.ndarray]]]:
         return list(self._ops)
 
     def replay_bytes(self) -> int:
         """Approximate driver memory pinned by the log (scatter payloads)."""
-        return sum(entry[3].nbytes for kind, entry in self._ops
-                   if kind == "scatter")
+        return sum(data.nbytes for _op, data in self._ops
+                   if data is not None)

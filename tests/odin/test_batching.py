@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import odin
+from repro.mpi.errors import InjectedFault
 from repro.odin import opcodes
 from repro.odin.context import ASYNC_OPCODES, OdinContext
 from repro.odin.creation import _create
@@ -134,3 +135,85 @@ class TestBatchPolicy:
         ctx.flush()
         with pytest.raises(KeyError):
             ctx.gather(array_id)
+
+
+def _pinned_program(ctx):
+    """Scatter, two ufuncs, a GC'd delete, a redistribution, a sum, an
+    explicit flush and a gather: every route onto the control wire."""
+    src = np.arange(48.0)
+    x = odin.array(src, ctx=ctx)
+    y = x * 2.0
+    z = y + 1.0
+    del y                     # queued; drained ahead of the next op
+    w = z.redistribute(odin.CyclicDistribution((48,), 0, ctx.nworkers))
+    total = float(w.sum())
+    ctx.flush()
+    expect = src * 2.0 + 1.0
+    assert total == expect.sum()
+    assert np.array_equal(w.gather(), expect)
+
+
+class TestWireSchedule:
+    """The driver's wire traffic for one fixed program, pinned exactly.
+
+    Batching changes only the envelope (an ASYNC wrapper adds bytes) and
+    the number of status gathers; the bcast and scatter schedule is the
+    same either way.
+    """
+
+    # batch -> (control_traffic(), driver coll_calls, final op_id)
+    PINNED = {
+        True: ((19, 2452), {("bcast", "binomial-tree"): 8,
+                            ("gather", "linear-root"): 3,
+                            ("scatter", "linear-root"): 1}, 8),
+        False: ((19, 2352), {("bcast", "binomial-tree"): 8,
+                             ("gather", "linear-root"): 8,
+                             ("scatter", "linear-root"): 1}, 8),
+    }
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pinned_wire_schedule(self, backend, batch):
+        with OdinContext(3, batch=batch, backend=backend) as ctx:
+            ctx.reset_counters()
+            _pinned_program(ctx)
+            traffic = ctx.control_traffic()
+            coll = ctx.world.counters[0].snapshot().coll_calls
+            status = ctx.status()
+        want_traffic, want_coll, want_op_id = self.PINNED[batch]
+        assert traffic == want_traffic
+        assert coll == want_coll
+        assert status["op_id"] == want_op_id
+        gathers = coll[("gather", "linear-root")]
+        if batch:
+            # sum, flush and gather close epochs; everything else rides
+            assert status["epoch_id"] == 3
+        else:
+            # every status gather closes an epoch, the delete drain's too
+            assert status["epoch_id"] == gathers
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_logged_scatter_replays_after_crash(self, batch):
+        """A crash after a scatter: recovery re-sends the pinned copy of
+        the scattered data onto the shrunk pool (thread workers: the
+        crash closure's state must be shared with the driver)."""
+        src = np.linspace(-1.0, 1.0, 37)
+        with OdinContext(3, batch=batch, recover=True,
+                         backend="thread") as ctx:
+            x = odin.array(src, ctx=ctx)
+            y = odin.sin(x) * 3.0
+            killed = []
+
+            @odin.local
+            def crash_once(a):
+                if not killed and odin.worker_index() == 1:
+                    killed.append(1)
+                    raise InjectedFault(2, 0, "scatter replay crash")
+                return a * 1.0
+
+            w = crash_once(y)
+            assert ctx.nworkers == 2
+            expect = np.sin(src) * 3.0
+            assert np.array_equal(x.gather(), src)
+            assert np.array_equal(y.gather(), expect)
+            assert np.array_equal(w.gather(), expect)

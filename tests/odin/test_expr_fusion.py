@@ -108,3 +108,30 @@ class TestSeamlessFusion:
         xs = x.gather()
         assert np.allclose(got,
                            np.sin(xs) * np.cos(xs) + np.exp(-xs) / (xs + 1))
+
+
+class TestFusedDtypes:
+    """The native loop computes in float64 only; every other dtype must
+    keep NumPy's values *and* dtype (the stack machine's promotion)."""
+
+    @pytest.mark.parametrize("src, fn", [
+        (np.arange(-10, 30, dtype=np.int64), lambda a: a * 3 + 1),
+        (np.linspace(-2.0, 2.0, 40, dtype=np.float32),
+         lambda a: a * 2 + 1),
+        (np.arange(40) * (1.0 - 2.0j), lambda a: a * 2.0),
+        (np.linspace(0.0, 1.0, 40), lambda a: a * np.complex128(2j) + 1.0),
+    ], ids=["int64", "float32", "complex128", "complex-const"])
+    # NumPy's own action for a lossy complex cast: warn and go on.  As an
+    # error (ComplexWarning is a RuntimeWarning) it would abort the cast
+    # and hide a wrong-dtype engine choice behind the fallback.
+    @pytest.mark.filterwarnings("default::numpy.exceptions.ComplexWarning")
+    def test_value_and_dtype_match_numpy(self, odin4, src, fn):
+        a = odin.array(src)
+        with odin.lazy():
+            expr = fn(a)
+        out = odin.evaluate(expr)
+        got = out.gather()
+        expect = fn(src)
+        assert out.dtype == expect.dtype
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
