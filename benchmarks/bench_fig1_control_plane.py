@@ -81,26 +81,27 @@ def _measure_round_trips():
 
     A round trip is a result gather the driver blocks on; with batching
     the whole sequence defers to one synchronizing flush.  Counted from
-    ``mpi.coll.calls`` metrics, not wall clock.
+    ``mpi.coll.calls`` metrics, not wall clock.  Metrics are a view of
+    the trace, so the count is a difference, and a trace the caller
+    keeps is left intact.
     """
     was_enabled = _MX.enabled
     counts = {}
+    _MX.enable()
     try:
         for label, batch in (("per-op", False), ("batched", True)):
-            _MX.clear()
-            _MX.enable()
             with OdinContext(WORKERS, batch=batch) as ctx:
-                _MX.clear()   # drop startup-split collectives
+                before = _gather_calls()   # startup-split collectives
                 arrays = [odin.zeros(1024, ctx=ctx)
                           for _ in range(BATCH_OPS // 2)]
                 stored = [odin.sin(a) for a in arrays]
                 ctx.flush()
-                counts[label] = _gather_calls()
+                counts[label] = _gather_calls() - before
                 del stored
     finally:
-        _MX.clear()
         if not was_enabled:
             _MX.disable()
+            _MX.clear()
     return counts
 
 

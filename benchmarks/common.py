@@ -45,7 +45,8 @@ def main(generate_report: Callable[[], str]) -> None:
         ``trace_event`` file (load it in ``chrome://tracing`` or
         https://ui.perfetto.dev).
     ``--metrics OUT.json``
-        switch on :mod:`repro.metrics` and write the registry (plus the
+        switch on :mod:`repro.metrics` (a view of the trace, so this
+        keeps the full trace too) and write the folded metrics (plus the
         ``TimeMonitor`` table) as JSON.
     ``--analyze``
         switch on tracing and print the post-mortem analysis (load
@@ -56,8 +57,8 @@ def main(generate_report: Callable[[], str]) -> None:
         (:mod:`repro.obs.profiler`) and write flame-graph-ready folded
         stacks (feed to ``flamegraph.pl`` or speedscope).
 
-    ``REPRO_TRACE=1`` / ``REPRO_METRICS=1`` in the environment enable
-    collection too; the flags are how the data gets onto disk either way.
+    ``REPRO_TRACE=1`` in the environment enables collection too; the
+    flags are how the data gets onto disk either way.
     """
     import argparse
 

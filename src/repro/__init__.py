@@ -7,7 +7,7 @@ The package is organized as the paper's three pillars plus their substrates:
 
 - :mod:`repro.mpi`       -- message-passing substrate (MPI-like, thread SPMD)
 - :mod:`repro.trace`     -- per-rank event tracing & analysis (REPRO_TRACE=1)
-- :mod:`repro.metrics`   -- counters/gauges/histograms (REPRO_METRICS=1)
+- :mod:`repro.metrics`   -- counters/gauges/histograms folded from the trace
 - :mod:`repro.teuchos`   -- general tools (parameter lists, timers)
 - :mod:`repro.tpetra`    -- distributed linear algebra (maps, vectors, CRS matrices)
 - :mod:`repro.epetra`    -- first-generation fixed-dtype facade over tpetra

@@ -5,7 +5,7 @@ A :class:`FaultPlan` is a seed plus an ordered list of declarative
 :data:`ENGINE` at its injection points (``runtime.py`` sends/receives,
 ``comm.py`` collectives, ``rma.py`` one-sided ops); when no plan is
 installed every site costs a single ``if ENGINE.enabled`` predicate,
-mirroring ``repro.trace`` / ``repro.metrics``.
+mirroring ``repro.trace``.
 
 Determinism contract
 --------------------
@@ -250,12 +250,10 @@ class ChaosEngine:
         event.update(detail)
         with self._lock:
             self._log.append(event)
-        # lazy imports: chaos.core must not import repro.* at module
+        # lazy import: chaos.core must not import repro.* at module
         # level (runtime.py imports us during package init)
-        from ..metrics import REGISTRY as _MX
         from ..trace import TRACER as _TR
-        if _MX.enabled:
-            _MX.inc("chaos.injected", kind=kind, op=op)
+        # delays and slowdowns already recorded their span in _sleep
         if _TR.enabled and kind not in ("delay", "slowdown"):
             _TR.instant("chaos", kind, rank=rank, op=op, step=step, **detail)
 

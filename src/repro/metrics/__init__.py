@@ -1,106 +1,54 @@
-"""Process-wide metrics (``repro.metrics``).
+"""Process-wide metrics (``repro.metrics``): a view of the trace.
 
-The counting half of the observability system (its sibling,
-:mod:`repro.trace`, records *when*; this package records *how much*):
-counters, gauges, and log-bucketed histograms, labelled per rank /
-kernel / algorithm, with text, JSON, and Prometheus exposition.
-
-Instrumented across the stack when enabled:
-
-- ``seamless.jit.*``      -- compile time, cache hits/misses, per-kernel calls
-- ``seamless.elementwise.*`` / ``seamless.vectorize.*`` -- dispatch counts
-- ``tpetra.plan.*``       -- import/export plan builds, remote-LID
-  resolution, pack/unpack bytes
-- ``mpi.coll.*``          -- calls and bytes per collective algorithm
-- ``mpi.rma.*``           -- one-sided bytes by operation
-- ``odin.worker.*``       -- per-opcode latency histograms
-- ``solver.*``            -- iteration counts, final residuals
-
-Enable with ``REPRO_METRICS=1`` or :func:`repro.metrics.enable`; any
-benchmark accepts ``--metrics out.json``.  Disabled cost is one
-attribute-load-plus-branch per site, exactly like ``repro.trace``.
+The counting view of the one recorder (:mod:`repro.trace` records
+*when*; this package reports *how much*): counters, gauges, and
+log-bucketed histograms per collective algorithm, ODIN opcode, solver,
+Tpetra plan, Seamless kernel and recovery step, with text, JSON, and
+Prometheus exposition.  Nothing records metrics: every read folds the
+full trace into a fresh :class:`MetricsRegistry` through one table
+(:data:`repro.metrics.fold.FOLDS`, which names every family), so the
+counts agree with the trace by construction.  Metrics are on exactly
+while the full trace is kept: ``REPRO_TRACE=1``,
+:func:`repro.trace.enable` or :func:`enable`; any benchmark accepts
+``--metrics out.json``.
 """
 
 from .hist import Histogram
 from .registry import Counter, Gauge, MetricsRegistry
-from . import report as _report_mod
+from .fold import TraceMetrics
+from . import report as _report
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-    "get_registry", "enabled", "enable", "disable", "set_enabled",
-    "clear", "counter", "gauge", "histogram", "inc", "set_gauge",
-    "observe", "report", "to_json", "exposition",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "TraceMetrics",
+    "REGISTRY", "get_registry", "enabled", "enable", "disable", "clear",
+    "report", "to_json", "exposition",
 ]
 
-# The process-wide singleton every instrumentation site references.
-REGISTRY = MetricsRegistry()
+# The process-wide view every reader references.
+REGISTRY = TraceMetrics()
 
 
-def get_registry() -> MetricsRegistry:
+def get_registry() -> TraceMetrics:
     return REGISTRY
 
 
 def enabled() -> bool:
-    """Are metrics on? (``REPRO_METRICS=1`` or :func:`enable`.)"""
+    """Are metrics on?  (Is the full trace kept?)"""
     return REGISTRY.enabled
 
 
-def enable() -> None:
-    REGISTRY.enable()
+# the metrics switch is the tracer's, and clearing drops the trace
+enable, disable, clear = REGISTRY.enable, REGISTRY.disable, REGISTRY.clear
 
 
-def disable() -> None:
-    REGISTRY.disable()
+def report(registry=None) -> str:
+    return _report.report(REGISTRY if registry is None else registry)
 
 
-def set_enabled(flag: bool) -> None:
-    REGISTRY.enabled = bool(flag)
+def to_json(registry=None, include_timers: bool = True, indent=None) -> str:
+    return _report.to_json(REGISTRY if registry is None else registry,
+                           include_timers=include_timers, indent=indent)
 
 
-def clear() -> None:
-    REGISTRY.clear()
-
-
-def counter(name: str, **labels) -> Counter:
-    return REGISTRY.counter(name, **labels)
-
-
-def gauge(name: str, **labels) -> Gauge:
-    return REGISTRY.gauge(name, **labels)
-
-
-def histogram(name: str, base: float = 2.0, **labels) -> Histogram:
-    return REGISTRY.histogram(name, base=base, **labels)
-
-
-def inc(name: str, amount=1, **labels) -> None:
-    if REGISTRY.enabled:
-        REGISTRY.inc(name, amount, **labels)
-
-
-def set_gauge(name: str, value: float, **labels) -> None:
-    if REGISTRY.enabled:
-        REGISTRY.set_gauge(name, value, **labels)
-
-
-def observe(name: str, value: float, **labels) -> None:
-    if REGISTRY.enabled:
-        REGISTRY.observe(name, value, **labels)
-
-
-def report(registry: MetricsRegistry = None) -> str:
-    return _report_mod.report(registry if registry is not None
-                              else REGISTRY)
-
-
-def to_json(registry: MetricsRegistry = None, include_timers: bool = True,
-            indent=None) -> str:
-    return _report_mod.to_json(registry if registry is not None
-                               else REGISTRY,
-                               include_timers=include_timers,
-                               indent=indent)
-
-
-def exposition(registry: MetricsRegistry = None) -> str:
-    return _report_mod.exposition(registry if registry is not None
-                                  else REGISTRY)
+def exposition(registry=None) -> str:
+    return _report.exposition(REGISTRY if registry is None else registry)

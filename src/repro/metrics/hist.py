@@ -10,23 +10,23 @@ why Prometheus/HdrHistogram-style tooling uses the same shape.
 
 Histograms merge exactly: buckets with equal (base, index) add, so
 per-rank histograms can be combined into a global one without losing
-anything the per-rank ones knew.
+anything the per-rank ones knew.  A histogram is a snapshot value: the
+metrics fold fills it from one thread, so it takes no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Histogram"]
 
 
 class Histogram:
-    """A thread-safe, log-bucketed histogram of nonnegative-ish samples."""
+    """A log-bucketed histogram of nonnegative-ish samples."""
 
     __slots__ = ("name", "labels", "base", "count", "sum", "min", "max",
-                 "buckets", "_log_base", "_lock")
+                 "buckets", "_log_base")
 
     def __init__(self, name: str, base: float = 2.0, labels=()):
         if base <= 1.0:
@@ -42,7 +42,6 @@ class Histogram:
         # bucket index -> count; index i covers (base**(i-1), base**i];
         # None is the underflow bucket for values <= 0
         self.buckets: Dict[Optional[int], int] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # bucket geometry
@@ -68,14 +67,13 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         idx = self.bucket_index(value)
-        with self._lock:
-            self.count += 1
-            self.sum += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-            self.buckets[idx] = self.buckets.get(idx, 0) + 1
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.buckets[idx] = self.buckets.get(idx, 0) + 1
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold *other* into this histogram (bases must match)."""
@@ -83,19 +81,16 @@ class Histogram:
             raise ValueError(
                 f"cannot merge histograms with bases {self.base} and "
                 f"{other.base}")
-        with other._lock:
-            o_count, o_sum = other.count, other.sum
-            o_min, o_max = other.min, other.max
-            o_buckets = dict(other.buckets)
-        with self._lock:
-            self.count += o_count
-            self.sum += o_sum
-            if o_min is not None and (self.min is None or o_min < self.min):
-                self.min = o_min
-            if o_max is not None and (self.max is None or o_max > self.max):
-                self.max = o_max
-            for idx, n in o_buckets.items():
-                self.buckets[idx] = self.buckets.get(idx, 0) + n
+        self.count += other.count
+        self.sum += other.sum
+        if other.min is not None and (self.min is None
+                                      or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None
+                                      or other.max > self.max):
+            self.max = other.max
+        for idx, n in other.buckets.items():
+            self.buckets[idx] = self.buckets.get(idx, 0) + n
         return self
 
     # ------------------------------------------------------------------
@@ -106,41 +101,10 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate q-quantile: the upper bound of the bucket holding
-        the q-th sample (exact min/max for q = 0 / 1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if not self.count:
-                return 0.0
-            if q == 0.0:
-                return self.min
-            if q == 1.0:
-                return self.max
-            target = q * self.count
-            seen = 0
-            for idx in self._sorted_indices():
-                seen += self.buckets[idx]
-                if seen >= target:
-                    return min(self.bucket_upper(idx), self.max)
-            return self.max
-
-    def quantile_est(self, q: float) -> float:
         """Interpolated q-quantile: linear interpolation *within* the
         bucket holding the q-th sample, clamped to the exact observed
-        [min, max].
-
-        Tighter than :meth:`quantile` (which reports the bucket's upper
-        bound and therefore overestimates by up to a factor of ``base``):
-        the error is bounded by the bucket width around the true value
-        instead of the full bucket.  Exact min/max at q = 0 / 1.
-        """
-        with self._lock:
-            return self._quantile_est_locked(q)
-
-    def _quantile_est_locked(self, q: float) -> float:
-        # the lock is non-reentrant, so to_dict (which already holds it)
-        # calls this variant directly
+        [min, max], so the error is bounded by the bucket width around
+        the true value.  Exact min/max at q = 0 / 1."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if not self.count:
@@ -155,13 +119,12 @@ class Histogram:
             n = self.buckets[idx]
             if seen + n >= target:
                 if idx is None:
-                    # the <=0 underflow bucket has no geometric width;
+                    # the <=0 underflow bucket has no geometric width:
                     # interpolate between the observed min and 0
                     lo, hi = self.min, min(0.0, self.max)
                 else:
                     lo, hi = self.base ** (idx - 1), self.base ** idx
-                frac = (target - seen) / n
-                value = lo + (hi - lo) * frac
+                value = lo + (hi - lo) * (target - seen) / n
                 return min(max(value, self.min), self.max)
             seen += n
         return self.max
@@ -174,29 +137,22 @@ class Histogram:
     # export
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "type": "histogram",
-                "name": self.name,
-                "labels": dict(self.labels),
-                "base": self.base,
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min,
-                "max": self.max,
-                "quantiles": {
-                    "p50": self._quantile_est_locked(0.50),
-                    "p95": self._quantile_est_locked(0.95),
-                    "p99": self._quantile_est_locked(0.99),
-                },
-                "buckets": [
-                    {"le": self.bucket_upper(idx), "count": n}
-                    for idx, n in sorted(
-                        self.buckets.items(),
-                        key=lambda kv: -math.inf if kv[0] is None
-                        else kv[0])
-                ],
-            }
+        return {
+            "type": "histogram",
+            "name": self.name,
+            "labels": dict(self.labels),
+            "base": self.base,
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "quantiles": {"p50": self.quantile(0.50),
+                          "p95": self.quantile(0.95),
+                          "p99": self.quantile(0.99)},
+            "buckets": [{"le": self.bucket_upper(idx),
+                         "count": self.buckets[idx]}
+                        for idx in self._sorted_indices()],
+        }
 
     def __repr__(self):
         return (f"Histogram({self.name!r}, count={self.count}, "

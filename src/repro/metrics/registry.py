@@ -1,26 +1,21 @@
-"""The process-wide metrics registry: counters, gauges, histograms.
+"""The metrics snapshot container: counters, gauges, histograms.
 
-Mirrors :mod:`repro.trace`'s design contract: instrumented sites hold a
-reference to the singleton registry and guard every emission with
-``if _MX.enabled:``, so the disabled path costs a single
-attribute-load-plus-branch.  When enabled, metric handles are resolved
-by ``(name, sorted labels)`` key -- a dict probe -- and each metric
-updates under its own small lock, so unrelated hot paths never contend.
+A :class:`MetricsRegistry` is what one read of :mod:`repro.metrics`
+returns: the fold (:mod:`repro.metrics.fold`) builds a fresh one from
+the trace, and tests build private ones.  Metric handles are resolved
+by ``(name, sorted labels)`` key -- a dict probe -- Prometheus's model::
 
-Labels attribute samples to ranks, kernels, algorithms, etc.::
+    reg.counter("seamless.jit.cache_hits", kernel="saxpy").inc()
+    reg.observe("odin.worker.op_seconds", dt, op="ufunc", worker=2)
 
-    _MX.counter("seamless.jit.cache_hits", fn="saxpy").inc()
-    _MX.histogram("odin.worker.op_seconds", op="UFUNC", worker=2).observe(dt)
-
-Per-rank labelling is a convention, not a mechanism: any site that knows
-its rank passes ``rank=<world rank>`` and reports group by it.
+Per-rank labelling is a convention, not a mechanism: a fold rule that
+knows the event's rank passes ``rank=<world rank>``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .hist import Histogram
 
@@ -30,19 +25,15 @@ LabelItems = Tuple[Tuple[str, object], ...]
 MetricKey = Tuple[str, LabelItems]
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_METRICS", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 def _label_items(labels: dict) -> LabelItems:
     return tuple(sorted(labels.items()))
 
 
-class Counter:
-    """A monotonically increasing count (events, bytes, iterations)."""
+class _Value:
+    """A named, labelled scalar updated under its own small lock."""
 
     __slots__ = ("name", "labels", "value", "_lock")
+    kind = ""
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
@@ -51,68 +42,54 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
         with self._lock:
             self.value += amount
 
     def to_dict(self) -> dict:
-        return {"type": "counter", "name": self.name,
+        return {"type": self.kind, "name": self.name,
                 "labels": dict(self.labels), "value": self.value}
 
     def __repr__(self):
-        return f"Counter({self.name!r}, {dict(self.labels)}, {self.value})"
+        return (f"{type(self).__name__}({self.name!r}, "
+                f"{dict(self.labels)}, {self.value})")
 
 
-class Gauge:
+class Counter(_Value):
+    """A monotonically increasing count (events, bytes, iterations)."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, amount: Union[int, float] = 1) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        super().inc(amount)
+
+
+class Gauge(_Value):
     """A value that can move both ways (queue depth, residual norm)."""
 
-    __slots__ = ("name", "labels", "value", "_lock")
-
-    def __init__(self, name: str, labels: LabelItems = ()):
-        self.name = name
-        self.labels = tuple(labels)
-        self.value: float = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
+    kind = "gauge"
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
-    def to_dict(self) -> dict:
-        return {"type": "gauge", "name": self.name,
-                "labels": dict(self.labels), "value": self.value}
-
-    def __repr__(self):
-        return f"Gauge({self.name!r}, {dict(self.labels)}, {self.value})"
+        self.inc(-amount)
 
 
 class MetricsRegistry:
-    """Process-wide, label-aware registry of named metrics.
-
-    One instance (:data:`repro.metrics.REGISTRY`) backs the whole
-    process; tests may build private registries.  Metric identity is
+    """Label-aware registry of named metrics.  Metric identity is
     ``(name, labels)``: the same name with different labels is a family
     of independent series, exactly Prometheus's model.
     """
 
-    def __init__(self, enabled: Optional[bool] = None):
-        self.enabled: bool = _env_enabled() if enabled is None \
-            else bool(enabled)
+    def __init__(self):
         self._lock = threading.Lock()
         self._metrics: Dict[MetricKey, object] = {}
 
-    # ------------------------------------------------------------------
-    # handle resolution
-    # ------------------------------------------------------------------
     def _resolve(self, name: str, labels: dict, cls, **ctor):
         key = (name, _label_items(labels))
         metric = self._metrics.get(key)
@@ -152,16 +129,10 @@ class MetricsRegistry:
         self.histogram(name, **labels).observe(value)
 
     # ------------------------------------------------------------------
-    # control / introspection
+    # introspection
     # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def clear(self) -> None:
-        """Drop every registered metric (keeps the enabled flag)."""
+        """Drop every registered metric."""
         with self._lock:
             self._metrics.clear()
 
@@ -181,5 +152,4 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def __repr__(self):
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, {len(self._metrics)} metrics)"
+        return f"MetricsRegistry({len(self._metrics)} metrics)"

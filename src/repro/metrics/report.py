@@ -54,12 +54,10 @@ def report(registry: MetricsRegistry) -> str:
     for m in metrics:
         label = m.name + _fmt_labels(dict(m.labels))
         if isinstance(m, Histogram):
-            # interpolated estimates: tighter than the bucket-upper-bound
-            # quantile() while staying O(buckets)
             detail = (f"count={m.count}  mean={m.mean:.6g}  "
-                      f"p50={m.quantile_est(0.5):.6g}  "
-                      f"p95={m.quantile_est(0.95):.6g}  "
-                      f"p99={m.quantile_est(0.99):.6g}  "
+                      f"p50={m.quantile(0.5):.6g}  "
+                      f"p95={m.quantile(0.95):.6g}  "
+                      f"p99={m.quantile(0.99):.6g}  "
                       f"max={0.0 if m.max is None else m.max:.6g}")
             rows.append((label, "histogram", detail))
         elif isinstance(m, Gauge):

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..chaos.core import ENGINE as _CH
-from ..metrics import REGISTRY as _MX
 from ..obs import causal as _CZ
 from ..trace import TRACER as _TR
 from . import ops as _ops
@@ -155,11 +154,11 @@ class _Blocks:
 
 def _traced_collective(default_algorithm: str):
     """Wrap a collective so each call records one span tagged with the
-    algorithm it executed, counts the (op, algorithm) pair in the rank's
-    wire counters, and (when metrics are on) counts calls and this rank's
-    sent bytes per algorithm.  Adaptive collectives overwrite the default
-    label via :meth:`Intracomm._note_algorithm`; the label a call records
-    is always the algorithm that actually ran."""
+    algorithm it executed and the bytes this rank sent in it, and counts
+    the (op, algorithm) pair in the rank's wire counters.  Adaptive
+    collectives overwrite the default label via
+    :meth:`Intracomm._note_algorithm`; the label a call records is always
+    the algorithm that actually ran."""
     def deco(fn):
         name = fn.__name__
 
@@ -173,9 +172,9 @@ def _traced_collective(default_algorithm: str):
             # instance, never receives at all)
             self._check_usable(name)
             ctrs = self._ctx.world.counters[self._ctx.rank]
-            rec, mx = _TR.recording, _MX.enabled
+            rec = _TR.recording
             # plain attribute read: exactness not worth a lock here
-            b0 = ctrs.bytes_sent if mx else 0
+            b0 = ctrs.bytes_sent if rec else 0
             t0 = _TR.now() if rec else 0.0
             notes = self._algo_notes
             notes.append(default_algorithm)
@@ -191,13 +190,7 @@ def _traced_collective(default_algorithm: str):
             if rec:
                 _TR.complete("mpi.coll", name, t0, rank=self._ctx.rank,
                              algorithm=algorithm, size=self._size,
-                             op_id=op_id)
-            if mx:
-                sent = ctrs.bytes_sent - b0
-                _MX.inc("mpi.coll.calls", op=name, algorithm=algorithm)
-                if sent > 0:
-                    _MX.inc("mpi.coll.bytes_sent", sent, op=name,
-                            algorithm=algorithm)
+                             op_id=op_id, sent=ctrs.bytes_sent - b0)
             return out
 
         wrapper.__name__ = name
@@ -1496,9 +1489,8 @@ class Intracomm:
         """
         self._ctx.world.revoke_ctx(self._ctx_id)
         if _TR.enabled:
-            _TR.instant("mpi.coll", "revoke", rank=self._ctx.rank)
-        if _MX.enabled:
-            _MX.inc("mpi.coll.calls", op="revoke", algorithm="revoke")
+            _TR.instant("mpi.coll", "revoke", rank=self._ctx.rank,
+                        algorithm="revoke")
 
     def agree(self, value: Any = 1, combine=None) -> Any:
         """Fault-tolerant agreement (ULFM ``MPI_Comm_agree``).
@@ -1543,9 +1535,8 @@ class Intracomm:
         survivors = [wr for wr in self._world_ranks if wr not in failed]
         if _TR.enabled:
             _TR.instant("mpi.coll", "shrink", rank=self._ctx.rank,
-                        survivors=len(survivors), failed=len(failed))
-        if _MX.enabled:
-            _MX.inc("mpi.coll.calls", op="shrink", algorithm="shrink")
+                        algorithm="shrink", survivors=len(survivors),
+                        failed=len(failed))
         return Intracomm(self._ctx, survivors,
                          ctx_id=(self._ctx_id, "shrink", seq))
 

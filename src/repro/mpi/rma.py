@@ -24,7 +24,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..chaos.core import ENGINE as _CH
-from ..metrics import REGISTRY as _MX
 from ..trace import TRACER as _TR
 from . import ops as _ops
 from .comm import Intracomm
@@ -169,8 +168,6 @@ class Win:
         if _TR.enabled:
             _TR.complete("mpi.rma", kind, t0, rank=ctx.rank, target=target,
                          nbytes=data.nbytes)
-        if _MX.enabled:
-            _MX.inc("mpi.rma.bytes", data.nbytes, op=kind)
 
     def Put(self, origin: np.ndarray, target_rank: int,
             target_offset: int = 0) -> None:

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..mpi.comm import Intracomm
 from ..mpi.errors import (AbortError, CommRevokedError, DeadlockError,
                           InjectedFault, RankFailure)
@@ -532,21 +530,17 @@ class OdinContext:
                 "REPRO_ODIN_RECOVER=1) so the op-log half of "
                 "checkpoint/replay is maintained")
         version = self._ckpt_version + 1
-        t0 = time.perf_counter()
-        with _TR.span("recover", "checkpoint", rank="driver",
-                      version=version):
-            sizes = self._with_recovery(self._send, (opcodes.CKPT, version))
+        t0 = _TR.now()
+        sizes = self._with_recovery(self._send, (opcodes.CKPT, version))
+        nbytes = sum(int(s) for s in sizes)
+        if _TR.enabled:
+            _TR.complete("recover", "checkpoint", t0, rank="driver",
+                         version=version, nbytes=nbytes)
         self._ckpt_version = version
         self._oplog.clear()
         self._ckpt_map = list(range(self.nworkers))
         self._ckpt_dead = set()
         self._ckpt_n = self.nworkers
-        nbytes = sum(int(s) for s in sizes)
-        if _MX.enabled:
-            _MX.inc("recover.checkpoints")
-            _MX.inc("recover.ckpt_total_bytes", nbytes)
-            _MX.observe("recover.ckpt_seconds",
-                        time.perf_counter() - t0)
         return nbytes
 
     def _with_recovery(self, fn: Callable, *args):
@@ -594,9 +588,8 @@ class OdinContext:
         self._recovering = True
         t0 = _TR.now()
         replayed = 0
+        ok = False
         try:
-            if _MX.enabled:
-                _MX.inc("recover.detections")
             old_ranks = list(self.comm._world_ranks)
             self.comm.revoke()
             new_full = self.comm.shrink()
@@ -622,8 +615,6 @@ class OdinContext:
             # comm as its first collective (tags stay aligned)
             self.comm.split(-1, 0)
             self.nworkers = len(new_workers)
-            if _MX.enabled:
-                _MX.inc("recover.shrinks")
             self._send((opcodes.RESTORE, self._ckpt_version, self._ckpt_map,
                         sorted(self._ckpt_dead), self._ckpt_n))
             # length-changing ops (TRANSFORM, GROUPBY shuffle) yield
@@ -668,16 +659,15 @@ class OdinContext:
             self._ckpt_map = list(range(self.nworkers))
             self._ckpt_dead = set()
             self._ckpt_n = self.nworkers
-            if _MX.enabled:
-                _MX.inc("recover.replayed_ops", replayed)
-                _MX.observe("recover.seconds", _TR.now() - t0)
+            ok = True
         finally:
             self._recovering = False
             if _TR.recording:
                 _TR.complete("recover", "shrink+replay", t0, rank="driver",
                              cause=repr(exc),
                              op_id=getattr(exc, "op_id", None),
-                             replayed=replayed, nworkers=self.nworkers)
+                             replayed=replayed, nworkers=self.nworkers,
+                             ok=ok)
 
     def _sync_handles(self) -> None:
         """Re-point live DistArray handles at their authoritative

@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..trace import TRACER as _TR
 
 __all__ = ["compiled_kernel"]
@@ -50,8 +49,6 @@ def _build(program, n_inputs: int) -> Optional[Callable]:
     if fn is None:
         if _TR.recording:
             _TR.instant("odin.fusion", "fallback", reason=reason)
-        if _MX.enabled:
-            _MX.inc("odin.fusion.fallbacks")
         return None
 
     def kernel(blocks: List[np.ndarray]) -> np.ndarray:

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..mpi.comm import Intracomm
 from ..obs import causal as _CZ
 from ..trace import TRACER as _TR
@@ -283,10 +282,10 @@ def _build_redist_plan(state: WorkerState, src: Distribution,
 def _redistribute_block(state: WorkerState, local: np.ndarray,
                         src: Distribution, dst: Distribution) -> np.ndarray:
     """Move a local block from distribution *src* to *dst* (plan-cached)."""
-    plan = _redist_plan_for(state, src, dst, local.dtype)
+    plan, cached = _redist_plan_for(state, src, dst, local.dtype)
     if _TR.enabled:
         with _TR.span("odin.worker", "redistribute.exchange",
-                      worker=state.index, kind=plan.kind):
+                      worker=state.index, kind=plan.kind, plan=cached):
             return plan.execute(state, local)
     return plan.execute(state, local)
 
@@ -367,12 +366,8 @@ def _plan_cache_get(state: WorkerState, key):
     if plan is not None:
         state.plan_cache.move_to_end(key)
         state.plan_hits += 1
-        if _MX.enabled:
-            _MX.inc("odin.plan_cache.hits", worker=state.index)
         return plan
     state.plan_misses += 1
-    if _MX.enabled:
-        _MX.inc("odin.plan_cache.misses", worker=state.index)
     return None
 
 
@@ -384,18 +379,21 @@ def _plan_cache_put(state: WorkerState, key, plan) -> None:
 
 
 def _redist_plan_for(state: WorkerState, src: Distribution,
-                     dst: Distribution, dtype) -> _RedistPlan:
+                     dst: Distribution, dtype):
+    """The plan and how the cache served it: ``"hit"``, ``"miss"``, or
+    None for an unkeyable distribution."""
     src_key = src.cache_key()
     dst_key = dst.cache_key()
     if src_key is None or dst_key is None:
         # unkeyable distribution: build fresh, bypass the cache entirely
-        return _build_redist_plan(state, src, dst)
+        return _build_redist_plan(state, src, dst), None
     key = ("redist", src_key, dst_key, np.dtype(dtype).str)
     plan = _plan_cache_get(state, key)
-    if plan is None:
-        plan = _build_redist_plan(state, src, dst)
-        _plan_cache_put(state, key, plan)
-    return plan
+    if plan is not None:
+        return plan, "hit"
+    plan = _build_redist_plan(state, src, dst)
+    _plan_cache_put(state, key, plan)
+    return plan, "miss"
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +470,7 @@ def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
     src_key = src.cache_key()
     dst_key = new_dist.cache_key()
     key = None
-    plan = None
+    plan = cached = None
     if src_key is not None and dst_key is not None:
         # slices are unhashable before 3.12: normalize to index triples
         triples = tuple(sl.indices(src.global_shape[ax])
@@ -480,13 +478,15 @@ def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
         key = ("slice", src_key, triples, dst_key,
                np.dtype(local.dtype).str)
         plan = _plan_cache_get(state, key)
+        cached = "miss" if plan is None else "hit"
     if plan is None:
         plan = _build_slice_plan(state, src, slices, new_dist)
         if key is not None:
             _plan_cache_put(state, key, plan)
     if _TR.enabled:
         with _TR.span("odin.worker", "redistribute.exchange",
-                      worker=state.index, kind=plan.inner.kind):
+                      worker=state.index, kind=plan.inner.kind,
+                      plan=cached):
             return plan.execute(state, local)
     return plan.execute(state, local)
 
@@ -583,8 +583,9 @@ def _checkpoint(state: WorkerState, version: int) -> int:
     state.checkpoints[version] = (snapshot, partner,
                                   (state.index - 1) % P)
     state.prune_checkpoints()
-    if _MX.enabled:
-        _MX.inc("recover.ckpt_bytes", nbytes, worker=state.index)
+    if _TR.enabled:
+        _TR.instant("recover", "worker.ckpt", worker=state.index,
+                    nbytes=nbytes)
     return nbytes
 
 
@@ -684,8 +685,9 @@ def _restore(state: WorkerState, version: int, old_indices, dead_indices,
                 np.ascontiguousarray(glob[new_dist.global_selector(
                     state.index)]), new_dist)
 
-    if _MX.enabled:
-        _MX.inc("recover.restored_arrays", len(own), worker=state.index)
+    if _TR.enabled:
+        _TR.instant("recover", "worker.restore", worker=state.index,
+                    arrays=len(own))
     return len(own)
 
 
@@ -734,25 +736,16 @@ def _unship_function(spec: tuple) -> Callable:
 # ----------------------------------------------------------------------
 def execute_op(state: WorkerState, op: tuple) -> Any:
     """Execute one control op; each op becomes one ``odin.worker`` span
-    (tagged with the causal op_id/epoch_id from the TAGGED envelope)
-    and, with metrics on, one per-opcode latency observation of the
-    same duration."""
-    rec, mx = _TR.recording, _MX.enabled
-    if not (rec or mx):
+    (tagged with the causal op_id/epoch_id from the TAGGED envelope)."""
+    if not _TR.recording:
         return _execute_op_impl(state, op)
     oid, eid = _CZ.current()
     t0 = _TR.now()
     try:
-        out = _execute_op_impl(state, op)
+        return _execute_op_impl(state, op)
     finally:
-        if rec:
-            dur = _TR.complete("odin.worker", str(op[0]), t0,
-                               worker=state.index, op_id=oid, epoch_id=eid)
-    if mx:
-        _MX.observe("odin.worker.op_seconds",
-                    dur if rec else _TR.now() - t0,
-                    op=str(op[0]), worker=state.index)
-    return out
+        _TR.complete("odin.worker", str(op[0]), t0, worker=state.index,
+                     op_id=oid, epoch_id=eid)
 
 
 def _execute_op_impl(state: WorkerState, op: tuple) -> Any:

@@ -99,14 +99,14 @@ def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
     """
     if not compiler_available():
         raise RuntimeError("no C compiler available")
-    from ..metrics import REGISTRY as _MX  # local: backend is a leaf module
+    from ..trace import TRACER as _TR  # local: backend is a leaf module
     digest = hashlib.sha256(source.encode()).hexdigest()[:20]
     base = os.path.join(_cache_dir(), f"{tag}_{digest}")
     so_path = base + ".so"
     with _cc_lock:
-        if _MX.enabled:
-            _MX.inc("seamless.cc.disk_cache",
-                    result="hit" if os.path.exists(so_path) else "miss")
+        if _TR.enabled:
+            _TR.instant("seamless.cc", "disk_cache",
+                        result="hit" if os.path.exists(so_path) else "miss")
         if not os.path.exists(so_path):
             fd, c_tmp = tempfile.mkstemp(prefix=os.path.basename(base) + ".",
                                          suffix=".c",

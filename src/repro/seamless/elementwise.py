@@ -8,12 +8,11 @@ one C loop over float64 blocks -- genuine loop fusion: a chain like
 from __future__ import annotations
 
 import ctypes
-import time
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
+from ..trace import TRACER as _TR
 from .backend_c import _PRELUDE, compile_c_source, compiler_available
 
 __all__ = ["compile_elementwise", "elementwise_c_source"]
@@ -95,16 +94,14 @@ def compile_elementwise(program: Sequence[tuple],
     """Native fused kernel ``fn(out, *inputs)`` over contiguous float64
     1-D arrays, or None when no compiler is available."""
     if not compiler_available():
-        if _MX.enabled:
-            _MX.inc("seamless.elementwise.no_compiler")
+        if _TR.enabled:
+            _TR.instant("seamless.elementwise", "no_compiler")
         return None
     source = elementwise_c_source(tuple(program), n_inputs)
-    t0 = time.perf_counter()
+    t0 = _TR.now()
     lib = compile_c_source(source, tag="fused")
-    if _MX.enabled:
-        _MX.inc("seamless.elementwise.fused_kernels")
-        _MX.observe("seamless.elementwise.compile_seconds",
-                    time.perf_counter() - t0)
+    if _TR.enabled:
+        _TR.complete("seamless.elementwise", "compile", t0)
     fn = lib.fused_kernel
     ptr = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1,
                                  flags="C_CONTIGUOUS")

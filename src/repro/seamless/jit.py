@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..metrics import REGISTRY as _MX
+from ..trace import TRACER as _TR
 from .backend_c import CompiledKernel, compiler_available, compile_typed
 from .frontend import UnsupportedError, function_to_ir
 from .infer import infer
@@ -84,27 +83,23 @@ class JitDispatcher:
         with self._lock:
             kernel = self._specializations.get(sig)
             if kernel is None:
-                if _MX.enabled:
-                    _MX.inc("seamless.jit.cache_misses",
-                            kernel=self.py_func.__name__)
-                    t0 = time.perf_counter()
+                t0 = _TR.now()
                 tf = infer(self._get_ir(), list(sig),
                            resolver=self._make_resolver())
                 kernel = compile_typed(tf)
                 self._specializations[sig] = kernel
-                if _MX.enabled:
-                    _MX.observe("seamless.jit.compile_seconds",
-                                time.perf_counter() - t0,
-                                kernel=self.py_func.__name__)
-            elif _MX.enabled:
-                _MX.inc("seamless.jit.cache_hits",
-                        kernel=self.py_func.__name__)
+                if _TR.enabled:
+                    _TR.complete("seamless.jit", "compile", t0,
+                                 kernel=self.py_func.__name__)
+            elif _TR.enabled:
+                _TR.instant("seamless.jit", "hit",
+                            kernel=self.py_func.__name__)
             return kernel
 
     # -- call -------------------------------------------------------------
     def __call__(self, *args, **kwargs):
-        if _MX.enabled:
-            _MX.inc("seamless.jit.calls", kernel=self.py_func.__name__)
+        if _TR.enabled:
+            _TR.instant("seamless.jit", "call", kernel=self.py_func.__name__)
         if kwargs:
             return self._fallback("keyword arguments", args, kwargs)
         if not compiler_available():
@@ -123,8 +118,9 @@ class JitDispatcher:
                 f"@jit(nopython=True) function {self.py_func.__name__} "
                 f"cannot be compiled: {reason}")
         self._fallback_reason = reason
-        if _MX.enabled:
-            _MX.inc("seamless.jit.fallbacks", kernel=self.py_func.__name__)
+        if _TR.enabled:
+            _TR.instant("seamless.jit", "fallback",
+                        kernel=self.py_func.__name__, reason=reason)
         return self.py_func(*args, **kwargs)
 
     # -- introspection ------------------------------------------------------

@@ -23,12 +23,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-import time
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
+from ..trace import TRACER as _TR
 from .backend_c import (_PRELUDE, compile_c_source, compiler_available,
                         emit_c)
 from .frontend import UnsupportedError, function_to_ir
@@ -89,15 +88,21 @@ void {scalar_symbol}_loop({params})
         if self._native is None and not self._native_failed:
             with self._lock:
                 if self._native is None and not self._native_failed:
-                    t0 = time.perf_counter()
+                    name = self.py_func.__name__
+                    t0 = _TR.now()
                     try:
                         self._native = self._build_native()
-                    except Exception:
+                    except Exception as exc:  # noqa: BLE001 - any failure
+                        # falls back to NumPy, recorded like a fusion
+                        # fallback
                         self._native_failed = True
-                    if _MX.enabled:
-                        _MX.observe("seamless.vectorize.compile_seconds",
-                                    time.perf_counter() - t0,
-                                    kernel=self.py_func.__name__)
+                        if _TR.recording:
+                            _TR.instant("seamless.vectorize",
+                                        "build_failed", kernel=name,
+                                        error=type(exc).__name__)
+                    if _TR.enabled:
+                        _TR.complete("seamless.vectorize", "compile", t0,
+                                     kernel=name)
         return self._native
 
     # -- call --------------------------------------------------------------
@@ -106,10 +111,10 @@ void {scalar_symbol}_loop({params})
         if not arrays:
             return self.py_func(*args)
         native = self._get_native() if compiler_available() else None
-        if _MX.enabled:
-            _MX.inc("seamless.vectorize.dispatch",
-                    kernel=self.py_func.__name__,
-                    path="native" if native is not None else "fallback")
+        if _TR.enabled:
+            _TR.instant("seamless.vectorize", "dispatch",
+                        kernel=self.py_func.__name__,
+                        path="native" if native is not None else "fallback")
         if native is None:
             return self._fallback(*args)
         cfn, nargs = native

@@ -18,7 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..mpi import SUM
 from ..teuchos import ParameterList
 from ..tpetra import Operator, Vector
@@ -29,14 +28,9 @@ __all__ = ["SolverResult", "cg", "gmres", "bicgstab", "minres", "tfqmr",
 
 
 def _iter_done(name: str, t0: float, k: int, rel: float) -> None:
-    """Record one solver iteration: a span carrying its residual norm
-    (trace) and an iteration count / latest-residual gauge (metrics)."""
-    if _TR.enabled:
-        _TR.complete("solver.krylov", name, t0, k=int(k), resid=float(rel))
-    if _MX.enabled:
-        method = name.split(".", 1)[0]
-        _MX.inc("solver.iterations", method=method)
-        _MX.set_gauge("solver.residual", float(rel), method=method)
+    """Record one solver iteration: a span carrying its residual norm."""
+    _TR.complete("solver.krylov", name, t0, method=name.split(".", 1)[0],
+                 k=int(k), resid=float(rel))
 
 
 @dataclass
@@ -113,7 +107,7 @@ def cg(op: Operator, b: Vector, x: Optional[Vector] = None,
         r.update(-alpha, ap, 1.0)
         rel = r.norm2() / bnorm
         history.append(rel)
-        if _TR.enabled or _MX.enabled:
+        if _TR.enabled:
             _iter_done("cg.iter", t0, k, rel)
         if rel <= tol:
             return _verified(op, x, b, bnorm, k, history, tol)
@@ -215,7 +209,7 @@ def gmres(op: Operator, b: Vector, x: Optional[Vector] = None,
             k_done = j + 1
             rel = abs(g[j + 1]) / bnorm
             history.append(rel)
-            if _TR.enabled or _MX.enabled:
+            if _TR.enabled:
                 _iter_done("gmres.iter", t0, total_iters, rel)
             if rel <= tol or breakdown or H[j, j] == 0:
                 break
@@ -279,7 +273,7 @@ def bicgstab(op: Operator, b: Vector, x: Optional[Vector] = None,
         if s.norm2() / bnorm <= tol:
             x.update(alpha, phat, 1.0)
             history.append(s.norm2() / bnorm)
-            if _TR.enabled or _MX.enabled:
+            if _TR.enabled:
                 _iter_done("bicgstab.iter", t0, k, history[-1])
             return _verified(op, x, b, bnorm, k, history, tol)
         shat = _apply_prec(prec, s)
@@ -293,7 +287,7 @@ def bicgstab(op: Operator, b: Vector, x: Optional[Vector] = None,
         r.update(-omega, t, 1.0)
         rel = r.norm2() / bnorm
         history.append(rel)
-        if _TR.enabled or _MX.enabled:
+        if _TR.enabled:
             _iter_done("bicgstab.iter", t0, k, rel)
         if rel <= tol:
             return _verified(op, x, b, bnorm, k, history, tol)
@@ -347,14 +341,14 @@ def minres(op: Operator, b: Vector, x: Optional[Vector] = None,
         v_prev = v
         if beta_new <= 1e-300:
             history.append(abs(eta) / bnorm)
-            if _TR.enabled or _MX.enabled:
+            if _TR.enabled:
                 _iter_done("minres.iter", t0, k, history[-1])
             return SolverResult(x, True, k, history[-1], history)
         v = av * (1.0 / beta_new)
         beta_prev, beta = beta, beta_new
         rel = abs(eta) / bnorm
         history.append(rel)
-        if _TR.enabled or _MX.enabled:
+        if _TR.enabled:
             _iter_done("minres.iter", t0, k, rel)
         if rel <= tol:
             return SolverResult(x, True, k, rel, history)
@@ -424,7 +418,7 @@ def tfqmr(op: Operator, b: Vector, x: Optional[Vector] = None,
         x.update(eta, d, 1.0)
         rel = tau * np.sqrt(m + 2.0) / bnorm
         history.append(rel)
-        if _TR.enabled or _MX.enabled:
+        if _TR.enabled:
             _iter_done("tfqmr.iter", t0, (m + 2) // 2, rel)
         if rel <= tol:
             rtrue = _residual(op, x, b).norm2() / bnorm
@@ -520,7 +514,7 @@ def block_cg(op: Operator, B: "MultiVector", X: Optional["MultiVector"] = None,
         newly_done = active & (resid <= tol)
         active = active & ~newly_done
         history_its = k
-        if _TR.enabled or _MX.enabled:
+        if _TR.enabled:
             _iter_done("block_cg.iter", t0, k, float(resid.max()))
         if not active.any():
             break

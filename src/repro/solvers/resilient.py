@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..mpi import Intracomm
 from ..mpi.errors import CommRevokedError, RankFailure
 from ..teuchos import ParameterList
@@ -114,10 +113,9 @@ class IterateCheckpoint:
             comm.send((self.version, gids, vals), dest=right, tag=_CKPT_TAG)
             ver, lgids, lvals = comm.recv(source=left, tag=_CKPT_TAG)
             self.held[ver] = (left, lgids, lvals)
-        if _MX.enabled:
-            _MX.inc("recover.iterate_ckpts")
-            _MX.inc("recover.iterate_ckpt_bytes",
-                    int(gids.nbytes + vals.nbytes))
+        if _TR.enabled:
+            _TR.instant("recover", "iterate_ckpt",
+                        nbytes=int(gids.nbytes + vals.nbytes))
         self._prune()
 
     def _prune(self) -> None:
@@ -166,8 +164,6 @@ def _shrink_and_restore(comm: Intracomm, ckpt: Optional[IterateCheckpoint],
     """Common fault path: revoke, shrink, reassemble the iterate.
 
     Returns ``(new_comm, ranks_lost, x_global_or_None)``."""
-    if _MX.enabled:
-        _MX.inc("recover.solver_detections")
     t0 = _TR.now() if _TR.enabled else 0.0
     old_members = list(comm._world_ranks)
     comm.revoke()
@@ -177,8 +173,6 @@ def _shrink_and_restore(comm: Intracomm, ckpt: Optional[IterateCheckpoint],
     x_global = None
     if ckpt is not None and n is not None:
         x_global = _restore_global(new_comm, ckpt, dead, n)
-    if _MX.enabled:
-        _MX.inc("recover.solver_restarts")
     if _TR.enabled:
         _TR.complete("recover", "solver.shrink+restore", t0,
                      lost=len(dead), survivors=new_comm.size)

@@ -18,8 +18,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..metrics import REGISTRY as _MX
 from ..mpi.status import ANY_SOURCE, Status
+from ..trace import TRACER as _TR
 from .map import Map
 
 __all__ = ["CombineMode", "Import", "Export"]
@@ -108,19 +108,18 @@ class _Plan:
         (overlapping target lids under ADD/ABSMAX), incoming values are
         staged and combined in plan order so results stay deterministic.
         """
-        mx = _MX.enabled
+        traced = _TR.enabled
+        pack = unpack = 0
         for dest, lids in self.send_plan:
             packed = self._pack(dest, src_local, lids)
-            if mx:
-                _MX.inc("tpetra.plan.pack_bytes", packed.nbytes,
-                        rank=comm.rank)
+            pack += packed.nbytes
             comm.send(packed, dest, tag=tag)
         if len(self.permute_src):
             _combine(tgt_local, self.permute_tgt, src_local[self.permute_src],
                      mode)
         if not self.recv_plan:
-            if mx:
-                _MX.inc("tpetra.plan.executions", rank=comm.rank)
+            if traced:
+                _TR.instant("tpetra.plan", "execute", pack=pack, unpack=0)
             return
         in_order = self._recv_disjoint or mode in (CombineMode.INSERT,
                                                    CombineMode.REPLACE)
@@ -140,9 +139,8 @@ class _Plan:
                     self._stash.setdefault(src, []).append(values)
                     continue
             pending.discard(src)
-            if mx:
-                _MX.inc("tpetra.plan.unpack_bytes",
-                        np.asarray(values).nbytes, rank=comm.rank)
+            if traced:
+                unpack += np.asarray(values).nbytes
             if in_order:
                 _combine(tgt_local, by_src[src], values, mode)
             else:
@@ -150,8 +148,8 @@ class _Plan:
         if staged:
             for src, lids in self.recv_plan:
                 _combine(tgt_local, lids, staged[src], mode)
-        if mx:
-            _MX.inc("tpetra.plan.executions", rank=comm.rank)
+        if traced:
+            _TR.instant("tpetra.plan", "execute", pack=pack, unpack=unpack)
 
     def reversed(self) -> "_Plan":
         """The transpose plan (Import -> reverse Export and vice versa),
@@ -162,8 +160,8 @@ class _Plan:
                         self.permute_tgt, self.permute_src)
             rev._reversed = self
             self._reversed = rev
-            if _MX.enabled:
-                _MX.inc("tpetra.plan.reverse_builds")
+            if _TR.enabled:
+                _TR.instant("tpetra.plan", "reverse")
         return self._reversed
 
     @property
@@ -212,10 +210,9 @@ def _build_import_plan(source: Map, target: Map) -> _Plan:
             if np.any(lids < 0):
                 raise AssertionError("asked for gids this rank does not own")
             send_plan.append((r, lids))
-    if _MX.enabled:
-        _MX.inc("tpetra.plan.builds", rank=comm.rank, kind="import")
-        _MX.inc("tpetra.plan.remote_lids_resolved", len(remote_gids),
-                rank=comm.rank, kind="import")
+    if _TR.enabled:
+        _TR.instant("tpetra.plan", "build", kind="import",
+                    remote=len(remote_gids))
     return _Plan(send_plan, recv_plan, permute_src, permute_tgt)
 
 
@@ -248,10 +245,9 @@ def _build_export_plan(source: Map, target: Map) -> _Plan:
                 raise AssertionError("received contribution for a gid this "
                                      "rank does not own")
             recv_plan.append((r, lids))
-    if _MX.enabled:
-        _MX.inc("tpetra.plan.builds", rank=comm.rank, kind="export")
-        _MX.inc("tpetra.plan.remote_lids_resolved", len(remote_gids),
-                rank=comm.rank, kind="export")
+    if _TR.enabled:
+        _TR.instant("tpetra.plan", "build", kind="export",
+                    remote=len(remote_gids))
     return _Plan(send_plan, recv_plan, permute_src, permute_tgt)
 
 

@@ -1,25 +1,15 @@
-"""Unified per-rank tracing & metrics (``repro.trace``).
+"""Per-rank tracing (``repro.trace``): the one recorder.
 
-The measurement substrate under every performance claim in this repo:
-structured span/instant events from the MPI layer (point-to-point,
-collectives tagged by algorithm, RMA windows), the ODIN runtime (control
-plane and worker steps), and the solver stack (per-iteration spans
-carrying residual norms), all attributed to world ranks.
-
-Enable with ``REPRO_TRACE=1`` in the environment or
-:func:`repro.trace.enable`; export with :func:`write_chrome_trace`
-(open in ``chrome://tracing`` / Perfetto), :func:`summary` (text,
-merged with ``TimeMonitor``), or :func:`traffic_report` (per-peer
-byte counters).  Post-mortem analysis lives in
-:mod:`repro.trace.analyze`: load imbalance, wait states, the critical
-path, and the communication matrix.  Any benchmark under
-``benchmarks/`` accepts ``--trace out.json`` and ``--analyze``; its
-counting sibling is :mod:`repro.metrics` (``--metrics out.json``).
-
-When disabled (the default), every instrumented site costs a single
-attribute-load-plus-branch; the coarse sites (control ops, worker ops,
-collectives) still feed the tracer's bounded flight ring, the crash
-evidence :mod:`repro.obs.flight` dumps.
+Structured span/instant events from the MPI layer, the ODIN runtime,
+the solver stack and Seamless, attributed to world ranks (see
+:mod:`repro.trace.tracer`).  Enable with ``REPRO_TRACE=1`` or
+:func:`enable`; export with :func:`write_chrome_trace` (Perfetto),
+:func:`summary` (text, merged with ``TimeMonitor``) or
+:func:`traffic_report` (per-peer bytes); analyse post mortem with
+:mod:`repro.trace.analyze`.  :mod:`repro.metrics` is a fold of the same
+trace.  Benchmarks accept ``--trace out.json``, ``--metrics out.json``
+and ``--analyze``.  Disabled, a site costs one predicate; the coarse
+sites still feed the bounded flight ring :mod:`repro.obs.flight` dumps.
 """
 
 from .tracer import (NULL_SPAN, TRACER, Tracer, clear, disable, enable,

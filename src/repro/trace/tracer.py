@@ -11,10 +11,10 @@ on one clock, and kept in up to two *retentions*:
   turns it off).  On by default, so crash dumps, ``/flight`` and
   :func:`~repro.obs.flight.FlightRecorder.notify_fault` always have
   recent evidence; read it with :meth:`Tracer.ring_events`.
-- **the full trace** -- an unbounded per-thread list plus per-rank span
-  timers, kept only while tracing is on (``REPRO_TRACE=1`` or
-  :func:`enable`); read it with :meth:`Tracer.events`, which is what
-  the exporters and the multiprocess transport ship.
+- **the full trace** -- an unbounded per-thread list, kept only while
+  tracing is on (``REPRO_TRACE=1`` or :func:`enable`); read it with
+  :meth:`Tracer.events`, which is what the exporters, the metrics fold
+  (:mod:`repro.metrics`) and the multiprocess transport use.
 
 Design constraints:
 
@@ -37,11 +37,11 @@ Design constraints:
   thread-name label, and every emit API accepts an explicit ``rank=``.
 
 Toggle the retentions through :meth:`Tracer.enable`/:meth:`Tracer.disable`
-and :meth:`Tracer.set_flight`, which keep ``recording`` in step.  Span
-durations also accumulate into per-rank
-:class:`~repro.teuchos.timer.Time` objects (via their context-manager
-API), which is what the text :func:`~repro.trace.export.summary`
-exporter renders and merges with ``TimeMonitor.summarize()``.
+and :meth:`Tracer.set_flight`, which keep ``recording`` in step.
+:meth:`Tracer.span_timers` folds the trace's span durations into
+per-rank :class:`~repro.teuchos.timer.Time` objects, which is what the
+text :func:`~repro.trace.export.summary` exporter renders and merges
+with ``TimeMonitor.summarize()``.
 """
 
 from __future__ import annotations
@@ -83,24 +83,21 @@ def _env_capacity() -> int:
 
 
 class _Buffer:
-    """One thread's flight ring, trace list and span-timer registry."""
+    """One thread's flight ring and trace list."""
 
-    __slots__ = ("ring", "pos", "full", "events", "timers")
+    __slots__ = ("ring", "pos", "full", "events")
 
     def __init__(self, capacity: int):
         self.ring: List[Optional[Event]] = [None] * capacity
         self.pos = 0
         self.full = False
         self.events: List[Event] = []
-        # (rank, "cat:name") -> accumulating Time
-        self.timers: Dict[Tuple[RankLabel, str], Time] = {}
 
 
 class _Span:
     """Context manager recording one complete ("X") event."""
 
-    __slots__ = ("_tracer", "_cat", "_name", "_args", "_rank", "_t0",
-                 "_timer", "_buf")
+    __slots__ = ("_tracer", "_cat", "_name", "_args", "_rank", "_t0")
 
     def __init__(self, tracer: "Tracer", cat: str, name: str,
                  rank: Optional[RankLabel], args: Optional[dict]):
@@ -114,22 +111,15 @@ class _Span:
         tr = self._tracer
         if self._rank is None:
             self._rank = tr.thread_rank()
-        self._buf = tr._thread_buffer()
-        key = (self._rank, self._cat + ":" + self._name)
-        timer = self._buf.timers.get(key)
-        if timer is None:
-            timer = self._buf.timers[key] = Time(key[1])
-        self._timer = timer
-        timer.start()
         self._t0 = time.perf_counter() - tr._epoch
         return self
 
     def __exit__(self, *exc) -> None:
         tr = self._tracer
         ts = time.perf_counter() - tr._epoch
-        self._timer.stop()
-        tr._store(self._buf, ("X", self._cat, self._name, self._rank,
-                              self._t0, ts - self._t0, self._args))
+        tr._store(tr._thread_buffer(), ("X", self._cat, self._name,
+                                        self._rank, self._t0,
+                                        ts - self._t0, self._args))
 
     def add_args(self, **kwargs) -> "_Span":
         """Attach/extend event args from inside the span body."""
@@ -245,19 +235,11 @@ class Tracer:
         The begin/complete pair is the cheapest span form: the disabled
         path is exactly one predicate at each end.
         """
-        ts = time.perf_counter() - self._epoch
+        dur = time.perf_counter() - self._epoch - t0
         if rank is None:
             rank = self.thread_rank()
-        buf = self._thread_buffer()
-        dur = ts - t0
-        self._store(buf, ("X", cat, name, rank, t0, dur, args or None))
-        if self.enabled:
-            key = (rank, cat + ":" + name)
-            timer = buf.timers.get(key)
-            if timer is None:
-                timer = buf.timers[key] = Time(key[1])
-            timer.total += dur
-            timer.calls += 1
+        self._store(self._thread_buffer(),
+                    ("X", cat, name, rank, t0, dur, args or None))
         return dur
 
     def instant(self, cat: str, name: str,
@@ -286,35 +268,21 @@ class Tracer:
         self.recording = self.enabled or self.flight
 
     def clear(self) -> None:
-        """Drop every recorded event, ring and trace, and the span
-        timers (keeps the epoch and buffer registration)."""
+        """Drop every recorded event, ring and trace (keeps the epoch
+        and buffer registration)."""
         with self._lock:
             for buf in self._buffers:
                 buf.ring = [None] * self.capacity
                 buf.pos = 0
                 buf.full = False
                 buf.events.clear()
-                buf.timers.clear()
 
     def absorb(self, events: List[Event]) -> None:
         """Merge events recorded by another process into this tracer
         (the driver-side merge point of the multiprocess transport:
-        worker ranks ship their event lists back at gather/shutdown).
-        Span timers are rebuilt from the "X" events so
-        :meth:`span_timers` stays consistent with :meth:`events`."""
-        if not events:
-            return
-        buf = self._thread_buffer()
-        for ev in events:
-            ev = tuple(ev)
-            buf.events.append(ev)
-            if ev[0] == "X":
-                key = (ev[3], ev[1] + ":" + ev[2])
-                timer = buf.timers.get(key)
-                if timer is None:
-                    timer = buf.timers[key] = Time(key[1])
-                timer.total += ev[5]
-                timer.calls += 1
+        worker ranks ship their event lists back at gather/shutdown)."""
+        if events:
+            self._thread_buffer().events.extend(tuple(ev) for ev in events)
 
     def events(self) -> List[Event]:
         """Snapshot of the full trace so far, in timestamp order."""
@@ -344,17 +312,23 @@ class Tracer:
         return merged
 
     def span_timers(self) -> Dict[Tuple[RankLabel, str], Time]:
-        """Aggregated per-(rank, category:name) span timers."""
+        """Per-(rank, category:name) span totals folded from the trace.
+        A span nested in a running span of the same key on the same
+        thread counts once, as a re-entrant :class:`Time` would."""
         out: Dict[Tuple[RankLabel, str], Time] = {}
         with self._lock:
             buffers = list(self._buffers)
         for buf in buffers:
-            for key, timer in list(buf.timers.items()):
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = Time(timer.name)
-                acc.total += timer.total
-                acc.calls += timer.calls
+            ends: Dict[Tuple[RankLabel, str], float] = {}
+            for ph, cat, name, rank, ts, dur, _args in sorted(
+                    buf.events, key=lambda ev: ev[4]):
+                key = (rank, cat + ":" + name)
+                if ph != "X" or ts < ends.get(key, ts):
+                    continue
+                ends[key] = ts + dur
+                timer = out.get(key) or out.setdefault(key, Time(key[1]))
+                timer.total += dur
+                timer.calls += 1
         return out
 
     def __repr__(self):

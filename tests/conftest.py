@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ def spmd(nranks, timeout=60.0):
         return mpi.run_spmd(fn, nranks, args=args, kwargs=kwargs,
                             timeout=timeout)
     return runner
+
+
+def settle_counters(ctx):
+    """Zero an ODIN context's wire counters with no delete pending.
+
+    A ``DistArray`` freed by the cyclic GC queues a delete that the next
+    op drains as its own broadcast; collecting and flushing first keeps
+    such a delete out of the window a test then measures.
+    """
+    gc.collect()
+    ctx.flush()
+    ctx.reset_counters()
 
 
 @pytest.fixture(params=[1, 2, 3, 4])

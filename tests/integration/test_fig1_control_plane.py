@@ -13,12 +13,13 @@ import pytest
 
 from repro import odin
 from repro.odin.context import OdinContext
+from tests.conftest import settle_counters
 
 
 class TestControlPlane:
     def test_creation_is_control_only(self):
         with OdinContext(4) as ctx:
-            ctx.reset_counters()
+            settle_counters(ctx)
             _x = odin.random(10 ** 6, ctx=ctx)   # 8 MB of array data
             _msgs, ctl_bytes = ctx.control_traffic()
             assert ctl_bytes < 5_000          # description, not data
@@ -31,7 +32,7 @@ class TestControlPlane:
         sizes = {}
         for n in (10 ** 3, 10 ** 5):
             with OdinContext(4) as ctx:
-                ctx.reset_counters()
+                settle_counters(ctx)
                 _x = odin.zeros(n, ctx=ctx)
                 _m, b = ctx.control_traffic()
                 sizes[n] = b
@@ -42,7 +43,7 @@ class TestControlPlane:
     def test_redistribution_bypasses_driver(self):
         with OdinContext(4) as ctx:
             x = odin.arange(40_000, ctx=ctx, dtype=np.float64)
-            ctx.reset_counters()
+            settle_counters(ctx)
             _y = x.redistribute(odin.CyclicDistribution((40_000,), 0, 4))
             ctx.flush()  # batched op: synchronize before reading counters
             _cmsgs, ctl_bytes = ctx.control_traffic()
@@ -54,7 +55,7 @@ class TestControlPlane:
         with OdinContext(4) as ctx:
             a = odin.random(10_000, ctx=ctx)
             b = odin.random(10_000, ctx=ctx)
-            ctx.reset_counters()
+            settle_counters(ctx)
             _c = a * b
             _wmsgs, relay_bytes = ctx.worker_traffic()
             # conformable operands: only the broadcast relay, no payload
@@ -67,7 +68,7 @@ class TestControlPlane:
         with OdinContext(4) as ctx:
             x = odin.linspace(0, 1, n, ctx=ctx)
             y = odin.sin(x)
-            ctx.reset_counters()
+            settle_counters(ctx)
             _dydx = (y[1:] - y[:-1]) / (x[1] - x[0])
             _c, ctl_bytes = ctx.control_traffic()
             payload = 8 * n

@@ -59,12 +59,17 @@ def test_quantiles():
         h.observe(float(v))
     assert h.quantile(0.0) == 1.0
     assert h.quantile(1.0) == 100.0
-    # p50 of 1..100: the bucket holding the 50th sample is (32, 64]
-    assert h.quantile(0.5) == 64.0
-    # the approximation never exceeds the observed max
-    assert h.quantile(0.99) <= 100.0
+    # 1..100 is uniform in value within (32, 64], so linear interpolation
+    # in the holding bucket recovers the exact median: target 50 lands at
+    # 32 + 32 * (50 - 32) / 32 = 50.0
+    assert h.quantile(0.5) == pytest.approx(50.0)
+    # never outside the observed range
+    for q in (0.25, 0.5, 0.9, 0.95, 0.99):
+        assert h.min <= h.quantile(q) <= h.max
     with pytest.raises(ValueError):
         h.quantile(1.5)
+    with pytest.raises(ValueError):
+        h.quantile(-0.1)
 
 
 def test_empty_quantile_is_zero():
@@ -107,33 +112,13 @@ def test_to_dict_buckets_sorted_ascending():
     assert sum(b["count"] for b in d["buckets"]) == h.count
 
 
-def test_quantile_est_interpolates_within_bucket():
-    h = Histogram("t")
-    for v in range(1, 101):  # 1..100
-        h.observe(float(v))
-    # 1..100 is uniform in value within (32, 64], so linear interpolation
-    # in the holding bucket recovers the exact median: target 50 lands at
-    # 32 + 32 * (50 - 32) / 32 = 50.0 (vs quantile()'s 64.0 upper bound)
-    assert h.quantile_est(0.5) == pytest.approx(50.0)
-    assert h.quantile(0.5) == 64.0
-    # tighter than or equal to the bucket bound at every q, never above
-    # the observed max, exact at the endpoints
-    for q in (0.25, 0.5, 0.9, 0.95, 0.99):
-        assert h.quantile_est(q) <= h.quantile(q)
-        assert h.min <= h.quantile_est(q) <= h.max
-    assert h.quantile_est(0.0) == 1.0
-    assert h.quantile_est(1.0) == 100.0
-    with pytest.raises(ValueError):
-        h.quantile_est(-0.1)
-
-
-def test_quantile_est_empty_and_underflow():
-    assert Histogram("t").quantile_est(0.5) == 0.0
+def test_quantile_empty_and_underflow():
+    assert Histogram("t").quantile(0.5) == 0.0
     h = Histogram("t")
     for v in (-2.0, -1.0, 0.0):
         h.observe(v)
     # all samples in the <=0 bucket: estimates stay within [min, max]
-    assert h.min <= h.quantile_est(0.5) <= h.max
+    assert h.min <= h.quantile(0.5) <= h.max
 
 
 def test_to_dict_carries_interpolated_quantiles():

@@ -1,6 +1,7 @@
 """The instrumented layers feed the registry when metrics are enabled."""
 
 import numpy as np
+import pytest
 
 from repro.metrics import Histogram
 from tests.conftest import spmd
@@ -130,3 +131,56 @@ def test_disabled_registry_records_nothing():
 
     spmd(2)(body)
     assert len(REGISTRY) == before
+
+
+def _broken_vectorize(monkeypatch):
+    """An @elementwise kernel whose native build always fails."""
+    from repro.seamless import vectorize as vec
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("compiler exploded")
+
+    monkeypatch.setattr(vec, "compiler_available", lambda: True)
+    monkeypatch.setattr(vec, "compile_c_source", broken)
+
+    @vec.elementwise
+    def hyp2(x: float, y: float) -> float:
+        return x * x + y * y
+
+    return hyp2
+
+
+def _build_failures(events):
+    return [ev for ev in events
+            if ev[1] == "seamless.vectorize" and ev[2] == "build_failed"]
+
+
+def test_vectorize_build_failure_is_one_counted_event(registry,
+                                                      monkeypatch):
+    from repro.trace import TRACER
+
+    hyp2 = _broken_vectorize(monkeypatch)
+    x = np.arange(5.0)
+    assert np.array_equal(hyp2(x, x), 2 * x * x)   # NumPy fallback
+    assert np.array_equal(hyp2(x, 1.0), x * x + 1.0)
+    events = _build_failures(TRACER.events())
+    assert len(events) == 1                        # the failure sticks
+    assert events[0][6] == {"kernel": "hyp2", "error": "RuntimeError"}
+    failed = registry.get("seamless.vectorize.build_failures",
+                          kernel="hyp2", error="RuntimeError")
+    assert failed is not None and failed.value == 1
+    fallback = registry.get("seamless.vectorize.dispatch", kernel="hyp2",
+                            path="fallback")
+    assert fallback is not None and fallback.value == 2
+
+
+def test_vectorize_build_failure_reaches_the_flight_ring(monkeypatch):
+    from repro.trace import TRACER
+
+    if not TRACER.flight:
+        pytest.skip("flight ring turned off in this environment")
+    assert not TRACER.enabled
+    hyp2 = _broken_vectorize(monkeypatch)
+    hyp2(np.arange(3.0), np.arange(3.0))
+    events = _build_failures(TRACER.ring_events())
+    assert events and events[-1][6]["error"] == "RuntimeError"

@@ -1,4 +1,4 @@
-"""Registry semantics: identity, typing, threading, module helpers."""
+"""Registry semantics: identity, typing, threading, the module switch."""
 
 import threading
 
@@ -6,10 +6,11 @@ import pytest
 
 import repro.metrics as metrics
 from repro.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.trace import TRACER
 
 
 def test_label_identity():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     a = reg.counter("hits", rank=0)
     b = reg.counter("hits", rank=1)
     c = reg.counter("hits", rank=0)
@@ -20,14 +21,14 @@ def test_label_identity():
 
 
 def test_label_order_irrelevant():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     a = reg.counter("x", rank=0, op="put")
     b = reg.counter("x", op="put", rank=0)
     assert a is b
 
 
 def test_type_mismatch_raises():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(TypeError):
         reg.gauge("x")
@@ -47,7 +48,7 @@ def test_gauge_moves_both_ways():
 
 
 def test_shortcut_emission():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.inc("n", 3, rank=1)
     reg.set_gauge("q", 7.0)
     reg.observe("lat", 0.25)
@@ -59,7 +60,7 @@ def test_shortcut_emission():
 
 
 def test_metrics_sorted_snapshot():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.inc("b")
     reg.inc("a", rank=1)
     reg.inc("a", rank=0)
@@ -67,25 +68,28 @@ def test_metrics_sorted_snapshot():
     assert names == [("a", {"rank": 0}), ("a", {"rank": 1}), ("b", {})]
 
 
-def test_clear_keeps_enabled_flag():
-    reg = MetricsRegistry(enabled=True)
-    reg.inc("x")
-    reg.clear()
-    assert len(reg) == 0 and reg.enabled
+def test_clear_keeps_enabled_flag(registry):
+    TRACER.instant("odin.fusion", "fallback", reason="test")
+    assert len(registry) == 1
+    registry.clear()
+    assert len(registry) == 0 and registry.enabled
 
 
 def test_module_helpers_guard_on_enabled(registry):
-    metrics.inc("mod.count", 2)
-    assert registry.get("mod.count").value == 2
+    """The module switch is the tracer's: metrics count exactly the
+    events the full trace keeps."""
+    TRACER.instant("odin.fusion", "fallback", reason="test")
+    assert registry.get("odin.fusion.fallbacks").value == 1
     metrics.disable()
-    metrics.inc("mod.count", 100)
-    assert registry.get("mod.count").value == 2  # disabled: no-op
+    assert not TRACER.enabled
+    TRACER.instant("odin.fusion", "fallback", reason="test")
+    assert registry.get("odin.fusion.fallbacks").value == 1  # not kept
     metrics.enable()
-    assert metrics.enabled()
+    assert metrics.enabled() and TRACER.enabled
 
 
 def test_concurrent_increments_do_not_lose_updates():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
 
     def body():
         for _ in range(1000):

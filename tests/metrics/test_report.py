@@ -5,10 +5,11 @@ import json
 import repro.metrics as metrics
 from repro.metrics import MetricsRegistry, exposition, report, to_json
 from repro.teuchos.timer import TimeMonitor
+from repro.trace import TRACER
 
 
 def _sample_registry():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.inc("seamless.jit.cache_hits", 3, kernel="saxpy")
     reg.inc("seamless.jit.cache_misses", 1, kernel="saxpy")
     reg.set_gauge("solver.residual", 1.5e-9, method="cg")
@@ -25,7 +26,7 @@ def test_report_mentions_every_metric():
 
 
 def test_report_empty():
-    assert "no metrics" in report(MetricsRegistry(enabled=True))
+    assert "no metrics" in report(MetricsRegistry())
 
 
 def test_to_json_round_trips():
@@ -85,6 +86,7 @@ def test_exposition_prometheus_shape():
 
 
 def test_module_singleton_to_json(registry):
-    metrics.inc("x.count")
+    TRACER.instant("odin.fusion", "fallback", reason="test")
     doc = json.loads(metrics.to_json())
-    assert any(m["name"] == "x.count" for m in doc["metrics"])
+    assert any(m["name"] == "odin.fusion.fallbacks" and m["value"] == 1
+               for m in doc["metrics"])

@@ -13,6 +13,7 @@ from repro.obs import __main__ as obs_cli
 from repro.obs import serve, serve_shutdown
 from repro.obs import status as obs_status
 from repro.odin.context import OdinContext
+from repro.trace import TRACER
 
 
 @pytest.fixture
@@ -40,10 +41,11 @@ class TestEndpoints:
         assert ei.value.code == 404
 
     def test_metrics_is_prometheus_text(self, server, registry):
-        registry.inc("obs.test.counter", 3)
+        for _ in range(3):
+            TRACER.instant("odin.fusion", "fallback", reason="test")
         code, body = _get(server, "/metrics")
         assert code == 200
-        assert "obs_test_counter 3" in body
+        assert "odin_fusion_fallbacks 3" in body
 
     def test_status_reports_live_context(self, server):
         with OdinContext(2) as ctx:

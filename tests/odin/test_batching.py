@@ -6,6 +6,8 @@ type preserved, originating op named -- at the next synchronizing op or
 explicit flush().
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,9 @@ class TestWireSchedule:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_pinned_wire_schedule(self, backend, batch):
         with OdinContext(3, batch=batch, backend=backend) as ctx:
+            # no array of this fresh context can queue a delete yet, and
+            # a flush here would move the pinned op_id: collect only
+            gc.collect()
             ctx.reset_counters()
             _pinned_program(ctx)
             traffic = ctx.control_traffic()

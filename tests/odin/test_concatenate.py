@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import odin
+from tests.conftest import settle_counters
 
 
 class TestConcatenate:
@@ -28,7 +29,7 @@ class TestConcatenate:
         a = odin.random(40_000, seed=1)
         b = odin.random(40_000, seed=2)
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         _c = odin.concatenate([a, b])
         _m, nbytes = ctx.worker_traffic()
         assert nbytes < 4_000  # control relay only, never the payload

@@ -5,13 +5,14 @@ import pytest
 
 from repro import odin
 from repro.odin.expr import LazyExpr
+from tests.conftest import settle_counters
 
 
 class TestLazyGraphs:
     def test_lazy_defers_execution(self, odin4):
         a = odin.ones(20)
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         with odin.lazy():
             expr = a * 2 + 1
         # nothing ran yet: no control messages for the arithmetic
@@ -35,7 +36,7 @@ class TestLazyGraphs:
         with odin.lazy():
             expr = a * 2 + b * 3 - 1
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         odin.evaluate(expr, use_seamless=False)
         msgs, _ = ctx.control_traffic()
         # one fused op: one bcast tree (<= nworkers messages from driver)

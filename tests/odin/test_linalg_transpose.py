@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import odin
+from tests.conftest import settle_counters
 
 
 class TestDot:
@@ -80,7 +81,7 @@ class TestTranspose:
     def test_transpose_moves_no_data(self, odin4):
         d = odin.random((400, 30), seed=1)
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         _t = d.T
         _m, nbytes = ctx.worker_traffic()
         assert nbytes < 2_000  # control relay only

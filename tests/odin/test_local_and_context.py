@@ -5,6 +5,7 @@ import pytest
 
 from repro import odin
 from repro.odin.context import OdinContext
+from tests.conftest import settle_counters
 
 
 @odin.local
@@ -145,7 +146,7 @@ class TestContextLifecycle:
 
     def test_traffic_accessors(self, odin4):
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         _x = odin.zeros(1000)
         msgs, nbytes = ctx.control_traffic()
         assert msgs >= 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import odin
+from tests.conftest import settle_counters
 
 
 class TestBasicSlices:
@@ -75,7 +76,7 @@ class TestHaloTraffic:
         n = 4000
         y = odin.arange(n, dtype=np.float64)
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         _dy = y[1:] - y[:-1]
         _msgs, nbytes = ctx.worker_traffic()
         # boundary exchange: a handful of elements per worker boundary,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import odin
+from tests.conftest import settle_counters
 
 
 class TestSort:
@@ -26,7 +27,7 @@ class TestSort:
         xs = np.random.default_rng(2).normal(size=80_000)
         x = odin.array(xs)
         ctx = odin.get_context()
-        ctx.reset_counters()
+        settle_counters(ctx)
         _s = odin.sort(x)
         _cm, cb = ctx.control_traffic()
         assert cb < 4_000          # only opcodes + counts through driver
