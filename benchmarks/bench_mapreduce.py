@@ -37,6 +37,7 @@ def _measure():
     with OdinContext(W) as ctx:
         t0 = time.perf_counter()
         t = tabular.from_records(rec, ctx=ctx)
+        ctx.flush()
         rows.append(("distribute records", f"{(time.perf_counter() - t0) * 1e3:.1f}", "-"))
 
         def clip(block):
@@ -47,6 +48,7 @@ def _measure():
         ctx.reset_counters()
         t0 = time.perf_counter()
         t = tabular.map_records(clip, t)
+        ctx.flush()
         _m, b = ctx.worker_traffic()
         rows.append(("map (abs)", f"{(time.perf_counter() - t0) * 1e3:.1f}",
                      f"{b:,}"))
@@ -54,6 +56,7 @@ def _measure():
         ctx.reset_counters()
         t0 = time.perf_counter()
         t = tabular.filter_records(lambda blk: blk["value"] > 0.5, t)
+        ctx.flush()
         _m, b = ctx.worker_traffic()
         rows.append(("filter (> 0.5)",
                      f"{(time.perf_counter() - t0) * 1e3:.1f}", f"{b:,}"))

@@ -41,9 +41,11 @@ PAIRS = [
 
 
 def _measured_bytes(ctx, a, b, strategy_name):
+    ctx.flush()  # ops issued before this plan ship outside the window
     ctx.reset_counters()
     with odin.strategy(strategy_name):
         _c = a + b
+    ctx.flush()  # the redistribution runs when its epoch ships
     _m, nbytes = ctx.worker_traffic()
     return nbytes
 

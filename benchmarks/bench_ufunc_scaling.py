@@ -39,10 +39,12 @@ def _traffic_for(w):
     with OdinContext(w) as ctx:
         u = odin.random(N, ctx=ctx, seed=1)
         v = odin.random(N, ctx=ctx, seed=2)
+        ctx.flush()  # the creates' epoch is not part of the expression
         ctx.reset_counters()
         with odin.lazy():
             expr = odin.sqrt(u * u + v * v) * 2.0 - 1.0
         _out = odin.evaluate(expr, use_seamless=False)
+        ctx.flush()  # ship the fused op's epoch before reading
         cm, cb = ctx.control_traffic()
         wm, wb = ctx.worker_traffic()
     return cm + wm, cb + wb

@@ -31,11 +31,13 @@ ctx = odin.init(nworkers=NWORKERS)
 x = odin.linspace(1, 2 * np.pi, N)
 y = odin.sin(x)
 
+ctx.flush()                               # run the setup ops first
 ctx.reset_counters()                      # measure just the FD expression
 
 dx = x[1] - x[0]                          # a Python scalar
 dy = y[1:] - y[:-1]                       # shifted-slice subtraction
 dydx = dy / dx
+ctx.flush()                               # ship the epoch these ops wait in
 
 ctl_msgs, ctl_bytes = ctx.control_traffic()
 wrk_msgs, wrk_bytes = ctx.worker_traffic()

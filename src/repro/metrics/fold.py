@@ -51,6 +51,8 @@ FOLDS = {
     ("solver.krylov", "aztecoo.iterate"): [],
     "chaos": [("c", "chaos.injected", 1, {"kind": NAME, "op": "op"})],
     ("odin.fusion", "fallback"): [("c", "odin.fusion.fallbacks", 1, {})],
+    ("odin.ufuncs", "dtype_fallback"): [
+        ("c", "odin.ufuncs.dtype_fallbacks", 1, {})],
     ("recover", "checkpoint"): [
         ("c", "recover.checkpoints", 1, {}),
         ("c", "recover.ckpt_total_bytes", "nbytes", {}),

@@ -1,11 +1,12 @@
 """Causal op identity: which control op is this thread working for?
 
-The ODIN driver stamps every control-plane broadcast with a
-monotonically increasing ``op_id`` (the broadcast sequence number) and
-the ``epoch_id`` of the batching window it rides in.  Both ids travel
-to the workers inside the :data:`~repro.odin.opcodes.TAGGED` wire
-envelope, and both ends publish them here, thread-locally, for the
-duration of the op.  Downstream instrumentation -- worker spans, the
+The ODIN driver stamps every control op with a monotonically
+increasing ``op_id`` (the op sequence number) and the ``epoch_id`` of
+the batching window it rides in.  Both ids travel to the workers inside
+the :data:`~repro.odin.opcodes.EPOCH` wire envelope -- one per epoch,
+carrying the first record's op_id; record i's is that plus i -- and
+both ends publish them here, thread-locally, for the duration of the
+op.  Downstream instrumentation -- worker spans, the
 flight recorder, the collective wrapper in :mod:`repro.mpi.comm` --
 reads the current identity with one TLS lookup and attaches it to
 whatever it records, which is what lets a byte on the wire be
@@ -13,17 +14,18 @@ attributed back to the driver call that caused it.
 
 Propagation rules (documented in docs/INTERNALS.md section 10):
 
-- The driver sets the identity immediately *before* broadcasting the
-  tagged op, so the broadcast's own collective traffic is attributed to
-  the op it carries.
-- A worker sets the identity immediately *after* unwrapping the TAGGED
-  envelope and leaves it set until the next envelope arrives.  The
-  blocking wait for op N+1 is therefore attributed to op N (the "smear"
-  -- deliberate: that wait is time the worker spent finishing/idling on
-  behalf of op N's epoch), and the result gather for op N is correctly
-  tagged N.
-- Recovery replays re-broadcast ops under *fresh* ids, so replayed work
-  is distinguishable from the original attempt while still agreeing
+- The driver sets the identity when it issues an op, before the op
+  joins the epoch buffer.  The op that ships the buffer (a synchronizing
+  op, or a data-carrying scatter) is current while the envelope is
+  broadcast, so an epoch's broadcast is attributed to that op.
+- A worker sets the identity as it starts each record of an envelope
+  and leaves it set until the next record starts.  The blocking wait
+  for the next envelope is therefore attributed to the last record of
+  this one (the "smear" -- deliberate: that wait is time the worker
+  spent finishing/idling on behalf of that epoch), and the result
+  gather of a synchronizing record is correctly tagged with its id.
+- Recovery replays re-send ops under *fresh* ids, so replayed work is
+  distinguishable from the original attempt while still agreeing
   between driver and workers.
 
 This module also keeps the rank-thread registry the sampling profiler

@@ -11,12 +11,16 @@ avoid making the driver a bottleneck.
 
 Synchronizing ops (GATHER, reductions, anything whose result the driver
 needs) round-trip a tiny status gather.  Ops with no meaningful per-worker
-result (CREATE, stores, deletes, SCATTER acks) are *batched*: they are
-broadcast fire-and-forget within an epoch, and any worker exception is
-recorded and delivered -- with the originating op named -- at the next
-synchronizing op or explicit :meth:`OdinContext.flush`.  A sequence of N
-store ops therefore costs N broadcasts plus one gather instead of N of
-each.  Set ``REPRO_ODIN_BATCH=0`` (or ``batch=False``) for the classic
+result (CREATE, stores, deletes, SCATTER acks) are *batched*: they wait in
+a driver-side epoch buffer, and the whole epoch travels as one broadcast
+when the next synchronizing op (or a data-carrying scatter, a full buffer
+or shutdown) ships it.  Workers run the records in order; any exception
+of a batched record is recorded and delivered -- with the originating op
+named -- at the next synchronizing op or explicit
+:meth:`OdinContext.flush`.  A sequence of N store ops and one sync
+therefore costs one broadcast and one gather instead of N + 1 of each,
+and batched ops start on the workers only when their epoch ships.  Set
+``REPRO_ODIN_BATCH=0`` (or ``batch=False``) for the classic
 op-per-round-trip behavior.
 """
 
@@ -70,9 +74,26 @@ ASYNC_OPCODES = frozenset({
     opcodes.SETITEM, opcodes.SET_DIST, opcodes.SCATTER,
 })
 
-# an epoch auto-flushes after this many fire-and-forget ops so error
-# delivery latency (and the workers' deferred lists) stay bounded
+# the epoch buffer ships with a FLUSH once it holds this many ops, so one
+# message, error delivery latency and the workers' deferred lists stay
+# bounded
 _EPOCH_CAP = 512
+
+
+def _snapshot(seq):
+    """*seq* -- an op, or a tuple or list inside one -- with every
+    ndarray in it copied: the operand values of issue time, not of send
+    time.  (One loop per container, no call per leaf: this runs for
+    every batched op.)"""
+    out = []
+    for item in seq:
+        kind = type(item)
+        if kind is tuple or kind is list:
+            item = _snapshot(item)
+        elif isinstance(item, np.ndarray):
+            item = item.copy()
+        out.append(item)
+    return out if type(seq) is list else tuple(out)
 
 
 def _batching_default() -> bool:
@@ -231,54 +252,50 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
 def _worker_serve(comm: Intracomm, state: WorkerState) -> None:
     """The worker service loop; returns on SHUTDOWN, raises on faults.
 
-    Deferred errors from fire-and-forget ops in the current epoch are
-    (op_id, op name, exception) triples.  The op_id comes off the
-    TAGGED wire envelope, so it matches the driver's _op_seq clock by
-    construction -- across batching and across recovery replays,
-    which re-broadcast under fresh ids.
+    Each broadcast is one EPOCH envelope of records run in order.
+    Errors of fire-and-forget records are deferred as (op_id, op name,
+    exception) triples; only a final sync record posts a status gather,
+    which carries them.  Record i's op_id is ``first_op_id + i``, so it
+    matches the driver's _op_seq clock by construction -- across
+    batching and across recovery replays, which re-send under fresh ids.
 
-    The causal identity stays published until the next envelope
-    arrives: the blocking wait for op N+1 is attributed to op N (a
-    deliberate smear -- that wait is idle time op N's epoch left
-    behind) and the result gather for op N is correctly tagged N.
+    Each record's causal identity stays published until the next record
+    starts: the blocking wait for the next envelope is attributed to the
+    last record of this one (a deliberate smear -- that wait is idle time
+    its epoch left behind) and the result gather of a sync record is
+    correctly tagged with its id.
     """
     deferred: List[Tuple[int, str, Exception]] = []
-    oid = None
     while True:
-        op = comm.bcast(None, root=0)
-        if op[0] == opcodes.TAGGED:
-            _code, oid, eid, op = op
+        _code, first, eid, ops, sync = comm.bcast(None, root=0)
+        final = first + len(ops) - 1 if sync else None
+        for oid, op in enumerate(ops, first):
             _CZ.set_current(oid, eid)
-        fire_and_forget = op[0] == opcodes.ASYNC
-        if fire_and_forget:
-            op = op[1]
-        if op[0] == opcodes.SHUTDOWN:
-            comm.gather(("ok", None, deferred), root=0)
-            return
-        if op[0] == opcodes.FLUSH:
-            comm.gather(("ok", None, deferred), root=0)
-            deferred = []
-            continue
-        try:
-            result = execute_op(state, op)
-            status = ("ok", result)
-        except InjectedFault:
-            # scripted chaos crash: the rank dies, it does not
-            # report a recoverable op error
-            raise
-        except (RankFailure, CommRevokedError):
-            # a peer died mid-op: enter recovery, do not report this
-            # as an op error
-            raise
-        except Exception as exc:  # noqa: BLE001 - report to driver
-            if fire_and_forget:
-                deferred.append((oid, str(op[0]), exc))
+            if op[0] == opcodes.SHUTDOWN:
+                comm.gather(("ok", None, deferred), root=0)
+                return
+            if op[0] == opcodes.FLUSH:
+                comm.gather(("ok", None, deferred), root=0)
+                deferred = []
                 continue
-            status = ("err", exc)
-        if fire_and_forget:
-            continue
-        comm.gather(status + (deferred,), root=0)
-        deferred = []
+            try:
+                status = ("ok", execute_op(state, op))
+            except InjectedFault:
+                # scripted chaos crash: the rank dies, it does not
+                # report a recoverable op error
+                raise
+            except (RankFailure, CommRevokedError):
+                # a peer died mid-op: enter recovery, do not report this
+                # as an op error
+                raise
+            except Exception as exc:  # noqa: BLE001 - report to driver
+                if oid != final:
+                    deferred.append((oid, str(op[0]), exc))
+                    continue
+                status = ("err", exc)
+            if oid == final:
+                comm.gather(status + (deferred,), root=0)
+                deferred = []
 
 
 class OdinContext:
@@ -323,10 +340,12 @@ class OdinContext:
         self._alive = True
         self._pending_deletes: List[int] = []
         self._batch = _batching_default() if batch is None else bool(batch)
-        self._op_seq = 0       # control ops broadcast so far; doubles as
-        #                        the causal op_id of the latest broadcast
+        self._op_seq = 0       # control ops issued so far; doubles as
+        #                        the causal op_id of the newest one
         self._epoch_id = 0     # synchronizing gathers completed so far
-        self._epoch_len = 0    # fire-and-forget ops since the last sync
+        # ops issued but not yet on the wire, in order; they hold the ids
+        # _op_seq - len + 1 .. _op_seq
+        self._epoch: List[tuple] = []
         self._last_plan_stats: Optional[Dict[str, Any]] = None
         self._lock = threading.RLock()
         # -- fault recovery (repro.recover) --
@@ -366,21 +385,24 @@ class OdinContext:
     # ------------------------------------------------------------------
     # driver side
     # ------------------------------------------------------------------
-    def _bcast(self, op) -> None:
-        """Broadcast one wire op, advancing the epoch clock (lock held).
-
-        Every op ships inside a TAGGED envelope carrying its causal
-        (op_id, epoch_id); op_id is the broadcast sequence number, so
-        both ends agree on it by construction -- recovery replays, which
-        re-broadcast through this same path, get fresh ids.  The identity
-        is published thread-locally *before* the broadcast so the
-        broadcast's own collective traffic (and everything else this op
-        triggers on the driver thread) is attributed to it.
-        """
+    def _stamp(self, op) -> None:
+        """Give *op* the next causal op_id and append it to the epoch
+        buffer (lock held).  The id is published thread-locally at once,
+        so everything the driver does for the op -- its ``odin.control``
+        span, and the broadcast when the op is the one that ships the
+        epoch -- is attributed to it."""
         self._op_seq += 1
         _CZ.set_current(self._op_seq, self._epoch_id)
-        self.comm.bcast((opcodes.TAGGED, self._op_seq, self._epoch_id, op),
-                        root=0)
+        self._epoch.append(op)
+
+    def _ship(self, sync: bool) -> None:
+        """Broadcast the epoch buffer as one EPOCH envelope (lock held).
+        *sync* says the last record posts a status gather.  The buffer
+        empties before the wire goes hot, so a failure mid-broadcast
+        leaves nothing to send twice: recovery replays the op-log."""
+        ops, self._epoch = tuple(self._epoch), []
+        self.comm.bcast((opcodes.EPOCH, self._op_seq - len(ops) + 1,
+                         self._epoch_id, ops, sync), root=0)
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -416,7 +438,16 @@ class OdinContext:
     def _issue(self, *op, data=None) -> List[Any]:
         """Dispatch one user-level control op: send it under recovery,
         record its ``odin.control`` span and log it for replay.  *data*
-        is the global array a SCATTER ships."""
+        is the global array a SCATTER ships.
+
+        An op that may wait in the epoch buffer or in the op-log is sent
+        with copies of the ndarrays in its arguments, so a caller that
+        mutates an operand after the call cannot change what the op
+        computes, now or on a recovery replay."""
+        logged = (self._oplog is not None and not self._recovering
+                  and op[0] in _LOGGED_OPCODES)
+        if logged or op[0] in ASYNC_OPCODES:
+            op = _snapshot(op)
         rec = _TR.recording
         t0 = _TR.now() if rec else 0.0
         out: Optional[List[Any]] = []   # stays [] if the op raised
@@ -424,9 +455,9 @@ class OdinContext:
             out = self._with_recovery(self._send, op, data)
         finally:
             if rec:
-                # the causal ids are known only after _bcast ran; after a
-                # recovery the retried broadcast's fresh id is current,
-                # which is the id the workers executed the op under
+                # the causal ids are known only after _stamp ran; after a
+                # recovery the retried op's fresh id is current, which is
+                # the id the workers executed the op under
                 oid, eid = _CZ.current()
                 if data is not None:
                     # global -> local transition: real data leaves the
@@ -440,8 +471,7 @@ class OdinContext:
                     _TR.complete("odin.control", name, t0, rank="driver",
                                  nworkers=self.nworkers, op_id=oid,
                                  epoch_id=eid)
-        if (self._oplog is not None and not self._recovering
-                and op[0] in _LOGGED_OPCODES):
+        if logged:
             self._oplog.record(op, data)
             self._maybe_auto_ckpt()
         return [None] * self.nworkers if out is None else out
@@ -454,11 +484,13 @@ class OdinContext:
         DELETE_MANY: ``DistArray.__del__`` must not issue ops itself (GC
         can fire in the middle of another op's bcast/gather pair), so it
         only queues ids.  With batching on, an op in ASYNC_OPCODES rides
-        the current epoch -- broadcast only, errors deferred to the next
-        status gather, None returned; every other op closes the epoch
-        with a status gather and returns the per-worker results.  *data*
-        is split into per-worker blocks by the op's distribution and
-        scattered right after the broadcast.
+        the current epoch -- it joins the buffer, its errors are deferred
+        to the next status gather, None is returned; every other op
+        ships the buffer with itself last, closes the epoch with a status
+        gather and returns the per-worker results.  A riding op with
+        *data* (a SCATTER) ships the buffer at once, since its blocks are
+        scattered right after the broadcast; a buffer that reaches
+        ``_EPOCH_CAP`` ships with a FLUSH.
         """
         with self._lock:
             self._check_alive()
@@ -470,25 +502,23 @@ class OdinContext:
                     # it, so it must precede that op in the log as well
                     self._oplog.record(drain)
                 self._send(drain)
-            blocks = None
-            if data is not None:
-                # (SCATTER, array_id, dist, dtype): cut by the op's own
-                # distribution; the driver's slot is unused
-                dist = op[2]
-                blocks = [None] + [
-                    np.ascontiguousarray(data[dist.global_selector(w)])
-                    for w in range(self.nworkers)]
             rides = self._batch and op[0] in ASYNC_OPCODES
-            self._bcast((opcodes.ASYNC, op) if rides else op)
-            if blocks is not None:
-                # workers take their block inside the op handler
-                self.comm.scatter(blocks, root=0)
-            if rides:
-                self._epoch_len += 1
-                if self._epoch_len >= _EPOCH_CAP:
+            self._stamp(op)
+            if rides and data is None:
+                if len(self._epoch) >= _EPOCH_CAP:
                     self._send((opcodes.FLUSH,))
                 return None
-            self._epoch_len = 0
+            self._ship(not rides)
+            if data is not None:
+                # (SCATTER, array_id, dist, dtype): cut by the op's own
+                # distribution; the driver's slot is unused.  Workers
+                # take their block inside the op handler.
+                dist = op[2]
+                self.comm.scatter([None] + [
+                    np.ascontiguousarray(data[dist.global_selector(w)])
+                    for w in range(self.nworkers)], root=0)
+            if rides:
+                return None
             statuses = self.comm.gather(None, root=0)
             self._epoch_id += 1
         return self._process_statuses(statuses, str(op[0]))
@@ -558,7 +588,7 @@ class OdinContext:
                 if (isinstance(exc, RankFailure)
                         and getattr(exc, "op_id", None) is None):
                     # attribute the failure to the control op in flight;
-                    # _bcast published the id before the wire went hot
+                    # _stamp published the id before the wire went hot
                     exc.op_id = _CZ.current_op_id()
                     if hasattr(exc, "add_note"):
                         exc.add_note("raised while issuing control op_id "
@@ -586,6 +616,9 @@ class OdinContext:
         distributions.
         """
         self._recovering = True
+        # ops buffered before the failure are in the op-log: replay sends
+        # each of them once, so none may also ship from the buffer
+        self._epoch = []
         t0 = _TR.now()
         replayed = 0
         ok = False
@@ -852,7 +885,7 @@ class OdinContext:
             "batching": self._batch,
             "op_id": self._op_seq,
             "epoch_id": self._epoch_id,
-            "epoch_len": self._epoch_len,
+            "epoch_len": len(self._epoch),
             "pending_deletes": len(self._pending_deletes),
             "recover": self._recover,
             "ckpt_version": self._ckpt_version,
@@ -869,7 +902,9 @@ class OdinContext:
                 return
             self._closing = True
             try:
-                self._bcast((opcodes.SHUTDOWN,))
+                # trailing buffered ops ship ahead of the SHUTDOWN record
+                self._stamp((opcodes.SHUTDOWN,))
+                self._ship(True)
                 statuses = self.comm.gather(None, root=0)
             except AbortError:
                 # world already abort-poisoned (e.g. a chaos crash): the

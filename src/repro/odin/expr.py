@@ -16,8 +16,8 @@ graph instead of executing.  :func:`evaluate` then
 
 With control-plane batching (the default), the conforming
 redistributions and the fused program are all fire-and-forget: the whole
-lazy chain lands on the workers as one batched epoch with zero driver
-round trips until a result is actually gathered.
+lazy chain waits in the epoch buffer and reaches the workers inside the
+one message the next synchronizing op ships.
 """
 
 from __future__ import annotations

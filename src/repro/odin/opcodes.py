@@ -5,6 +5,10 @@ Control messages are tuples ``(opcode, *args)``; args are index metadata
 The two data-plane exceptions are SCATTER (driver ships real blocks) and
 GATHER (workers ship blocks back), which exist precisely so everything
 else can stay small.
+
+Ops never travel alone: the driver buffers fire-and-forget ops and
+ships one EPOCH envelope (at the bottom of this file) per synchronising
+op, data-carrying SCATTER, full buffer or shutdown.
 """
 
 CREATE = "create"            # (id, dist, dtype_str, fill_spec)
@@ -41,12 +45,8 @@ CKPT = "ckpt"                # (version,) -> bytes checkpointed
 RESTORE = "restore"          # (version, old_indices, dead, old_n, dists)
 DIST_SYNC = "dist_sync"      # (ids,) -> {id: dist} (worker 0 only)
 
-# Control-plane batching (PR 4).  ``(ASYNC, inner_op)`` is broadcast with
-# *no* matching gather: the worker executes ``inner_op``, records any
-# exception instead of raising, and keeps listening.  The deferred errors
-# ride back on the third slot of the next synchronizing gather.  ``FLUSH``
-# is an explicit barrier op that does nothing but synchronize.
-ASYNC = "async"              # (inner_op,) fire-and-forget within an epoch
+# ``FLUSH`` is an explicit barrier op that does nothing but synchronize:
+# it delivers the deferred errors of the epoch it closes.
 FLUSH = "flush"              # () -> synchronize, deliver deferred errors
 
 # Process-backend control (PR 8).  With thread workers these three are
@@ -62,12 +62,16 @@ REGISTER_LOCAL = "register_local"    # (name, shipped_fn_spec)
 CHAOS_INSTALL = "chaos_install"      # (fault_plan_dict,)
 CHAOS_UNINSTALL = "chaos_uninstall"  # ()
 
-# Causal identity (repro.obs).  Every driver broadcast is wrapped as
-# ``(TAGGED, op_id, epoch_id, inner_op)``: op_id is the broadcast
-# sequence number (so driver and workers agree on it by construction,
-# recovery replays included) and epoch_id names the batching window.
-# Workers unwrap the envelope, publish the ids thread-locally
-# (repro.obs.causal) and execute inner_op, which may itself be an
-# ``(ASYNC, op)`` pair.  The envelope adds ~20 bytes per control
-# message -- constant, preserving the "tens of bytes" economics.
-TAGGED = "tagged"            # (op_id, epoch_id, inner_op) causal envelope
+# The wire envelope.  The driver buffers the fire-and-forget ops of an
+# epoch and ships them as *one* broadcast,
+# ``(EPOCH, first_op_id, epoch_id, ops, last_is_sync)``: ``ops`` is the
+# tuple of records in issue order, and record i carries the causal
+# op_id ``first_op_id + i`` (repro.obs.causal), so driver and workers
+# agree on every id by construction, recovery replays included.  A
+# worker runs the records in order and defers the errors of every
+# record but a final sync one, which it answers with one status gather
+# that carries the deferred errors along.  The envelope's few bytes are
+# paid once per epoch -- the "tens of bytes" economics hold per op.  The
+# tag is one letter because a one-record message (every message with
+# batching off) pays the whole envelope.
+EPOCH = "E"                  # (first_op_id, epoch_id, ops, last_is_sync)

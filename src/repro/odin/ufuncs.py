@@ -21,12 +21,14 @@ choice for a ``with`` block.
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from typing import Optional, Union
 
 import numpy as np
 
+from ..trace import TRACER as _TR
 from . import opcodes
 from .array import DistArray
 from .distribution import BlockDistribution, Distribution
@@ -216,10 +218,21 @@ def nary_ufunc(name: str, operands) -> DistArray:
     return DistArray(ctx, out_id, anchor.dist, out_dtype)
 
 
+@functools.lru_cache(maxsize=None)
 def _result_dtype(ufunc, *dtypes):
+    """The dtype *ufunc* returns for operands of *dtypes*, probed once
+    per key on one-element arrays.  The cache is unbounded, but its keys
+    are ufunc-table entries by dtype combinations and its values are
+    immutable dtypes.  A ufunc that refuses the probe (say, ``negative``
+    on booleans) falls back to NumPy's promotion rule and records an
+    ``odin.ufuncs``/``dtype_fallback`` instant."""
     try:
         return ufunc(*[np.ones(1, dtype=dt) for dt in dtypes]).dtype
-    except Exception:
+    except Exception as exc:  # noqa: BLE001 - any refusal falls back
+        if _TR.recording:
+            _TR.instant("odin.ufuncs", "dtype_fallback",
+                        ufunc=getattr(ufunc, "__name__", repr(ufunc)),
+                        reason=repr(exc))
         return np.result_type(*dtypes)
 
 

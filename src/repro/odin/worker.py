@@ -736,7 +736,7 @@ def _unship_function(spec: tuple) -> Callable:
 # ----------------------------------------------------------------------
 def execute_op(state: WorkerState, op: tuple) -> Any:
     """Execute one control op; each op becomes one ``odin.worker`` span
-    (tagged with the causal op_id/epoch_id from the TAGGED envelope)."""
+    (tagged with the causal op_id/epoch_id of its EPOCH record)."""
     if not _TR.recording:
         return _execute_op_impl(state, op)
     oid, eid = _CZ.current()

@@ -21,6 +21,7 @@ class TestControlPlane:
         with OdinContext(4) as ctx:
             settle_counters(ctx)
             _x = odin.random(10 ** 6, ctx=ctx)   # 8 MB of array data
+            ctx.flush()  # batched op: ship its epoch before reading
             _msgs, ctl_bytes = ctx.control_traffic()
             assert ctl_bytes < 5_000          # description, not data
             # worker-to-worker traffic is only the relayed broadcast tree
@@ -34,6 +35,7 @@ class TestControlPlane:
             with OdinContext(4) as ctx:
                 settle_counters(ctx)
                 _x = odin.zeros(n, ctx=ctx)
+                ctx.flush()
                 _m, b = ctx.control_traffic()
                 sizes[n] = b
         # descriptor size is O(1) in the array size (pickle encodes the
@@ -57,6 +59,7 @@ class TestControlPlane:
             b = odin.random(10_000, ctx=ctx)
             settle_counters(ctx)
             _c = a * b
+            ctx.flush()
             _wmsgs, relay_bytes = ctx.worker_traffic()
             # conformable operands: only the broadcast relay, no payload
             assert relay_bytes < 1_000
@@ -70,6 +73,7 @@ class TestControlPlane:
             y = odin.sin(x)
             settle_counters(ctx)
             _dydx = (y[1:] - y[:-1]) / (x[1] - x[0])
+            ctx.flush()
             _c, ctl_bytes = ctx.control_traffic()
             payload = 8 * n
             assert ctl_bytes < payload / 50

@@ -184,3 +184,19 @@ def test_vectorize_build_failure_reaches_the_flight_ring(monkeypatch):
     hyp2(np.arange(3.0), np.arange(3.0))
     events = _build_failures(TRACER.ring_events())
     assert events and events[-1][6]["error"] == "RuntimeError"
+
+
+def test_result_dtype_fallback_is_one_counted_event(registry):
+    """A ufunc that refuses the driver's dtype probe falls back to NumPy
+    promotion once per key, and says so in a counted event."""
+    from repro.odin import ufuncs
+    from repro.trace import TRACER
+
+    ufuncs._result_dtype.cache_clear()
+    for _ in range(3):    # NumPy refuses boolean negation
+        assert ufuncs._result_dtype(np.negative, np.dtype(bool)) == bool
+    assert ufuncs._result_dtype.cache_info().hits == 2
+    events = [ev for ev in TRACER.events() if ev[1] == "odin.ufuncs"]
+    assert [ev[2] for ev in events] == ["dtype_fallback"]
+    assert events[0][6]["ufunc"] == "negative"
+    assert registry.get("odin.ufuncs.dtype_fallbacks").value == 1

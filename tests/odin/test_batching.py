@@ -1,9 +1,9 @@
 """Control-plane batching semantics (PR 4).
 
-Fire-and-forget ops collapse N bcast+gather round trips into N bcast +
-one gather; worker errors from a batched epoch are delivered -- original
-type preserved, originating op named -- at the next synchronizing op or
-explicit flush().
+Fire-and-forget ops collapse N bcast+gather round trips into one bcast
+(the epoch's message) + one gather; worker errors from a batched epoch
+are delivered -- original type preserved, originating op named -- at
+the next synchronizing op or explicit flush().
 """
 
 import gc
@@ -123,7 +123,7 @@ class TestBatchPolicy:
             with OdinContext(2) as ctx:
                 for _ in range(20):
                     odin.zeros(4, ctx=ctx)
-                assert ctx._epoch_len < 8
+                assert ctx.status()["epoch_len"] < 8
         finally:
             context_mod._EPOCH_CAP = orig
 
@@ -158,17 +158,18 @@ def _pinned_program(ctx):
 class TestWireSchedule:
     """The driver's wire traffic for one fixed program, pinned exactly.
 
-    Batching changes only the envelope (an ASYNC wrapper adds bytes) and
-    the number of status gathers; the bcast and scatter schedule is the
-    same either way.
+    Without batching every op is its own one-record message and status
+    gather.  With batching the riding ops wait in the epoch buffer: the
+    scatter ships the first message, and the sum, the flush and the
+    gather each ship the ops before them -- four broadcasts in all.
     """
 
     # batch -> (control_traffic(), driver coll_calls, final op_id)
     PINNED = {
-        True: ((19, 2452), {("bcast", "binomial-tree"): 8,
+        True: ((11, 2076), {("bcast", "binomial-tree"): 4,
                             ("gather", "linear-root"): 3,
                             ("scatter", "linear-root"): 1}, 8),
-        False: ((19, 2352), {("bcast", "binomial-tree"): 8,
+        False: ((19, 2320), {("bcast", "binomial-tree"): 8,
                              ("gather", "linear-root"): 8,
                              ("scatter", "linear-root"): 1}, 8),
     }

@@ -31,6 +31,7 @@ class TestConcatenate:
         ctx = odin.get_context()
         settle_counters(ctx)
         _c = odin.concatenate([a, b])
+        ctx.flush()  # batched ops run when their epoch ships
         _m, nbytes = ctx.worker_traffic()
         assert nbytes < 4_000  # control relay only, never the payload
 

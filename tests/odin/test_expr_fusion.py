@@ -13,11 +13,14 @@ class TestLazyGraphs:
         a = odin.ones(20)
         ctx = odin.get_context()
         settle_counters(ctx)
+        op0 = ctx.status()["op_id"]
         with odin.lazy():
             expr = a * 2 + 1
-        # nothing ran yet: no control messages for the arithmetic
+        # nothing ran yet: no control op, let alone a message, for the
+        # arithmetic
         msgs, _bytes = ctx.control_traffic()
         assert msgs == 0
+        assert ctx.status()["op_id"] == op0
         assert isinstance(expr, LazyExpr)
         assert expr.num_ops() == 2
 
@@ -38,6 +41,7 @@ class TestLazyGraphs:
         ctx = odin.get_context()
         settle_counters(ctx)
         odin.evaluate(expr, use_seamless=False)
+        ctx.flush()  # ship the fused op's epoch before reading
         msgs, _ = ctx.control_traffic()
         # one fused op: one bcast tree (<= nworkers messages from driver)
         assert msgs <= 4

@@ -83,6 +83,7 @@ class TestTranspose:
         ctx = odin.get_context()
         settle_counters(ctx)
         _t = d.T
+        ctx.flush()  # batched ops run when their epoch ships
         _m, nbytes = ctx.worker_traffic()
         assert nbytes < 2_000  # control relay only
 

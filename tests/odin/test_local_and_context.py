@@ -148,6 +148,7 @@ class TestContextLifecycle:
         ctx = odin.get_context()
         settle_counters(ctx)
         _x = odin.zeros(1000)
+        ctx.flush()  # the create waits in the epoch buffer until a sync
         msgs, nbytes = ctx.control_traffic()
         assert msgs >= 1
         # a create is control-only: few hundred bytes regardless of the

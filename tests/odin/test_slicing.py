@@ -78,6 +78,7 @@ class TestHaloTraffic:
         ctx = odin.get_context()
         settle_counters(ctx)
         _dy = y[1:] - y[:-1]
+        ctx.flush()  # batched ops run when their epoch ships
         _msgs, nbytes = ctx.worker_traffic()
         # boundary exchange: a handful of elements per worker boundary,
         # far below the 32 KB payload

@@ -29,6 +29,7 @@ class TestSort:
         ctx = odin.get_context()
         settle_counters(ctx)
         _s = odin.sort(x)
+        ctx.flush()  # the trailing SET_DIST waits in the epoch buffer
         _cm, cb = ctx.control_traffic()
         assert cb < 4_000          # only opcodes + counts through driver
 
