@@ -86,7 +86,13 @@ class Jacobi(Preconditioner):
 
 
 class GaussSeidel(Preconditioner):
-    """Processor-local Gauss-Seidel sweeps (block-Jacobi across ranks)."""
+    """Processor-local Gauss-Seidel sweeps (block-Jacobi across ranks).
+
+    The sweep's triangle (lower, or upper when *backward*) is analysed
+    once here, so each sweep is one sparse substitution.  A zero on the
+    local diagonal raises ``ZeroDivisionError`` at construction; there is
+    no transpose sweep (``trans=True`` raises ``NotImplementedError``).
+    """
 
     def __init__(self, A: CrsMatrix, sweeps: int = 1, damping: float = 1.0,
                  backward: bool = False):
@@ -95,24 +101,22 @@ class GaussSeidel(Preconditioner):
         self.damping = damping
         self.backward = backward
         block = _local_diag_block(A)
-        n = block.shape[0]
-        lower = sp.tril(block, k=0).tocsr()
-        upper = sp.triu(block, k=0).tocsr()
-        self._tri = upper if backward else lower
+        if np.any(block.diagonal() == 0):
+            raise ZeroDivisionError(
+                "GaussSeidel preconditioner: zero diagonal")
+        tri = sp.triu(block, k=0) if backward else sp.tril(block, k=0)
+        self._tri = _triangular_solver(tri)
         self._block = block
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
+        _no_transpose("GaussSeidel", trans)
         y.putScalar(0.0)
-        n = self._block.shape[0]
-        if n == 0:
+        if self._tri is None:
             return
         yl = y.local_view
         for _ in range(self.sweeps):
             r = x.local_view - self._block @ yl
-            dy = spla.spsolve_triangular(self._tri.tocsr(), r,
-                                         lower=not self.backward,
-                                         unit_diagonal=False)
-            yl += self.damping * dy
+            yl += self.damping * self._tri.solve(r)
 
 
 class SymmetricGaussSeidel(Preconditioner):
@@ -126,6 +130,7 @@ class SymmetricGaussSeidel(Preconditioner):
         self._block = self._fwd._block
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
+        _no_transpose("SymmetricGaussSeidel", trans)
         y.putScalar(0.0)
         if self._block.shape[0] == 0:
             return
@@ -141,7 +146,12 @@ class SymmetricGaussSeidel(Preconditioner):
 
 
 class SOR(Preconditioner):
-    """Successive over-relaxation, processor-local."""
+    """Successive over-relaxation, processor-local.
+
+    The sweep matrix ``D/omega + L`` is analysed once here; a zero local
+    diagonal raises ``ZeroDivisionError`` and ``trans=True`` raises
+    ``NotImplementedError``.
+    """
 
     def __init__(self, A: CrsMatrix, omega: float = 1.2, sweeps: int = 1):
         super().__init__(A)
@@ -155,16 +165,18 @@ class SOR(Preconditioner):
         if np.any(d == 0):
             raise ZeroDivisionError("SOR preconditioner: zero diagonal")
         # M = (D/omega + L); solve M dy = r each sweep
-        self._m = (sp.diags(d / omega) + sp.tril(block, k=-1)).tocsr()
+        self._m = _triangular_solver(sp.diags(d / omega)
+                                     + sp.tril(block, k=-1))
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
+        _no_transpose("SOR", trans)
         y.putScalar(0.0)
-        if self._block.shape[0] == 0:
+        if self._m is None:
             return
         yl = y.local_view
         for _ in range(self.sweeps):
             r = x.local_view - self._block @ yl
-            yl += spla.spsolve_triangular(self._m, r, lower=True)
+            yl += self._m.solve(r)
 
 
 class Chebyshev(Preconditioner):
@@ -229,7 +241,13 @@ class Chebyshev(Preconditioner):
 
 
 class ILU0(Preconditioner):
-    """Zero-fill incomplete LU on the processor-local diagonal block."""
+    """Zero-fill incomplete LU on the processor-local diagonal block.
+
+    ``compute()`` factors the block and analyses both triangles once, so
+    ``apply`` is one forward and one backward substitution
+    (``trans=True`` runs the transposed pair, giving M^-T).  A zero pivot
+    raises ``ZeroDivisionError`` naming its local row.
+    """
 
     def __init__(self, A: CrsMatrix):
         super().__init__(A)
@@ -237,17 +255,39 @@ class ILU0(Preconditioner):
         self.compute()
 
     def compute(self) -> "ILU0":
-        block = _local_diag_block(self.A).tocsr()
-        self._lu = _ilu0_factor(block)
+        lower, upper = _ilu0_factor(_local_diag_block(self.A))
+        self._lu = (_triangular_solver(lower), _triangular_solver(upper))
         return self
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
-        if self.A.num_my_rows == 0:
-            return
         lower, upper = self._lu
-        t = spla.spsolve_triangular(lower, x.local_view, lower=True,
-                                    unit_diagonal=True)
-        y.local_view[...] = spla.spsolve_triangular(upper, t, lower=False)
+        if lower is None:
+            return
+        if trans:
+            y.local_view[...] = lower.solve(
+                upper.solve(x.local_view, trans="T"), trans="T")
+        else:
+            y.local_view[...] = upper.solve(lower.solve(x.local_view))
+
+
+def _triangular_solver(tri: sp.spmatrix):
+    """Analyse a square triangle once; ``None`` for an empty block.
+
+    SuperLU with the natural column order, no row pivoting and a
+    symmetric-mode elimination tree factors a triangle into itself: no
+    fill, and ``solve`` is a single sparse substitution with no per-call
+    format checks.
+    """
+    if tri.shape[0] == 0:
+        return None
+    return spla.splu(sp.csc_matrix(tri), permc_spec="NATURAL",
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _no_transpose(name: str, trans: bool) -> None:
+    if trans:
+        raise NotImplementedError(f"{name} preconditioner: no transpose sweep")
 
 
 def _ilu0_factor(block: sp.csr_matrix):
@@ -258,14 +298,14 @@ def _ilu0_factor(block: sp.csr_matrix):
     for i in range(n):
         row_i = rows[i]
         for k in sorted(c for c in row_i if c < i):
-            piv = rows[k].get(k, 0.0)
-            if piv == 0:
-                continue
-            factor = row_i[k] / piv
+            factor = row_i[k] / rows[k][k]
             row_i[k] = factor
             for j, akj in rows[k].items():
                 if j > k and j in row_i:
                     row_i[j] -= factor * akj
+        if row_i.get(i, 0) == 0:
+            raise ZeroDivisionError(
+                f"ILU0 preconditioner: zero pivot in local row {i}")
     data, indices, indptr = [], [], [0]
     for i in range(n):
         cols = sorted(rows[i])
@@ -300,7 +340,8 @@ class ILUT(Preconditioner):
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
         if self._ilu is not None:
-            y.local_view[...] = self._ilu.solve(x.local_view)
+            y.local_view[...] = self._ilu.solve(x.local_view,
+                                                trans="T" if trans else "N")
 
 
 class AdditiveSchwarz(Preconditioner):

@@ -135,8 +135,12 @@ def gmres(op: Operator, b: Vector, x: Optional[Vector] = None,
     each Arnoldi step projects against the whole basis with ONE batched
     length-(j+1) Allreduce and reorthogonalizes once, instead of modified
     Gram-Schmidt's j+1 scalar Allreduces.  "Twice is enough" keeps the
-    basis orthogonal to working precision while the collective count per
-    step drops from O(j) to 3.
+    basis orthogonal to working precision.  The second pass's Allreduce
+    also carries ``w1.w1`` (``w1`` is ``w`` after the first pass, ``c2``
+    the second pass's coefficients), and the new column's norm follows
+    from Pythagoras, ``H[j+1, j] = sqrt(max(||w1||^2 - ||c2||^2, 0))``:
+    exact for an orthonormal basis, and ``c2`` is tiny, so nothing
+    cancels.  The collective count per step is therefore 2.
     """
     x = Vector(op.domain_map(), dtype=b.dtype) if x is None else x
     bnorm = b.norm2() or 1.0
@@ -176,17 +180,21 @@ def gmres(op: Operator, b: Vector, x: Optional[Vector] = None,
             w = Vector(op.range_map(), dtype=b.dtype)
             op.apply(z, w)
             basis = Vloc[:, :j + 1]
-            wloc = w.local_view
-            hj = np.zeros(j + 1)
-            for _pass in range(2):   # CGS2: "twice is enough"
-                local = basis.T @ wloc
-                corr = np.zeros_like(local)
-                comm.Allreduce(local, corr, op=SUM)
-                wloc = wloc - basis @ corr
-                hj += corr
-            H[:j + 1, j] = hj
-            w.local_view = wloc
-            H[j + 1, j] = w.norm2()
+            # CGS2 ("twice is enough"); the second pass also reduces
+            # w1.w1, so the new column's norm needs no third collective
+            local = basis.T @ w.local_view
+            c1 = np.zeros_like(local)
+            comm.Allreduce(local, c1, op=SUM)
+            w1 = w.local_view - basis @ c1
+            local = np.append(basis.T @ w1, w1 @ w1)
+            red = np.zeros_like(local)
+            comm.Allreduce(local, red, op=SUM)
+            c2 = red[:j + 1]
+            w.local_view = w1 - basis @ c2
+            H[:j + 1, j] = c1 + c2
+            # ||w1 - V c2||^2 = ||w1||^2 - ||c2||^2 for orthonormal V;
+            # rounding may push a happy breakdown's difference below 0
+            H[j + 1, j] = np.sqrt(max(red[j + 1] - c2 @ c2, 0.0))
             breakdown = not H[j + 1, j] > 1e-14 * beta
             if not breakdown:
                 V.append(w * (1.0 / H[j + 1, j]))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from repro import galeri, solvers, tpetra
+from repro import galeri, mpi, solvers, tpetra
+from repro.solvers.ifpack import _ilu0_factor, _local_diag_block
 from repro.teuchos import ParameterList
 from tests.conftest import spmd
 
@@ -128,6 +130,20 @@ class TestApplication:
         with pytest.raises(ZeroDivisionError):
             spmd(1)(body)
 
+    @pytest.mark.parametrize("cls", [solvers.GaussSeidel,
+                                     solvers.SymmetricGaussSeidel])
+    def test_gauss_seidel_zero_diagonal_rejected(self, cls):
+        """Refused at construction, like Jacobi/SOR, not on first apply."""
+        def body(comm):
+            m = tpetra.Map.create_contiguous(4, comm)
+            A = tpetra.CrsMatrix(m)
+            for gid in m.my_gids:
+                A.insert_global_values(gid, [(int(gid) + 1) % 4], [1.0])
+            A.fillComplete()
+            cls(A)
+        with pytest.raises(ZeroDivisionError, match="zero diagonal"):
+            spmd(1)(body)
+
     def test_unfilled_matrix_rejected(self):
         def body(comm):
             m = tpetra.Map.create_contiguous(4, comm)
@@ -154,6 +170,117 @@ class TestApplication:
             prec.apply(b, z)
             return (z - x_true).norm2()
         assert spmd(1)(body)[0] < 1e-12
+
+
+def _from_dense(comm, dense):
+    n = dense.shape[0]
+    m = tpetra.Map.create_contiguous(n, comm)
+    A = tpetra.CrsMatrix(m)
+    for gid in m.my_gids:
+        cols = np.flatnonzero(dense[gid])
+        A.insert_global_values(int(gid), cols, dense[gid, cols])
+    A.fillComplete()
+    return A
+
+
+def _random_nonsymmetric(n=60, seed=3):
+    """Sparse, nonsymmetric, diagonally dominant: ILU(0) is well defined."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < 0.15,
+                     rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    return dense
+
+
+class TestAnalysedTriangles:
+    """ILU(0), Gauss-Seidel and SOR analyse their triangles once."""
+
+    def test_ilu0_matches_dense_triangular_solves(self):
+        dense = _random_nonsymmetric()
+
+        def body(comm):
+            A = _from_dense(comm, dense)
+            lower, upper = (t.toarray() for t in
+                            _ilu0_factor(_local_diag_block(A)))
+            x = tpetra.Vector(A.row_map)
+            x.randomize(seed=4)
+            y = tpetra.Vector(A.row_map)
+            solvers.ILU0(A).apply(x, y)
+            ref = sla.solve_triangular(
+                upper, sla.solve_triangular(lower, x.local_view, lower=True,
+                                            unit_diagonal=True))
+            return np.abs(y.local_view - ref).max() / np.abs(ref).max()
+        assert max(spmd(2)(body)) < 1e-12
+
+    def test_ilu0_handles_add_no_fill(self):
+        def body(comm):
+            A = galeri.convection_diffusion_2d(16, 16, comm)
+            triangles = _ilu0_factor(_local_diag_block(A))
+            n = A.num_my_rows
+            return [(h.L.nnz + h.U.nnz, t.nnz + n)
+                    for h, t in zip(solvers.ILU0(A)._lu, triangles)]
+        for pairs in spmd(2)(body):
+            for got, want in pairs:
+                assert got == want
+
+    def test_rank_with_zero_rows_is_a_noop(self):
+        def body(comm):
+            m = tpetra.Map.create_from_local_counts(
+                8 if comm.rank == 0 else 0, comm)
+            A = galeri.tridiag(8, comm, map_=m)
+            x = tpetra.Vector(m).putScalar(1.0)
+            out = []
+            for prec in (solvers.ILU0(A), solvers.GaussSeidel(A),
+                         solvers.SymmetricGaussSeidel(A), solvers.SOR(A)):
+                y = tpetra.Vector(m)
+                prec.apply(x, y)
+                out.append(y.local_view.copy())
+            r = solvers.gmres(A, x, prec=solvers.ILU0(A), tol=1e-12)
+            return A.num_my_rows, out, r.converged
+        (n0, out0, conv0), (n1, out1, conv1) = spmd(2)(body)
+        assert (n0, n1) == (8, 0) and conv0 and conv1
+        assert all(np.isfinite(y).all() and y.size == 8 for y in out0)
+        assert all(y.size == 0 for y in out1)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_ilu0_zero_pivot_refused(self, backend):
+        dense = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+
+        def body(comm):
+            solvers.ILU0(_from_dense(comm, dense))
+        with pytest.raises(ZeroDivisionError,
+                           match="zero pivot in local row 1"):
+            mpi.run_spmd(body, 1, backend=backend, timeout=60)
+
+    @pytest.mark.parametrize("factory", [solvers.ILU0, solvers.ILUT])
+    def test_transpose_is_the_adjoint(self, factory):
+        """<M^-1 x, y> = <x, M^-T y>: a transposed composite gets M^-T."""
+        def body(comm):
+            A = galeri.convection_diffusion_2d(12, 12, comm, conv_x=20.0,
+                                               conv_y=10.0)
+            prec = factory(A)
+            x, y = tpetra.Vector(A.row_map), tpetra.Vector(A.row_map)
+            x.randomize(seed=5)
+            y.randomize(seed=6)
+            mx, mty = tpetra.Vector(A.row_map), tpetra.Vector(A.row_map)
+            prec.apply(x, mx)
+            prec.apply(y, mty, trans=True)
+            lhs, rhs = mx.dot(y), x.dot(mty)
+            forward = mty.copy()
+            prec.apply(y, forward)
+            return abs(lhs - rhs) / abs(lhs), (forward - mty).norm2()
+        for err, gap in spmd(2)(body):
+            assert err < 1e-12
+            assert gap > 1e-6   # nonsymmetric A: M^-T really differs
+
+    @pytest.mark.parametrize("factory", [
+        solvers.GaussSeidel, solvers.SymmetricGaussSeidel, solvers.SOR])
+    def test_sweeps_refuse_transpose(self, factory):
+        def body(comm):
+            A, b, _x = _poisson(comm, nx=4, ny=4)
+            factory(A).apply(b, tpetra.Vector(A.row_map), trans=True)
+        with pytest.raises(NotImplementedError):
+            spmd(1)(body)
 
 
 class TestFactory:

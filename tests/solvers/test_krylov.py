@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import galeri, solvers, tpetra
+from repro import galeri, mpi, solvers, tpetra
 from repro.teuchos import ParameterList
 from tests.conftest import spmd
 
@@ -102,6 +102,72 @@ class TestGMRES:
             resid.update(1.0, b, -1.0)
             return resid.norm2() / b.norm2() <= 1e-8
         assert all(spmd(2)(body))
+
+
+def _allreduces(comm):
+    return sum(n for (name, _algo), n in
+               comm.traffic_snapshot().coll_calls.items()
+               if name.lower() == "allreduce")
+
+
+class TestGMRESReductions:
+    """CGS2 with the norm folded into the second pass: 2 per step."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_two_allreduces_per_arnoldi_step(self, backend, flexible):
+        def body(comm):
+            A, b, _x = _problem(comm, nx=16, ny=16, symmetric=False)
+            prec = solvers.ILU0(A)
+            calls = {}
+            for steps in (5, 15):
+                before = _allreduces(comm)
+                r = solvers.gmres(A, b, prec=prec, tol=1e-14,
+                                  maxiter=steps, restart=30,
+                                  flexible=flexible)
+                assert not r.converged and r.iterations == steps
+                calls[steps] = _allreduces(comm) - before
+            return calls
+        for calls in mpi.run_spmd(body, 2, backend=backend, timeout=60):
+            # ||b||, the cycle's ||r0||, 2 per step, the closing ||r||
+            assert calls[15] - calls[5] == 2 * 10
+            assert calls[5] == 2 * 5 + 3
+
+    def test_happy_breakdown_three_eigenvalues(self):
+        """diag(1, 2, 3): the third step spans the whole space, so what
+        is left of w after the first pass lies inside the basis and
+        ||w1||^2 - ||c2||^2 is pure rounding, negative for about half the
+        right-hand sides.  The clamp must keep that from becoming NaN."""
+        def body(comm):
+            m = tpetra.Map.create_contiguous(3, comm)
+            A = tpetra.CrsMatrix(m)
+            for gid in m.my_gids:
+                A.insert_global_values(int(gid), [int(gid)], [1.0 + gid])
+            A.fillComplete()
+            out = []
+            for seed in range(10):
+                b = tpetra.Vector(m)
+                b.randomize(seed=seed)
+                r = solvers.gmres(A, b, tol=1e-10, maxiter=50)
+                true = (b - A @ r.x).norm2() / b.norm2()
+                out.append((r.converged, r.iterations, true))
+            return out
+        for out in spmd(2)(body):
+            for conv, its, true in out:
+                assert conv and its <= 3 and true <= 1e-9
+
+    def test_convection_diffusion_ilu0_iterations(self):
+        """The ledger's gmres problem: 119 iterations, true residual."""
+        def body(comm):
+            A = galeri.convection_diffusion_2d(64, 64, comm, conv_x=20.0,
+                                               conv_y=10.0)
+            b = tpetra.Vector(A.row_map).putScalar(1.0)
+            r = solvers.gmres(A, b, prec=solvers.ILU0(A), tol=1e-10,
+                              maxiter=2000)
+            true = (b - A @ r.x).norm2() / b.norm2()
+            return r.converged, r.iterations, true
+        for conv, its, true in spmd(2)(body):
+            assert conv and abs(its - 119) <= 2 and true <= 1e-9
 
 
 class TestBiCGStab:
