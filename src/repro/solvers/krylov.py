@@ -129,21 +129,39 @@ def gmres(op: Operator, b: Vector, x: Optional[Vector] = None,
     Right preconditioning keeps the monitored residual equal to the true
     residual.  With ``flexible=True`` the preconditioner may change between
     iterations (FGMRES), as required when the preconditioner is itself an
-    iterative method.
+    iterative method.  Real and complex systems are both supported: the
+    projections conjugate the basis and the Givens rotations are complex
+    (real cosine, complex sine).
 
-    Orthogonalization is iterated classical Gram-Schmidt (Belos' ICGS):
-    each Arnoldi step projects against the whole basis with ONE batched
-    length-(j+1) Allreduce and reorthogonalizes once, instead of modified
-    Gram-Schmidt's j+1 scalar Allreduces.  "Twice is enough" keeps the
-    basis orthogonal to working precision.  The second pass's Allreduce
-    also carries ``w1.w1`` (``w1`` is ``w`` after the first pass, ``c2``
-    the second pass's coefficients), and the new column's norm follows
-    from Pythagoras, ``H[j+1, j] = sqrt(max(||w1||^2 - ||c2||^2, 0))``:
-    exact for an orthonormal basis, and ``c2`` is tiny, so nothing
-    cancels.  The collective count per step is therefore 2.
+    Orthogonalization is DCGS2, classical Gram-Schmidt with delayed
+    reorthogonalization (Bielich, Langou, Thomas, Swirydowicz, Yamazaki
+    and Boman, "Low-synch Gram-Schmidt with delayed reorthogonalization
+    for Krylov solvers", Parallel Computing, 2022).  Step j holds ``u_j``,
+    the previous step's first-pass vector, neither reorthogonalized nor
+    normalized, applies ``w = A M^-1 u_j`` and makes ONE Allreduce of
+    ``[Q^H u_j, Q^H w, u_j.u_j, u_j.w]``.  From it, locally:
+
+    * ``a = Q^H u_j`` reorthogonalizes: ``r = sqrt(u_j.u_j - a.a)``,
+      ``q_j = (u_j - Q a) / r``, which finishes column j-1 of the
+      Hessenberg matrix (``H[:j, j-1] += a``, ``H[j, j-1] = r``) and
+      its Givens rotation and residual test;
+    * the Arnoldi relation ``A M^-1 Q a = Q H a`` turns ``w`` into
+      ``A M^-1 q_j``, and its projection onto ``[Q, q_j]`` follows from
+      the same reduction, giving the next first-pass vector ``u_{j+1}``.
+
+    The cost is one collective per step plus one per restart cycle, to
+    finish the cycle's last column; the residual test lags the
+    matrix-vector product by one step.
     """
     x = Vector(op.domain_map(), dtype=b.dtype) if x is None else x
     bnorm = b.norm2() or 1.0
+    comm = b.comm
+    dt = b.dtype
+    hdt = np.result_type(dt, np.float64)
+    # the operands of M^-1 and A; without a preconditioner A reads u
+    uv = Vector(b.map, dtype=dt)
+    zv = uv if prec is None else Vector(op.domain_map(), dtype=dt)
+    wv = Vector(op.range_map(), dtype=dt)
     history: List[float] = []
     total_iters = 0
     while True:
@@ -158,85 +176,101 @@ def gmres(op: Operator, b: Vector, x: Optional[Vector] = None,
             return SolverResult(x, False, total_iters, rel, history,
                                 "maximum iterations reached")
         m = min(restart, maxiter - total_iters)
-        # Arnoldi with iterated classical Gram-Schmidt (batched dots)
-        V: List[Vector] = [r * (1.0 / beta)]
-        Z: List[Vector] = []      # preconditioned directions (flexible)
-        comm = b.comm
-        # column-major local basis: Vloc[:, i] mirrors V[i]'s local block,
-        # so all j+1 projection dots collapse into one GEMV + Allreduce
-        Vloc = np.zeros((b.local_length, m + 1), dtype=b.local.dtype)
-        Vloc[:, 0] = V[0].local_view
-        H = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)
+        # the basis and (flexible) the preconditioned directions, one
+        # column per step, so every projection is one GEMV; the cycle
+        # ends on finishing column m-1, before q_m would be formed
+        Q = np.empty((b.local_length, m), dtype=dt, order="F")
+        Z = np.empty((b.local_length, m), dtype=dt, order="F") \
+            if flexible else None
+        H = np.zeros((m + 1, m), dtype=hdt)   # Arnoldi: A M^-1 Q = Q H
+        R = np.zeros((m + 1, m), dtype=hdt)   # H rotated to triangular
+        g = np.zeros(m + 1, dtype=hdt)
         g[0] = beta
         cs = np.zeros(m)
-        sn = np.zeros(m)
-        k_done = 0
-        for j in range(m):
+        sn = np.zeros(m, dtype=hdt)
+        Q[:, 0] = r.local_view / beta
+        u = Q[:, 0]
+        k = 0                                 # finished columns
+        for j in range(m + 1):
             t0 = _TR.now() if _TR.enabled else 0.0
-            z = _apply_prec(prec, V[j])
-            if flexible:
-                Z.append(z.copy())
-            w = Vector(op.range_map(), dtype=b.dtype)
-            op.apply(z, w)
-            basis = Vloc[:, :j + 1]
-            # CGS2 ("twice is enough"); the second pass also reduces
-            # w1.w1, so the new column's norm needs no third collective
-            local = basis.T @ w.local_view
-            c1 = np.zeros_like(local)
-            comm.Allreduce(local, c1, op=SUM)
-            w1 = w.local_view - basis @ c1
-            local = np.append(basis.T @ w1, w1 @ w1)
-            red = np.zeros_like(local)
+            if j < m:
+                uv.local_view = u
+                if prec is not None:
+                    prec.apply(uv, zv)
+                op.apply(zv, wv)
+                w = wv.local_view
+                if flexible:
+                    Z[:, j] = zv.local_view
+            # the step's one reduction; u_0 = q_0 needs no finishing, and
+            # the cycle's last round only finishes column m-1
+            Qh = Q[:, :j].T.conj()
+            parts = [Qh @ u, [np.vdot(u, u)]] if j else []
+            if j < m:
+                parts += [Qh @ w, [np.vdot(u, w)]]
+            local = np.concatenate(parts)
+            red = np.empty_like(local)
             comm.Allreduce(local, red, op=SUM)
-            c2 = red[:j + 1]
-            w.local_view = w1 - basis @ c2
-            H[:j + 1, j] = c1 + c2
-            # ||w1 - V c2||^2 = ||w1||^2 - ||c2||^2 for orthonormal V;
-            # rounding may push a happy breakdown's difference below 0
-            H[j + 1, j] = np.sqrt(max(red[j + 1] - c2 @ c2, 0.0))
-            breakdown = not H[j + 1, j] > 1e-14 * beta
-            if not breakdown:
-                V.append(w * (1.0 / H[j + 1, j]))
-                Vloc[:, j + 1] = V[j + 1].local_view
-            # Givens rotations to maintain the QR of H
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            if denom == 0:
-                cs[j], sn[j] = 1.0, 0.0
+            if j:
+                a = red[:j]
+                # ||u - Q a||^2 = u.u - a.a for orthonormal Q; rounding
+                # may push a happy breakdown's difference below 0
+                rn = np.sqrt(max(red[j].real - np.vdot(a, a).real, 0.0))
+                H[:j, j - 1] += a
+                H[j, j - 1] = rn
+                # Givens rotations to maintain the QR of H
+                c = j - 1
+                R[:j + 1, c] = H[:j + 1, c]
+                for i in range(c):
+                    t = cs[i] * R[i, c] + sn[i] * R[i + 1, c]
+                    R[i + 1, c] = -np.conj(sn[i]) * R[i, c] \
+                        + cs[i] * R[i + 1, c]
+                    R[i, c] = t
+                h1 = R[c, c]
+                denom = np.hypot(abs(h1), rn)
+                if denom == 0:
+                    cs[c], sn[c] = 1.0, 0.0
+                else:
+                    phase = h1 / abs(h1) if h1 != 0 else 1.0
+                    cs[c], sn[c] = abs(h1) / denom, phase * rn / denom
+                    R[c, c] = phase * denom
+                R[j, c] = 0.0
+                g[j] = -np.conj(sn[c]) * g[c]
+                g[c] = cs[c] * g[c]
+                total_iters += 1
+                k = j
+                rel = abs(g[j]) / bnorm
+                history.append(rel)
+                if _TR.enabled:
+                    _iter_done("gmres.iter", t0, total_iters, rel)
+                if rel <= tol or not rn > 1e-14 * beta or R[c, c] == 0 \
+                        or j == m:
+                    break
+                Q[:, j] = (u - Q[:, :j] @ a) / rn
+                if flexible:
+                    Z[:, j] = (Z[:, j] - Z[:, :j] @ a) / rn
+                # w = A M^-1 u_j becomes A M^-1 q_j, then is projected
+                qw = red[j + 1:2 * j + 1]
+                Ha = H[:j + 1, :j] @ a
+                w = (w - Q[:, :j + 1] @ Ha) / rn
+                s = (np.append(qw, (red[-1] - np.vdot(a, qw)) / rn)
+                     - Ha) / rn
             else:
-                cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total_iters += 1
-            k_done = j + 1
-            rel = abs(g[j + 1]) / bnorm
-            history.append(rel)
-            if _TR.enabled:
-                _iter_done("gmres.iter", t0, total_iters, rel)
-            if rel <= tol or breakdown or H[j, j] == 0:
-                break
+                s = red
+            H[:j + 1, j] = s
+            u = w - Q[:, :j + 1] @ s
         # solve the small triangular system and update x
-        y = np.zeros(k_done)
-        for i in range(k_done - 1, -1, -1):
-            if H[i, i] == 0:
+        y = np.zeros(k, dtype=hdt)
+        for i in range(k - 1, -1, -1):
+            if R[i, i] == 0:
                 y[i] = 0.0  # breakdown column contributes nothing
                 continue
-            y[i] = (g[i] - H[i, i + 1:k_done] @ y[i + 1:k_done]) / H[i, i]
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
         if flexible:
-            for i in range(k_done):
-                x.update(y[i], Z[i], 1.0)
+            x.local_view += Z[:, :k] @ y
         else:
-            # x += M^-1 (V_k y)
-            vy = Vector(b.map, dtype=b.dtype)
-            for i in range(k_done):
-                vy.update(y[i], V[i], 1.0)
-            x.update(1.0, _apply_prec(prec, vy), 1.0)
+            # x += M^-1 (Q_k y)
+            uv.local_view = Q[:, :k] @ y
+            x.update(1.0, _apply_prec(prec, uv), 1.0)
         if rel <= tol:
             r = _residual(op, x, b)
             rel_true = r.norm2() / bnorm

@@ -7,8 +7,11 @@ combining with ADD/INSERT/ABSMAX -- the assembly primitive.
 
 Both are *plans*: the communication pattern (who sends which local ids to
 whom) is computed once, collectively, at construction; executing the plan
-then costs exactly one message per communicating pair.  ODIN's halo
-exchanges and the CrsMatrix SpMV both execute Import plans.
+then costs exactly one message per communicating pair.  Each message is
+the packed block of rows on the buffer path (``Send``/``Recv``, no
+pickling), received from its named source in plan order.  The CrsMatrix
+SpMV, the overlapping-Schwarz preconditioner and ``Vector`` gid lookups
+execute Import plans.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..mpi.status import ANY_SOURCE, Status
+from ..mpi.errors import TruncationError
+from ..mpi.status import Status
 from ..trace import TRACER as _TR
 from .map import Map
 
@@ -53,15 +57,16 @@ class _Plan:
     """One-directional communication plan between two maps.
 
     ``send_plan``: list of (dest rank, source lids to send).
-    ``recv_plan``: list of (src rank, target lids to fill, in arrival order).
+    ``recv_plan``: list of (src rank, target lids to fill), in the order
+    the blocks are received and combined.
     ``permute``: (source lids, target lids) moved locally.
 
     A plan is built once and executed many times (a Krylov SpMV executes
     the same Import every iteration), so execution state is cached on the
-    instance: per-destination pack buffers are reused across ``execute``
-    calls, and the transpose plan built by :meth:`reversed` is memoized.
-    Plans are treated as immutable once built -- the lid arrays are shared,
-    never copied, between a plan and its reverse.
+    instance: per-peer pack and receive buffers are reused across
+    ``execute`` calls, and the transpose plan built by :meth:`reversed` is
+    memoized.  Plans are treated as immutable once built -- the lid
+    arrays are shared, never copied, between a plan and its reverse.
     """
 
     def __init__(self, send_plan, recv_plan, permute_src, permute_tgt):
@@ -71,29 +76,16 @@ class _Plan:
         self.permute_tgt = permute_tgt
         self._reversed: "_Plan" = None
         self._send_bufs: Dict[int, np.ndarray] = {}
-        # receives drained with ANY_SOURCE can overshoot into the *next*
-        # execution's message from an already-satisfied peer (per-pair
-        # FIFO still holds, so a stashed message is exactly that peer's
-        # next-execution payload); consume the stash first next time
-        self._stash: Dict[int, List[np.ndarray]] = {}
-        # arrival-order combining is only deterministic when no two
-        # sources write the same target lid (always true for Imports by
-        # construction); otherwise stage and combine in plan order
-        if len(recv_plan) > 1:
-            all_lids = np.concatenate([lids for _r, lids in recv_plan])
-            self._recv_disjoint = len(np.unique(all_lids)) == len(all_lids)
-        else:
-            self._recv_disjoint = True
+        self._recv_bufs: Dict[int, np.ndarray] = {}
 
-    def _pack(self, dest: int, src_local: np.ndarray,
-              lids: np.ndarray) -> np.ndarray:
-        """Gather the outgoing rows into a reused per-destination buffer."""
-        shape = (len(lids),) + src_local.shape[1:]
-        buf = self._send_bufs.get(dest)
-        if buf is None or buf.shape != shape or buf.dtype != src_local.dtype:
-            buf = np.empty(shape, dtype=src_local.dtype)
-            self._send_bufs[dest] = buf
-        np.take(src_local, lids, axis=0, out=buf)
+    @staticmethod
+    def _buffer(cache: Dict[int, np.ndarray], peer: int, nrows: int,
+                like: np.ndarray) -> np.ndarray:
+        """The reused per-peer block of *nrows* rows shaped like *like*."""
+        shape = (nrows,) + like.shape[1:]
+        buf = cache.get(peer)
+        if buf is None or buf.shape != shape or buf.dtype != like.dtype:
+            buf = cache[peer] = np.empty(shape, dtype=like.dtype)
         return buf
 
     def execute(self, comm, src_local: np.ndarray, tgt_local: np.ndarray,
@@ -101,53 +93,39 @@ class _Plan:
         """Move values according to the plan.
 
         ``src_local`` / ``tgt_local`` may be 1-D (Vector) or 2-D
-        (MultiVector, rows = local elements).  All sends are posted
-        before any receive is drained, and receives are drained in
-        arrival order (late senders never block combining of data that
-        has already arrived).  When the combine is order-sensitive
-        (overlapping target lids under ADD/ABSMAX), incoming values are
-        staged and combined in plan order so results stay deterministic.
+        (MultiVector, rows = local elements).  Every block travels on the
+        buffer path: all sends (``comm.Send`` of the packed rows) are
+        posted first, then each source's block is received with
+        ``comm.Recv`` from that named source, in plan order, into a
+        reused buffer and combined at once.  Plan order makes
+        order-sensitive combines (overlapping target lids under
+        ADD/ABSMAX) deterministic, and a named-source receive takes the
+        oldest message of that pair on the plan's tag, so it can never
+        consume the next execution's block.  A block whose size differs
+        from the plan's raises :class:`TruncationError`.
         """
         traced = _TR.enabled
         pack = unpack = 0
         for dest, lids in self.send_plan:
-            packed = self._pack(dest, src_local, lids)
+            packed = self._buffer(self._send_bufs, dest, len(lids), src_local)
+            np.take(src_local, lids, axis=0, out=packed)
             pack += packed.nbytes
-            comm.send(packed, dest, tag=tag)
+            comm.Send(packed, dest, tag=tag)
         if len(self.permute_src):
             _combine(tgt_local, self.permute_tgt, src_local[self.permute_src],
                      mode)
-        if not self.recv_plan:
-            if traced:
-                _TR.instant("tpetra.plan", "execute", pack=pack, unpack=0)
-            return
-        in_order = self._recv_disjoint or mode in (CombineMode.INSERT,
-                                                   CombineMode.REPLACE)
-        by_src = {src: lids for src, lids in self.recv_plan}
-        staged: Dict[int, np.ndarray] = {}
-        pending = set(by_src)
-        while pending:
-            src = next((s for s in pending if self._stash.get(s)), -1)
-            if src >= 0:
-                values = self._stash[src].pop(0)
-            else:
-                st = Status()
-                values = comm.recv(ANY_SOURCE, tag=tag, status=st)
-                src = st.source
-                if src not in pending:
-                    # next execution's message from a finished peer
-                    self._stash.setdefault(src, []).append(values)
-                    continue
-            pending.discard(src)
-            if traced:
-                unpack += np.asarray(values).nbytes
-            if in_order:
-                _combine(tgt_local, by_src[src], values, mode)
-            else:
-                staged[src] = values
-        if staged:
-            for src, lids in self.recv_plan:
-                _combine(tgt_local, lids, staged[src], mode)
+        st = Status()
+        for src, lids in self.recv_plan:
+            # every rank packs the same distributed object, so the
+            # sender's rows look like this rank's source rows
+            values = self._buffer(self._recv_bufs, src, len(lids), src_local)
+            comm.Recv(values, src, tag=tag, status=st)
+            if st.count_bytes != values.nbytes:
+                raise TruncationError(
+                    f"halo block from rank {src} holds {st.count_bytes} "
+                    f"bytes, the plan expects {values.nbytes}")
+            unpack += values.nbytes
+            _combine(tgt_local, lids, values, mode)
         if traced:
             _TR.instant("tpetra.plan", "execute", pack=pack, unpack=unpack)
 
@@ -251,12 +229,11 @@ def _build_export_plan(source: Map, target: Map) -> _Plan:
     return _Plan(send_plan, recv_plan, permute_src, permute_tgt)
 
 
-# Every plan gets its own (forward, reverse) tag pair so the
-# arrival-order ANY_SOURCE drain can never confuse two different plans'
-# messages: with a unique tag, an overshoot can only be the *same* plan's
-# next execution (per-pair FIFO), which the per-plan stash handles.  Ranks
-# share class objects (threads), so the counter lives on the communicator
-# (one instance per rank) and advances identically everywhere because plan
+# Every plan gets its own (forward, reverse) tag pair, so a plan's
+# named-source receives only ever match that plan's blocks, whatever other
+# point-to-point traffic shares the communicator.  Ranks share class
+# objects (threads), so the counter lives on the communicator (one
+# instance per rank) and advances identically everywhere because plan
 # construction is collective and in SPMD program order.
 _PLAN_TAG_BASE = 7001
 

@@ -1,7 +1,11 @@
 """Krylov solver tests on gallery problems."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from repro import galeri, mpi, solvers, tpetra
 from repro.teuchos import ParameterList
@@ -110,12 +114,56 @@ def _allreduces(comm):
                if name.lower() == "allreduce")
 
 
+def _dense_gmres_history(A, b, restart, maxiter):
+    """Reference restarted GMRES on a dense global matrix, with modified
+    Gram-Schmidt applied twice: the relative residual of every iteration
+    and the final iterate."""
+    x = np.zeros_like(b)
+    hist = []
+    bnorm = np.linalg.norm(b)
+    while len(hist) < maxiter:
+        r = b - A @ x
+        beta = np.linalg.norm(r)
+        m = min(restart, maxiter - len(hist))
+        Q = np.zeros((len(b), m + 1))
+        H = np.zeros((m + 1, m))
+        Q[:, 0] = r / beta
+        for j in range(m):
+            w = A @ Q[:, j]
+            for _pass in range(2):
+                for i in range(j + 1):
+                    c = Q[:, i] @ w
+                    H[i, j] += c
+                    w -= c * Q[:, i]
+            H[j + 1, j] = np.linalg.norm(w)
+            Q[:, j + 1] = w / H[j + 1, j]
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(H[:j + 2, :j + 1], e1, rcond=None)[0]
+            hist.append(np.linalg.norm(e1 - H[:j + 2, :j + 1] @ y) / bnorm)
+        x = x + Q[:, :m] @ y
+    return hist, x
+
+
+def _ledger_rhs(seed, n):
+    """The right-hand side of the ledger's gmres workload for *seed*."""
+    rng = np.random.default_rng([seed, 5])
+    return 1.0 + 0.01 * rng.standard_normal(n)
+
+
 class TestGMRESReductions:
-    """CGS2 with the norm folded into the second pass: 2 per step."""
+    """DCGS2: one Allreduce per Arnoldi step, one to finish each cycle."""
+
+    @staticmethod
+    def _expected_allreduces(steps, restart):
+        """||b||, then per cycle its ||r0||, one per step and one to
+        finish the last column, then the closing ||r||."""
+        cycles = -(-steps // restart)
+        return 1 + cycles * 2 + steps + 1
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("flexible", [False, True])
-    def test_two_allreduces_per_arnoldi_step(self, backend, flexible):
+    def test_one_allreduce_per_arnoldi_step(self, backend, flexible):
         def body(comm):
             A, b, _x = _problem(comm, nx=16, ny=16, symmetric=False)
             prec = solvers.ILU0(A)
@@ -129,15 +177,39 @@ class TestGMRESReductions:
                 calls[steps] = _allreduces(comm) - before
             return calls
         for calls in mpi.run_spmd(body, 2, backend=backend, timeout=60):
-            # ||b||, the cycle's ||r0||, 2 per step, the closing ||r||
-            assert calls[15] - calls[5] == 2 * 10
-            assert calls[5] == 2 * 5 + 3
+            assert calls == {steps: self._expected_allreduces(steps, 30)
+                             for steps in (5, 15)}
+
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_restart_boundary_matches_reference(self, flexible):
+        """restart=5, maxiter=17: three full cycles, each closed by its
+        finishing reduction, and a 2-step tail.  Every residual and the
+        iterate match a dense two-pass Gram-Schmidt GMRES(5)."""
+        def body(comm):
+            A, b, _x = _problem(comm, nx=8, ny=8, symmetric=False)
+            before = _allreduces(comm)
+            r = solvers.gmres(A, b, tol=1e-14, maxiter=17, restart=5,
+                              flexible=flexible)
+            calls = _allreduces(comm) - before
+            return (r.iterations, r.history, calls,
+                    r.x.gather_all().ravel(),
+                    A.to_scipy_global(root=None).toarray(),
+                    b.gather_all().ravel())
+        its, hist, calls, x, A, b = spmd(2)(body)[0]
+        assert its == 17
+        assert calls == self._expected_allreduces(17, 5) == 27
+        ref_hist, ref_x = _dense_gmres_history(A, b, restart=5, maxiter=17)
+        # history[0] is ||r0||/||b||; the last entry is the true residual
+        np.testing.assert_allclose(hist[1:-1], ref_hist[:-1], rtol=1e-8)
+        np.testing.assert_allclose(x, ref_x, rtol=1e-9,
+                                   atol=1e-12 * np.abs(ref_x).max())
 
     def test_happy_breakdown_three_eigenvalues(self):
-        """diag(1, 2, 3): the third step spans the whole space, so what
-        is left of w after the first pass lies inside the basis and
-        ||w1||^2 - ||c2||^2 is pure rounding, negative for about half the
-        right-hand sides.  The clamp must keep that from becoming NaN."""
+        """diag(1, 2, 3): the third step spans the whole space, so the
+        fourth first-pass vector u lies inside the basis and, with
+        a = Q^H u, u.u - a.a is pure rounding, negative for about a
+        quarter of the right-hand sides.  The clamp must keep that from
+        becoming NaN."""
         def body(comm):
             m = tpetra.Map.create_contiguous(3, comm)
             A = tpetra.CrsMatrix(m)
@@ -145,7 +217,7 @@ class TestGMRESReductions:
                 A.insert_global_values(int(gid), [int(gid)], [1.0 + gid])
             A.fillComplete()
             out = []
-            for seed in range(10):
+            for seed in range(40):
                 b = tpetra.Vector(m)
                 b.randomize(seed=seed)
                 r = solvers.gmres(A, b, tol=1e-10, maxiter=50)
@@ -168,6 +240,72 @@ class TestGMRESReductions:
             return r.converged, r.iterations, true
         for conv, its, true in spmd(2)(body):
             assert conv and abs(its - 119) <= 2 and true <= 1e-9
+
+    def test_ledger_problem_iteration_parity(self):
+        """The ledger's seeded right-hand sides: DCGS2 keeps CGS2's
+        exact count of 119 on seeds 1-20, for GMRES and FGMRES."""
+        def body(comm):
+            A = galeri.convection_diffusion_2d(64, 64, comm, conv_x=20.0,
+                                               conv_y=10.0)
+            prec = solvers.ILU0(A)
+            b = tpetra.Vector(A.row_map)
+            out = []
+            for seed in range(1, 21):
+                b.local_view = _ledger_rhs(seed, 64 * 64)[A.row_map.my_gids]
+                for flexible in (False, True):
+                    r = solvers.gmres(A, b, prec=prec, tol=1e-10,
+                                      maxiter=2000, flexible=flexible)
+                    out.append((seed, flexible, r.converged, r.iterations))
+            return out
+        for out in spmd(2)(body):
+            assert [row for row in out if row[2:] != (True, 119)] == []
+
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_convection_dominated_matches_cgs2_count(self, flexible):
+        """Cell Peclet number ~45, unpreconditioned GMRES(25): CGS2
+        converged in 150 iterations (GMRES and FGMRES alike).  DCGS2's
+        lagged reorthogonalisation must stay within 2 of that."""
+        cgs2_iterations = 150
+        tol = 1e-10
+
+        def body(comm):
+            A = galeri.convection_diffusion_2d(32, 32, comm, conv_x=3000.0,
+                                               conv_y=-1500.0)
+            b = tpetra.Vector(A.row_map).putScalar(1.0)
+            r = solvers.gmres(A, b, tol=tol, maxiter=3000, restart=25,
+                              flexible=flexible)
+            true = (b - A @ r.x).norm2() / b.norm2()
+            return r.converged, r.iterations, true
+        for conv, its, true in spmd(2)(body):
+            assert conv and abs(its - cgs2_iterations) <= 2
+            assert true <= 10 * tol
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_complex_system_matches_spsolve(self, backend, flexible):
+        """A complex nonsymmetric tridiagonal system: the projections
+        conjugate the basis, H and g are complex and the rotations have a
+        real cosine and a complex sine."""
+        n = 40
+        S = sp.diags([4 + 1j, -1, -1 + 0.5j], [0, -1, 1], shape=(n, n),
+                     format="csr")
+        rhs = np.exp(1j * np.arange(n) / 3.0)
+        ref = spsolve(S.tocsc(), rhs)
+
+        def body(comm):
+            m = tpetra.Map.create_contiguous(n, comm)
+            A = tpetra.CrsMatrix.from_scipy(S, m)
+            b = tpetra.Vector(m, dtype=complex)
+            b.local_view = rhs[m.my_gids]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                r = solvers.gmres(A, b, tol=1e-12, maxiter=200,
+                                  flexible=flexible)
+            return r.converged, r.iterations, r.x.gather_all().ravel()
+        for conv, its, x in mpi.run_spmd(body, 2, backend=backend,
+                                         timeout=60):
+            assert conv and its < 40
+            assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 class TestBiCGStab:
