@@ -89,6 +89,8 @@ FOLDS = {
         ("c", "seamless.jit.fallbacks", 1, _KERNEL)],
     ("seamless.cc", "disk_cache"): [
         ("c", "seamless.cc.disk_cache", 1, {"result": "result"})],
+    ("seamless.cc", "scalar_math"): [
+        ("c", "seamless.cc.scalar_math", 1, {})],
     ("seamless.elementwise", "no_compiler"): [
         ("c", "seamless.elementwise.no_compiler", 1, {})],
     ("seamless.elementwise", "compile"): [

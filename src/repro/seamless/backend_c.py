@@ -6,13 +6,24 @@ the machine code, then bind the shared object with ctypes.  The observable
 contract is the same -- "compiles Python code to be run on the native CPU
 instruction set" -- and the generated source doubles as the artifact for
 static compilation (:mod:`repro.seamless.static`).
+
+Every caller gets one compile line, :data:`CFLAGS`: ``-O3
+-fno-math-errno -ffp-contract=off`` (plus ``-march=native`` on x86_64),
+never ``-ffast-math``.  GCC may then vectorise plain arithmetic but not
+reorder it or fuse ``a*b + c`` into an FMA, so it keeps NumPy's bits; it
+calls vector math only where a source declares a libm function with
+``__attribute__((simd))``, which only the fused elementwise kernels do
+(:mod:`repro.seamless.elementwise`).  The disk cache is keyed by the
+source, the flags, the compiler's version line and the CPU's ISA flags.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 import threading
@@ -46,22 +57,34 @@ static inline int64_t __pymod(int64_t a, int64_t b) {
 static inline int64_t __imin(int64_t a, int64_t b) { return a < b ? a : b; }
 static inline int64_t __imax(int64_t a, int64_t b) { return a > b ? a : b; }
 
-/* CPython float modulo: fmod adjusted toward the divisor's sign */
+/* CPython float modulo: fmod adjusted toward the divisor's sign, and a
+   zero result takes the divisor's sign */
 static inline double __pyfmod(double a, double b) {
     double m = fmod(a, b);
-    if (m != 0.0 && ((b < 0.0) != (m < 0.0))) m += b;
+    if (m == 0.0) return copysign(0.0, b);
+    if ((b < 0.0) != (m < 0.0)) m += b;
     return m;
 }
 """
 
+#: True on hosts where ``-march=native`` and glibc's libmvec x86 variants
+#: apply
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+
+#: the one set of compile options for every kernel; ``-fopenmp`` joins it
+#: for sources that contain ``#pragma omp`` (``prange``)
+CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared",
+          "-fPIC") + (("-march=native",) if X86_64 else ())
+
 _cc_lock = threading.Lock()
 _cc_path: Optional[str] = None
+_cc_version = ""
 _cc_checked = False
 
 
 def compiler_available() -> bool:
     """True when a working C compiler is on PATH."""
-    global _cc_path, _cc_checked
+    global _cc_path, _cc_version, _cc_checked
     if _cc_checked:
         return _cc_path is not None
     with _cc_lock:
@@ -71,9 +94,11 @@ def compiler_available() -> bool:
             if not cand:
                 continue
             try:
-                subprocess.run([cand, "--version"], capture_output=True,
-                               check=True, timeout=20)
+                proc = subprocess.run([cand, "--version"],
+                                      capture_output=True, check=True,
+                                      timeout=20, text=True)
                 _cc_path = cand
+                _cc_version = next(iter(proc.stdout.splitlines()), "")
                 break
             except (OSError, subprocess.SubprocessError):
                 continue
@@ -87,21 +112,56 @@ def _cache_dir() -> str:
     return path
 
 
+@functools.lru_cache(maxsize=None)
+def _cpu_flags() -> str:
+    """The ``flags`` line of ``/proc/cpuinfo`` on x86_64 (the ISA that
+    ``-march=native`` targets), read once; empty elsewhere."""
+    if not X86_64:
+        return ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return ""
+
+
+def _compile_flags(source: str) -> List[str]:
+    flags = list(CFLAGS)
+    if "#pragma omp" in source:
+        flags.insert(0, "-fopenmp")
+    return flags
+
+
+def _cache_base(source: str, tag: str, flags: List[str]) -> str:
+    """Cache path (without suffix) of *source* built with *flags*: the key
+    covers everything that changes the machine code, so a cache directory
+    shared between hosts never loads an ``.so`` built for another ISA."""
+    h = hashlib.sha256()
+    for part in (source, " ".join(flags), _cc_version, _cpu_flags()):
+        h.update(part.encode())
+        h.update(b"\0")
+    return os.path.join(_cache_dir(), f"{tag}_{h.hexdigest()[:20]}")
+
+
 def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
     """Compile a C translation unit to a shared object and load it.
 
     The disk cache is shared by every process using the same temp
-    directory.  Each compile writes its source and object under names
-    unique to it and publishes them with an atomic ``os.replace``, so
-    processes racing on the same cold kernel each end with a complete,
-    loadable ``<base>.so`` (whichever rename lands last wins, and both
-    are identical) and leave no temporaries behind.
+    directory (:func:`_cache_base` gives its key).  Each compile writes
+    its source and object under names unique to it and publishes them
+    with an atomic ``os.replace``, so processes racing on the same cold
+    kernel each end with a complete, loadable ``<base>.so`` (whichever
+    rename lands last wins, and both are identical) and leave no
+    temporaries behind.
     """
     if not compiler_available():
         raise RuntimeError("no C compiler available")
     from ..trace import TRACER as _TR  # local: backend is a leaf module
-    digest = hashlib.sha256(source.encode()).hexdigest()[:20]
-    base = os.path.join(_cache_dir(), f"{tag}_{digest}")
+    flags = _compile_flags(source)
+    base = _cache_base(source, tag, flags)
     so_path = base + ".so"
     with _cc_lock:
         if _TR.enabled:
@@ -115,10 +175,7 @@ def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(source)
-                cmd = [_cc_path, "-O2", "-shared", "-fPIC", "-o", so_tmp,
-                       c_tmp, "-lm"]
-                if "#pragma omp" in source:
-                    cmd.insert(1, "-fopenmp")
+                cmd = [_cc_path, *flags, "-o", so_tmp, c_tmp, "-lm"]
                 proc = subprocess.run(cmd, capture_output=True, text=True)
                 if proc.returncode != 0:
                     raise RuntimeError(
@@ -136,6 +193,19 @@ def compile_c_source(source: str, tag: str = "kernel") -> ctypes.CDLL:
 # ----------------------------------------------------------------------
 # code generation
 # ----------------------------------------------------------------------
+def c_double(value: float) -> str:
+    """A C99 expression for the float64 *value*, NaN and infinities
+    included."""
+    value = float(value)
+    if value != value:
+        return "NAN"
+    if value == float("inf"):
+        return "INFINITY"
+    if value == float("-inf"):
+        return "(-INFINITY)"
+    return repr(value)
+
+
 def emit_c(tf: TypedFunction, symbol: Optional[str] = None) -> str:
     """Generate the C translation unit for one typed function.
 
@@ -293,14 +363,7 @@ class _CGen:
             if isinstance(node.value, int):
                 return f"INT64_C({node.value})" \
                     if abs(node.value) > 2**31 else str(node.value)
-            value = float(node.value)
-            if value != value:
-                return "NAN"
-            if value == float("inf"):
-                return "INFINITY"
-            if value == float("-inf"):
-                return "(-INFINITY)"
-            return repr(value)
+            return c_double(node.value)
         if isinstance(node, ir.Name):
             return node.id
         if isinstance(node, ir.BinOp):

@@ -3,19 +3,35 @@
 :func:`compile_elementwise` turns an ODIN postfix expression program into
 one C loop over float64 blocks -- genuine loop fusion: a chain like
 ``sqrt(u*u + v*v) * 2 - 1`` becomes a single pass with no temporaries.
+
+On x86_64 the loop is a SIMD loop.  The source declares each libm
+function it calls with ``__attribute__((simd("notinbranch")))`` when the
+host's glibc vector math library (``libmvec``) exports it, and GCC at
+``-O3 -march=native`` then calls the vector variants (``_ZGVdN4v_sin``
+and so on, within libmvec's documented 4 ULP).  Plain arithmetic,
+``sqrt`` and the selects keep NumPy's bits, because the compile line
+forbids reordering and FMA contraction (:data:`backend_c.CFLAGS`).  A
+host without libmvec builds the scalar loop and records one
+``seamless.cc``/``scalar_math`` instant per process.  Only these kernels
+get the declarations: ``@jit``, ``vectorize`` and ``static`` sources keep
+scalar libm.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Optional, Sequence, Tuple
+import functools
+import os
+import re
+from typing import Callable, FrozenSet, Optional, Sequence
 
 import numpy as np
 
 from ..trace import TRACER as _TR
-from .backend_c import _PRELUDE, compile_c_source, compiler_available
+from .backend_c import (X86_64, _PRELUDE, c_double, compile_c_source,
+                        compiler_available)
 
-__all__ = ["compile_elementwise", "elementwise_c_source"]
+__all__ = ["compile_elementwise", "elementwise_c_source", "vector_math"]
 
 _UNARY_C = {
     "negative": "(-({x}))", "absolute": "fabs({x})", "abs": "fabs({x})",
@@ -25,7 +41,8 @@ _UNARY_C = {
     "arccos": "acos({x})", "arctan": "atan({x})", "sinh": "sinh({x})",
     "cosh": "cosh({x})", "tanh": "tanh({x})", "floor": "floor({x})",
     "ceil": "ceil({x})", "rint": "rint({x})", "square": "(({x})*({x}))",
-    "reciprocal": "(1.0/({x}))", "sign": "(({x})>0 ? 1.0 : (({x})<0 ? -1.0 : 0.0))",
+    "reciprocal": "(1.0/({x}))",
+    "sign": "(({x})>0 ? 1.0 : (({x})<0 ? -1.0 : (({x})==0 ? 0.0 : ({x}))))",
 }
 _BINARY_C = {
     "add": "(({a})+({b}))", "subtract": "(({a})-({b}))",
@@ -33,9 +50,58 @@ _BINARY_C = {
     "true_divide": "(({a})/({b}))", "power": "pow(({a}),({b}))",
     "mod": "__pyfmod(({a}),({b}))",
     "arctan2": "atan2(({a}),({b}))", "hypot": "hypot(({a}),({b}))",
-    "maximum": "fmax(({a}),({b}))", "minimum": "fmin(({a}),({b}))",
+    # NumPy's maximum/minimum propagate NaN (C fmax/fmin drop it) and
+    # return the second operand on a tie
+    "maximum": "((({a})!=({a}) || ({a})>({b})) ? ({a}) : ({b}))",
+    "minimum": "((({a})!=({a}) || ({a})<({b})) ? ({a}) : ({b}))",
     "fmax": "fmax(({a}),({b}))", "fmin": "fmin(({a}),({b}))",
 }
+
+#: the libm functions above that glibc's libmvec can provide, by arity
+_VECTOR_MATH = {"sin": 1, "cos": 1, "tan": 1, "asin": 1, "acos": 1,
+                "atan": 1, "sinh": 1, "cosh": 1, "tanh": 1, "exp": 1,
+                "log": 1, "log2": 1, "log10": 1,
+                "pow": 2, "atan2": 2, "hypot": 2}
+_CALL = re.compile(r"\b([a-z][a-z0-9]*)\(")
+_scalar_math_pid: Optional[int] = None
+
+
+@functools.lru_cache(maxsize=None)
+def vector_math() -> FrozenSet[str]:
+    """The libm functions whose vector variants the host's libmvec
+    exports, probed once per process by symbol name (``_ZGVbN2v_sin``,
+    ``_ZGVbN2vv_pow``) without running the compiler; empty off x86_64,
+    whose libmvec names differ, or without libmvec."""
+    if not X86_64:
+        return frozenset()
+    try:
+        lib = ctypes.CDLL("libmvec.so.1")
+    except OSError:
+        return frozenset()
+    return frozenset(f for f, arity in _VECTOR_MATH.items()
+                     if hasattr(lib, f"_ZGVbN2{'v' * arity}_{f}"))
+
+
+def _simd_declarations(body: str) -> str:
+    available = vector_math()
+    decls = []
+    for f in sorted(set(_CALL.findall(body)) & available):
+        params = ", ".join(["double"] * _VECTOR_MATH[f])
+        decls.append(f'__attribute__((simd("notinbranch"))) '
+                     f'double {f}({params});\n')
+    return "".join(decls)
+
+
+def _note_scalar_math() -> None:
+    """One ``seamless.cc``/``scalar_math`` instant per process on a host
+    whose fused kernels cannot call vector math."""
+    global _scalar_math_pid
+    if vector_math() or not _TR.recording or \
+            _scalar_math_pid == os.getpid():
+        return
+    _scalar_math_pid = os.getpid()
+    _TR.instant("seamless.cc", "scalar_math",
+                reason="no libmvec" if X86_64 else "not x86_64")
 
 
 def elementwise_c_source(program: Sequence[tuple], n_inputs: int,
@@ -58,7 +124,7 @@ def elementwise_c_source(program: Sequence[tuple], n_inputs: int,
         if tag == "load":
             stack.append(f"in{inst[1]}[i]")
         elif tag == "const":
-            stack.append(repr(float(inst[1])))
+            stack.append(c_double(inst[1]))
         elif tag == "unary":
             template = _UNARY_C.get(inst[1])
             if template is None:
@@ -79,7 +145,7 @@ def elementwise_c_source(program: Sequence[tuple], n_inputs: int,
         ["double* out", "int64_t n"]
         + [f"const double* in{k}" for k in range(n_inputs)])
     inner = "\n        ".join(body_exprs + [f"out[i] = {stack[0]};"])
-    return (_PRELUDE + f"""
+    return (_PRELUDE + _simd_declarations(inner) + f"""
 void {symbol}({params})
 {{
     for (int64_t i = 0; i < n; ++i) {{
@@ -98,6 +164,7 @@ def compile_elementwise(program: Sequence[tuple],
             _TR.instant("seamless.elementwise", "no_compiler")
         return None
     source = elementwise_c_source(tuple(program), n_inputs)
+    _note_scalar_math()
     t0 = _TR.now()
     lib = compile_c_source(source, tag="fused")
     if _TR.enabled:

@@ -200,3 +200,28 @@ def test_result_dtype_fallback_is_one_counted_event(registry):
     assert [ev[2] for ev in events] == ["dtype_fallback"]
     assert events[0][6]["ufunc"] == "negative"
     assert registry.get("odin.ufuncs.dtype_fallbacks").value == 1
+
+
+def test_scalar_math_fallback_is_one_counted_event(registry, monkeypatch):
+    """A host whose libmvec exports nothing builds the scalar loop, still
+    computes the right values, and says so once per process."""
+    import importlib
+
+    from repro.seamless import compiler_available
+    # the package re-exports a function named ``elementwise``
+    ew = importlib.import_module("repro.seamless.elementwise")
+    if not compiler_available():
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ew, "vector_math", lambda: frozenset())
+    monkeypatch.setattr(ew, "_scalar_math_pid", None)
+    prog = (("load", 0), ("unary", "sin"), ("load", 0), ("unary", "exp"),
+            ("binary", "add"))
+    assert "simd" not in ew.elementwise_c_source(prog, 1)
+    x = np.linspace(-3.0, 3.0, 101)
+    for program, expect in ((prog, np.sin(x) + np.exp(x)),
+                            ((("load", 0), ("unary", "cos")), np.cos(x))):
+        kernel = ew.compile_elementwise(program, 1)
+        out = np.empty_like(x)
+        kernel(out, x)
+        assert np.allclose(out, expect, rtol=1e-15, atol=0)
+    assert registry.get("seamless.cc.scalar_math").value == 1

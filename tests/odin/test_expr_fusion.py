@@ -115,6 +115,45 @@ class TestSeamlessFusion:
                            np.sin(xs) * np.cos(xs) + np.exp(-xs) / (xs + 1))
 
 
+    @pytest.mark.parametrize("build", [
+        lambda x, y: odin.maximum(x, y) * 2.0,
+        lambda x, y: odin.sign(odin.minimum(x, y) - 0.5),
+        lambda x, y: odin.maximum(odin.sign(x), y) + odin.minimum(y, x),
+    ], ids=["maximum", "sign-minimum", "mixed"])
+    def test_nan_propagates_like_eager(self, has_cc, monkeypatch, build):
+        """The native kernel keeps NumPy's NaN semantics: maximum,
+        minimum and sign of a NaN are NaN, as on the eager path."""
+        if not has_cc:
+            pytest.skip("no C compiler")
+        from repro.odin import fusion
+        from repro.odin.context import OdinContext
+        built = []
+        original = fusion.compiled_kernel
+
+        def spy(program, n_inputs):
+            kernel = original(program, n_inputs)
+            built.append(kernel)
+            return kernel
+
+        monkeypatch.setattr(fusion, "compiled_kernel", spy)
+        rng = np.random.default_rng(11)
+        xs, ys = rng.random(400), rng.random(400)
+        xs[::7] = np.nan
+        ys[::5] = np.nan
+        ys[::35] = -np.inf
+        with OdinContext(2, backend="thread") as ctx:
+            x = odin.array(xs, ctx=ctx)
+            y = odin.array(ys, ctx=ctx)
+            eager = build(x, y).gather()
+            with odin.lazy():
+                expr = build(x, y)
+            fused = odin.evaluate(expr, use_seamless=True).gather()
+        assert built and all(k is not None for k in built)
+        assert np.isnan(eager).any()
+        assert np.array_equal(np.isnan(fused), np.isnan(eager))
+        assert np.array_equal(fused, eager, equal_nan=True)
+
+
 class TestFusedDtypes:
     """The native loop computes in float64 only; every other dtype must
     keep NumPy's values *and* dtype (the stack machine's promotion)."""

@@ -49,3 +49,28 @@ def test_two_processes_compile_the_same_cold_kernel(tmp_path, monkeypatch):
     assert glob.glob(os.path.join(cache, "*.tmp")) == []
     assert len(glob.glob(os.path.join(cache, "race_*.so"))) == 1
     assert len(os.listdir(cache)) == 2   # the published .c and .so
+
+
+def test_cache_key_covers_flags_and_isa(tmp_path, monkeypatch):
+    """A kernel built with other flags or for another CPU never shares
+    an ``.so`` path with this one; the same inputs always do."""
+    monkeypatch.setattr(backend_c, "_cache_dir", lambda: str(tmp_path))
+    source = "int answer(void) { return 42; }\n"
+    flags = backend_c._compile_flags(source)
+    here = backend_c._cache_base(source, "k", flags)
+    assert backend_c._cache_base(source, "k", list(flags)) == here
+    assert backend_c._cache_base(source, "k", flags + ["-O0"]) != here
+    assert backend_c._cache_base(source + " ", "k", flags) != here
+    monkeypatch.setattr(backend_c, "_cpu_flags", lambda: "fpu sse sse2")
+    other_cpu = backend_c._cache_base(source, "k", flags)
+    assert other_cpu != here
+    assert backend_c._cache_base(source, "k", flags) == other_cpu
+
+
+def test_one_compile_line_for_every_caller():
+    flags = backend_c._compile_flags("int f(void) { return 0; }\n")
+    assert flags[:3] == ["-O3", "-fno-math-errno", "-ffp-contract=off"]
+    assert "-ffast-math" not in flags
+    assert ("-march=native" in flags) == backend_c.X86_64
+    omp = backend_c._compile_flags("#pragma omp parallel for\n")
+    assert omp == ["-fopenmp"] + flags
