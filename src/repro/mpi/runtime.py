@@ -593,16 +593,27 @@ class RankContext:
         self.rank = rank
 
     # -- low-level typed transport (used by Comm) ---------------------------
+    def _wire_copies(self, dest: int) -> bool:
+        """Whether the transport copies a send to *dest* before ``_post``
+        returns: a remote rank's wire (ring, segment or socket) makes the
+        isolation copy, so the sender makes none.  Chaos may hold or
+        rewrite a payload, so it always gets the sender's copy."""
+        return self.world.is_remote_rank(dest) and not _CH.enabled
+
     def send_buffer(self, dest: int, ctx_id, tag, flat: np.ndarray) -> None:
         t0 = _TR.now() if _TR.enabled else 0.0
-        payload = np.array(flat, copy=True, order="C")
-        nbytes = payload.nbytes
         jump = 0
-        if _CH.enabled:
-            payload, nbytes, jump = _CH.on_send(self.rank, dest, "buffer",
-                                                payload, nbytes)
-        if isinstance(payload, np.ndarray):
-            payload.flags.writeable = False
+        if self._wire_copies(dest):
+            payload = np.ascontiguousarray(flat)
+            nbytes = payload.nbytes
+        else:
+            payload = np.array(flat, copy=True, order="C")
+            nbytes = payload.nbytes
+            if _CH.enabled:
+                payload, nbytes, jump = _CH.on_send(
+                    self.rank, dest, "buffer", payload, nbytes)
+            if isinstance(payload, np.ndarray):
+                payload.flags.writeable = False
         seq = self.world.deliver(self.rank, dest, ctx_id, tag, "buffer",
                                  payload, nbytes, jump)
         if _TR.enabled:
@@ -614,20 +625,24 @@ class RankContext:
 
         ndarray-bearing objects take the protocol-5 out-of-band path:
         ``pickle.dumps`` captures zero-copy :class:`pickle.PickleBuffer`
-        views of the array data, and the ONE copy made per buffer below
-        is the isolation copy that stands in for the wire transfer.  The
-        copy is marked read-only and the receiver unpickles arrays as
-        views of it -- no second (deserialization) copy.  Objects without
-        ndarrays keep the classic single-blob pickle path.
+        views of the array data, and ONE copy is made per buffer: the
+        isolation copy that stands in for the wire transfer, made below
+        or, to a remote rank, by the wire itself.  The copy is read-only
+        and the receiver unpickles arrays as views of it -- no second
+        (deserialization) copy.  Objects without ndarrays keep the
+        classic single-blob pickle path.
         """
         t0 = _TR.now() if _TR.enabled else 0.0
         buffers: List[pickle.PickleBuffer] = []
         blob = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
         if buffers:
+            copy = not self._wire_copies(dest)
             frames = []
             nbytes = len(blob)
             for pb in buffers:
-                frame = np.frombuffer(pb.raw(), dtype=np.uint8).copy()
+                frame = np.frombuffer(pb.raw(), dtype=np.uint8)
+                if copy:
+                    frame = frame.copy()
                 pb.release()
                 frame.flags.writeable = False
                 frames.append(frame)

@@ -21,9 +21,9 @@ Two transports implement it:
   method is trivial.  Deterministic under chaos injection and cheap to
   spin up, so it stays the default for tests.
 - ``"process"`` -- :class:`.process_backend.ProcessWorld`: one forked OS
-  process per rank over a pre-fork socketpair mesh, shared-memory
-  segments for bulk ndarray frames, and *real* failure detection (a
-  dead process closes its sockets).  This is the transport that escapes
+  process per rank over a pre-fork socketpair mesh, per-peer
+  shared-memory rings for bulk ndarray frames, and *real* failure
+  detection (a dead process closes its sockets).  This is the transport that escapes
   the GIL: rank compute genuinely overlaps on multicore.
 
 :func:`launch` is the only place that knows how ranks start.  It runs

@@ -6,9 +6,11 @@ every runtime algorithm (delivery accounting, failure propagation,
 revocation, agreement, leases) is inherited unchanged:
 
 - ``_post`` to a remote rank encodes the stamped envelope onto a
-  fork-inherited socketpair mesh (bulk frames through shared memory,
-  :mod:`.wire`, :mod:`.shm`); a receiver thread per peer deposits it
-  into this process's own mailbox.  Self-sends stay in memory.
+  fork-inherited socketpair mesh (bulk frames through a per-peer
+  shared-memory ring or a one-off segment, :mod:`.wire`, :mod:`.shm`)
+  and has copied every payload byte when it returns; a receiver thread
+  per peer deposits it into this process's own mailbox.  Self-sends
+  stay in memory.
 - ``_publish`` broadcasts a control frame (``FAILSTOP``, ``ABORT``,
   ``REVOKE``, ``AGREE``, ``DECIDED``); the receiver's :meth:`_dispatch`
   calls the world's apply-only ``_apply_*`` internals, which never
@@ -128,10 +130,11 @@ class ProcessWorld(World):
             # parity with the thread transport, where a send to a dead
             # rank deposits into a mailbox nobody will ever read
             return
-        spec, chunks = wire.encode_payload(self.shm, msg.kind, msg.payload)
         try:
-            ch.send(wire.DATA, (msg.ctx_id, msg.src, msg.tag, msg.kind,
-                                msg.nbytes, msg.seq, jump, spec), chunks)
+            ch.send_payload(self.shm, dest,
+                            (msg.ctx_id, msg.src, msg.tag, msg.kind,
+                             msg.nbytes, msg.seq, jump),
+                            msg.kind, msg.payload)
         except OSError:
             self._peer_lost(dest)
 
@@ -188,10 +191,11 @@ class ProcessWorld(World):
         if msgtype == wire.DATA:
             ctx_id, src, tag, kind, nbytes, seq, jump, spec = body
             try:
-                payload = wire.decode_payload(self.shm, kind, spec, chunks)
+                payload = wire.decode_payload(self.shm, kind, spec, chunks,
+                                              peer)
             except FileNotFoundError:
-                # the frame's segment was swept: its sender died and the
-                # parent cleaned up before we attached
+                # the frame's ring or segment was swept: its sender died
+                # and the parent cleaned up before we mapped it
                 self._peer_lost(src)
                 return
             self.mailboxes[self.my_rank].deposit(
@@ -307,7 +311,7 @@ class ProcessWorld(World):
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Tear down the transport: close sockets (peers read EOF), join
-        receiver threads, drop shared-memory mappings."""
+        receiver threads, drop the shared-memory rings."""
         if self._closing:
             return
         self._closing = True

@@ -2,46 +2,80 @@
 
 Large payload frames (the protocol-5 out-of-band ndarray buffers, and
 flat ``'buffer'``-kind sends) cross the process boundary through named
-POSIX shared memory instead of the control socket: the sender makes ONE
-copy into a fresh segment (that copy *is* the isolation copy the thread
-backend makes anyway), ships the segment name in the envelope, and the
-receiver maps a read-only view -- zero further copies, mirroring the
-PR 4 copy-on-write SETITEM semantics.
+POSIX shared memory instead of the control socket.  A frame is copied
+exactly once on each side: the sender copies the caller's bytes into
+shared memory (that copy *is* the isolation copy the thread backend
+makes), and the receiver ends up with a private read-only array.  Two
+routes, chosen per frame by :meth:`ShmPool.export`:
 
-Lifetime protocol (the part that keeps ``/dev/shm`` clean):
+- **Ring** (the common case).  Each ordered (sender, receiver) pair has
+  one reusable ring segment, created by the sender on its first bulk
+  frame to that peer: a 64-byte header holding the consumer's position
+  (a native u64), then :data:`RING_CAPACITY` bytes of frame space.  The
+  sender keeps its head locally, places each frame 64-byte aligned
+  (at offset 0 when it would not fit before the end, or when the ring
+  is empty) and ships only ``("ring", offset, nbytes, end)``.  The
+  receiver's per-peer receiver thread copies the frame out and then
+  stores ``end`` into the header: that store is the credit return, no
+  message needed.  Positions are virtual byte counts that only grow,
+  so "empty" (position == head) and "full" (``end - position >
+  RING_CAPACITY``) never alias.
+- **Segment** (the fallback).  A frame larger than half the capacity,
+  one that finds its ring full, or any frame on a host without rings
+  gets a one-off segment; the receiver maps it read-only, and the
+  kernel unmaps it when the last array viewing it dies.  No sender ever
+  waits for a credit.
 
-- The creator detaches its own mapping immediately after the copy; the
-  kernel keeps the segment alive because the name still exists.
-- The receiver unlinks the name *at attach time*.  POSIX keeps the
-  memory itself alive until the last mapping goes away, so the mapped
-  view stays valid for as long as the receiving world holds it -- but
-  the name is gone, so a receiver crash after attach leaks nothing.
-- A segment whose message is never received (its rank was SIGKILLed
-  mid-flight) still carries the session prefix, and the parent sweeps
+Ordering.  The producer must read the consumer's position before it
+writes the frame, and the consumer's copy-out must complete before its
+position store is visible.  x86-64's total store order gives both
+(loads are never reordered with later stores), and the socket syscalls
+order the frame bytes before the descriptor naming them.  On any other
+ISA the pool uses no rings: every bulk frame takes the segment route.
+
+Lifetime protocol (the part that keeps ``/dev/shm`` clean), the same
+for rings and segments:
+
+- The creator names the segment with the session prefix.
+- The receiver unlinks the name *at map time*.  POSIX keeps the memory
+  itself alive until the last mapping goes away, but the name is gone,
+  so a receiver crash after mapping leaks nothing.
+- A segment nobody mapped (its receiver was SIGKILLed first) still
+  carries the session prefix, and the parent sweeps
   ``/dev/shm/<prefix>*`` at teardown (and again at interpreter exit).
 
-Every segment is deliberately unregistered from multiprocessing's
-``resource_tracker``: with fork-inherited workers the tracker would
-double-unlink (or unlink early) and spam warnings at exit.  Lifetime is
+Segments are plain ``/dev/shm`` files mapped with :mod:`mmap`, never
+registered with multiprocessing's ``resource_tracker``: lifetime is
 entirely the explicit protocol above.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
+import mmap
 import os
+import platform
 import secrets
-from multiprocessing import shared_memory, resource_tracker
-from typing import List, Optional, Tuple
+import struct
+import threading
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["ShmPool", "new_session_id", "sweep_session", "segment_names",
-           "shm_threshold", "SHM_PREFIX"]
+           "shm_threshold", "SHM_PREFIX", "RING_CAPACITY"]
 
 SHM_PREFIX = "repro-shm-"
 
 _DEFAULT_MIN = 64 * 1024  # frames below this ride inline on the socket
+
+#: frame space of one ring; frames above half of it take a segment
+RING_CAPACITY = 16 << 20
+_HEADER = 64   # the consumer's position, padded to a cache line
+_ALIGN = 64
+_POS = struct.Struct("Q")  # native: one aligned 8-byte load/store
 
 
 def shm_threshold() -> int:
@@ -55,13 +89,6 @@ def shm_threshold() -> int:
 def new_session_id() -> str:
     """A name component unique to one world (parent pid + random)."""
     return f"{os.getpid():x}-{secrets.token_hex(4)}"
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracker API is private, best effort
-        pass
 
 
 def segment_names(session_id: str) -> List[str]:
@@ -78,8 +105,8 @@ def sweep_session(session_id: str) -> int:
     """Unlink every leftover segment of *session_id*; returns the count.
 
     Run by the parent at world teardown and at interpreter exit: the only
-    segments still named here are ones whose message was never received
-    (the receiving rank died first), since receivers unlink on attach.
+    segments still named here are ones nobody mapped (the receiving rank
+    died first), since receivers unlink on map.
     """
     swept = 0
     for name in segment_names(session_id):
@@ -91,70 +118,156 @@ def sweep_session(session_id: str) -> int:
     return swept
 
 
+def _create(name: str, size: int) -> mmap.mmap:
+    """Create /dev/shm/*name* with *size* bytes and map it read-write."""
+    path = os.path.join("/dev/shm", name)
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+    try:
+        os.ftruncate(fd, size)
+        return mmap.mmap(fd, size)
+    except BaseException:
+        os.unlink(path)
+        raise
+    finally:
+        os.close(fd)
+
+
+def _map_and_unlink(name: str, size: int, writable: bool) -> mmap.mmap:
+    """Map /dev/shm/*name* and unlink the name.  Raises
+    ``FileNotFoundError`` if it is gone (swept after its sender died)."""
+    path = os.path.join("/dev/shm", name)
+    fd = os.open(path, os.O_RDWR if writable else os.O_RDONLY)
+    try:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        return mmap.mmap(fd, size, access=mmap.ACCESS_WRITE if writable
+                         else mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+
+
+def _round_up(position: int) -> int:
+    """The first virtual position at ring offset 0 not before *position*."""
+    return -(-position // RING_CAPACITY) * RING_CAPACITY
+
+
+class _OutRing:
+    """The producer's side of one ring: the mapping and its head."""
+
+    __slots__ = ("mm", "head", "floor")
+
+    def __init__(self, mm: mmap.mmap):
+        self.mm = mm
+        self.head = 0   # virtual end of the last frame written
+        self.floor = 0  # virtual start of the frame that reset an empty ring
+
+    def claim(self, nbytes: int):
+        """Reserve an aligned slot; ``(offset, end)`` or None if full."""
+        size = -(-nbytes // _ALIGN) * _ALIGN
+        # position load before any frame store (see the module docstring)
+        tail = max(_POS.unpack_from(self.mm)[0], self.floor)
+        start = self.head
+        if tail == start:
+            # empty: restart at offset 0, so only in-flight pages are used
+            start = self.floor = tail = _round_up(start)
+        elif start % RING_CAPACITY + size > RING_CAPACITY:
+            start = _round_up(start)  # wrap to offset 0
+        end = start + size
+        if end - tail > RING_CAPACITY:
+            return None
+        self.head = end
+        return start % RING_CAPACITY, end
+
+
 class ShmPool:
-    """Per-process handle pool: creates outgoing and maps incoming frames."""
+    """Per-process pool: outgoing rings and segments, incoming rings."""
 
     def __init__(self, session_id: str, rank: int):
         self.session_id = session_id
         self.rank = rank
-        self._counter = 0
-        # attached segments must outlive the arrays viewing them; the
-        # world drops this list (and thus the mappings) at close()
-        self._attached: List[shared_memory.SharedMemory] = []
+        self._counter = itertools.count(1)
+        #: rings need x86-64's store order (see the module docstring)
+        self.rings = platform.machine().lower() in ("x86_64", "amd64")
+        self._out: Dict[int, _OutRing] = {}
+        self._in: Dict[int, mmap.mmap] = {}
+        #: frames exported so far, by route ("ring" or "segment")
+        self.routes: Counter = Counter()
+        self._routes_lock = threading.Lock()
+
+    def _ring_name(self, src: int, dst: int) -> str:
+        return f"{SHM_PREFIX}{self.session_id}-ring{src}to{dst}"
 
     # -- sender side --------------------------------------------------------
-    def export(self, data) -> Tuple[str, int]:
-        """Copy *data* (a buffer-like) into a fresh segment.
+    def export(self, data, peer: Optional[int] = None) -> Tuple:
+        """Copy *data* (a buffer-like) into shared memory for *peer*.
 
-        Returns ``(name, nbytes)`` for the wire descriptor.  The local
-        mapping is closed before returning -- the named segment is the
-        only reference until the receiver attaches.
+        Returns the wire placement: ``("ring", offset, nbytes, end)`` or
+        ``("shm", name, nbytes)``.  The caller must send placements to
+        *peer* in the order they were exported.  *peer* defaults to this
+        pool's own rank: a loopback ring, restored by the same pool.
         """
+        peer = self.rank if peer is None else peer
         view = memoryview(data).cast("B")
         nbytes = view.nbytes
-        self._counter += 1
+        if self.rings and nbytes <= RING_CAPACITY // 2:
+            ring = self._out.get(peer)
+            if ring is None:
+                ring = self._out[peer] = _OutRing(_create(
+                    self._ring_name(self.rank, peer),
+                    _HEADER + RING_CAPACITY))
+            slot = ring.claim(nbytes)
+            if slot is not None:
+                offset, end = slot
+                at = _HEADER + offset
+                ring.mm[at:at + nbytes] = view
+                self._count("ring")
+                return ("ring", offset, nbytes, end)
         name = (f"{SHM_PREFIX}{self.session_id}-r{self.rank}"
-                f"-{self._counter}")
-        seg = shared_memory.SharedMemory(name=name, create=True,
-                                         size=max(nbytes, 1))
-        _untrack(seg)
-        if nbytes:
-            seg.buf[:nbytes] = view
-        seg.close()
-        return name, nbytes
+                f"-{next(self._counter)}")
+        mm = _create(name, max(nbytes, 1))
+        mm[:nbytes] = view
+        mm.close()
+        self._count("segment")
+        return ("shm", name, nbytes)
+
+    def _count(self, route: str) -> None:
+        # senders to different peers export concurrently
+        with self._routes_lock:
+            self.routes[route] += 1
 
     # -- receiver side ------------------------------------------------------
-    def attach(self, name: str, nbytes: int) -> np.ndarray:
-        """Map segment *name* read-only and unlink it immediately.
+    def restore(self, placement, peer: Optional[int] = None) -> np.ndarray:
+        """The read-only ``uint8`` frame *placement* names, sent by *peer*.
 
-        Returns a read-only ``uint8`` view of the payload bytes.  Raises
+        A ring frame is copied out into a private array and its space
+        handed back; a segment is mapped and unlinked, and stays mapped
+        exactly as long as an array views it.  Raises
         ``FileNotFoundError`` if the segment is gone (swept after the
         sender died) -- callers surface that as a failed-rank condition.
         """
-        seg = shared_memory.SharedMemory(name=name)
-        _untrack(seg)
-        try:
-            # unlink the *name* now; the memory survives until the last
-            # mapping is dropped.  Not seg.unlink(): that would also tell
-            # the (possibly inherited) resource tracker to unregister a
-            # name this process never registered, spamming KeyErrors.
-            os.unlink(os.path.join("/dev/shm", name))
-        except OSError:
-            pass
-        self._attached.append(seg)
-        frame = np.frombuffer(seg.buf, dtype=np.uint8, count=nbytes)
-        frame.flags.writeable = False
-        return frame
+        if placement[0] == "ring":
+            peer = self.rank if peer is None else peer
+            _, offset, nbytes, end = placement
+            mm = self._in.get(peer)
+            if mm is None:
+                mm = self._in[peer] = _map_and_unlink(
+                    self._ring_name(peer, self.rank),
+                    _HEADER + RING_CAPACITY, writable=True)
+            at = _HEADER + offset
+            data = mm[at:at + nbytes]
+            # the copy-out is complete: return the credit
+            _POS.pack_into(mm, 0, end)
+            return np.frombuffer(data, dtype=np.uint8)
+        _, name, nbytes = placement
+        mm = _map_and_unlink(name, max(nbytes, 1), writable=False)
+        return np.frombuffer(mm, dtype=np.uint8, count=nbytes)
 
     def close(self) -> None:
-        """Drop every attached mapping (arrays viewing them die with the
-        world that owned this pool)."""
-        attached, self._attached = self._attached, []
-        for seg in attached:
-            try:
-                seg.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
+        """Drop the rings (their mappings go with the last reference)."""
+        self._out = {}
+        self._in = {}
 
 
 def register_atexit_sweep(session_id: str) -> None:

@@ -9,9 +9,14 @@ chunks whose sizes the header declares:
 The header is ``(msgtype, body, chunk_lens)``.  ``DATA`` messages carry
 a :class:`~repro.mpi.runtime.Message` envelope; everything else is
 control traffic (what ``World._publish`` announces, counters, RMA
-service).  Bulk ndarray frames above :func:`~.shm.shm_threshold` do not
-travel as chunks at all -- they go through shared memory (see
-:mod:`.shm`) and only their segment name rides the header.
+service).  Bulk ndarray frames of :func:`~.shm.shm_threshold` bytes or
+more do not travel as chunks at all -- they go through shared memory
+(see :mod:`.shm`) and only their placement rides the header: a ring
+slot ``("ring", offset, nbytes, end)`` or a one-off segment ``("shm",
+name, nbytes)``.  A ``DATA`` message claims its ring slots under the
+same per-channel lock as its socket write
+(:meth:`Channel.send_payload`), so ring order equals socket order, and
+the receiver thread restores them in that order.
 
 A short read anywhere raises :class:`EOFError`: with SIGKILLed peers
 the kernel closes the socket mid-frame, and the receiver must treat a
@@ -68,13 +73,27 @@ class Channel:
 
     def send(self, msgtype: int, body: Any,
              chunks: Sequence = ()) -> None:
+        with self._send_lock:
+            self._write(msgtype, body, chunks)
+
+    def send_payload(self, pool: ShmPool, peer: int, meta: tuple,
+                     kind: str, payload) -> None:
+        """Send one ``DATA`` message, body ``meta + (spec,)``, to *peer*.
+
+        Every byte of *payload* is copied (into a ring, a segment or the
+        socket) before this returns, so the caller may reuse its buffers.
+        """
+        with self._send_lock:
+            spec, chunks = encode_payload(pool, kind, payload, peer)
+            self._write(DATA, meta + (spec,), chunks)
+
+    def _write(self, msgtype: int, body: Any, chunks: Sequence) -> None:
         chunks = [memoryview(c).cast("B") for c in chunks]
         header = pickle.dumps(
             (msgtype, body, [c.nbytes for c in chunks]), protocol=5)
-        with self._send_lock:
-            self.sock.sendall(_LEN.pack(len(header)) + header)
-            for c in chunks:
-                self.sock.sendall(c)
+        self.sock.sendall(_LEN.pack(len(header)) + header)
+        for c in chunks:
+            self.sock.sendall(c)
 
     def _read_exact(self, n: int) -> memoryview:
         buf = bytearray(n)
@@ -111,19 +130,21 @@ class Channel:
 # ----------------------------------------------------------------------
 # payload encoding (the three Message kinds of the thread runtime)
 # ----------------------------------------------------------------------
-def _place(pool: Optional[ShmPool], data, threshold: int, chunks: List):
+def _place(pool: Optional[ShmPool], peer, data, threshold: int,
+           chunks: List):
     """Route one buffer inline (chunk) or through shared memory."""
     view = memoryview(data).cast("B")
     if pool is not None and view.nbytes >= threshold:
-        name, nbytes = pool.export(view)
-        return ("shm", name, nbytes)
+        return pool.export(view, peer)
     chunks.append(view)
     return ("inline",)
 
 
-def encode_payload(pool: Optional[ShmPool], kind: str, payload
-                   ) -> Tuple[Any, List]:
-    """Flatten a Message payload into (spec, inline_chunks)."""
+def encode_payload(pool: Optional[ShmPool], kind: str, payload,
+                   peer: Optional[int] = None) -> Tuple[Any, List]:
+    """Flatten a Message payload for *peer* into (spec, inline_chunks).
+
+    *peer* defaults to the pool's own rank (a loopback ring)."""
     threshold = shm_threshold()
     chunks: List = []
     if kind == "pickle":
@@ -132,20 +153,21 @@ def encode_payload(pool: Optional[ShmPool], kind: str, payload
     if kind == "buffer":
         arr = np.ascontiguousarray(payload)
         spec = (arr.dtype.str, arr.shape,
-                _place(pool, arr, threshold, chunks))
+                _place(pool, peer, arr, threshold, chunks))
         return spec, chunks
     if kind == "pickle5":
         blob, frames = payload
         chunks.append(memoryview(blob))
-        spec = [_place(pool, np.ascontiguousarray(f), threshold, chunks)
+        spec = [_place(pool, peer, np.ascontiguousarray(f), threshold,
+                       chunks)
                 for f in frames]
         return spec, chunks
     raise ValueError(f"unknown message kind {kind!r}")
 
 
-def _restore(pool: ShmPool, placement, chunks: List, idx: List[int]):
-    if placement[0] == "shm":
-        return pool.attach(placement[1], placement[2])
+def _restore(pool: ShmPool, peer, placement, chunks: List, idx: List[int]):
+    if placement[0] != "inline":
+        return pool.restore(placement, peer)
     i = idx[0]
     idx[0] += 1
     frame = np.frombuffer(chunks[i], dtype=np.uint8)
@@ -153,21 +175,23 @@ def _restore(pool: ShmPool, placement, chunks: List, idx: List[int]):
     return frame
 
 
-def decode_payload(pool: ShmPool, kind: str, spec, chunks: List):
+def decode_payload(pool: ShmPool, kind: str, spec, chunks: List,
+                   peer: Optional[int] = None):
     """Rebuild the exact payload shape the thread backend delivers:
-    read-only buffers, so receiver-side copy-on-write still holds."""
+    read-only buffers, so receiver-side copy-on-write still holds.
+    *peer* is the sender, as for :func:`encode_payload`."""
     if kind == "pickle":
         return bytes(chunks[0])
     idx = [0]
     if kind == "buffer":
         dtype_str, shape, placement = spec
-        raw = _restore(pool, placement, chunks, idx)
+        raw = _restore(pool, peer, placement, chunks, idx)
         arr = raw.view(np.dtype(dtype_str)).reshape(shape)
         arr.flags.writeable = False
         return arr
     if kind == "pickle5":
         blob = bytes(chunks[0])
         idx = [1]
-        frames = [_restore(pool, p, chunks, idx) for p in spec]
+        frames = [_restore(pool, peer, p, chunks, idx) for p in spec]
         return blob, frames
     raise ValueError(f"unknown message kind {kind!r}")

@@ -50,11 +50,13 @@ _BINARY_C = {
     "true_divide": "(({a})/({b}))", "power": "pow(({a}),({b}))",
     "mod": "__pyfmod(({a}),({b}))",
     "arctan2": "atan2(({a}),({b}))", "hypot": "hypot(({a}),({b}))",
-    # NumPy's maximum/minimum propagate NaN (C fmax/fmin drop it) and
-    # return the second operand on a tie
+    # NumPy's maximum/minimum propagate NaN, its fmax/fmin drop it, and
+    # its array loops return the second operand on a tie (C fmax/fmin
+    # return the first on a ±0 tie)
     "maximum": "((({a})!=({a}) || ({a})>({b})) ? ({a}) : ({b}))",
     "minimum": "((({a})!=({a}) || ({a})<({b})) ? ({a}) : ({b}))",
-    "fmax": "fmax(({a}),({b}))", "fmin": "fmin(({a}),({b}))",
+    "fmax": "((({b})!=({b}) || ({a})>({b})) ? ({a}) : ({b}))",
+    "fmin": "((({b})!=({b}) || ({a})<({b})) ? ({a}) : ({b}))",
 }
 
 #: the libm functions above that glibc's libmvec can provide, by arity

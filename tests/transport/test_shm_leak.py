@@ -1,8 +1,8 @@
 """No orphaned shared-memory segments, even after SIGKILL teardown.
 
 The shm protocol already minimizes the leak window (receivers unlink a
-segment's /dev/shm name the moment they attach), but a rank killed
-between export and attach leaves a named segment behind.  The parent
+ring's or segment's /dev/shm name the moment they map it), but a rank
+killed between export and map leaves a named segment behind.  The parent
 sweeps its session's prefix at shutdown and again at interpreter exit;
 these tests SIGKILL ranks mid-transfer and assert /dev/shm ends clean.
 """
@@ -17,6 +17,9 @@ from repro import mpi, odin
 from repro.mpi.errors import AbortError, RankFailure
 from repro.mpi.transport.shm import SHM_PREFIX, segment_names
 from repro.odin.context import OdinContext
+
+
+MIB = 1 << 20
 
 
 def _repro_segments():
@@ -75,4 +78,25 @@ def test_odin_worker_sigkill_sweeps_session():
     finally:
         ctx.shutdown()
     assert segment_names(session) == []
+    assert set(_repro_segments()) <= before
+
+
+def test_sigkill_after_rings_exist_leaves_no_segments():
+    before = set(_repro_segments())
+
+    def body(comm):
+        frame = np.ones(MIB // 8)  # 1 MiB: the ring path
+        if comm.rank == 0:
+            # keep streaming: the ring fills once the receiver is gone,
+            # and later frames fall back to one-off segments
+            for _ in range(60):
+                comm.Send(frame, 1)
+            return None
+        comm.Send(frame, 0)  # rank 1's own ring to rank 0 exists too
+        for _ in range(3):
+            comm.Recv(frame, 0)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises((RankFailure, AbortError, RuntimeError)):
+        mpi.run_spmd(body, 2, backend="process", timeout=30.0)
     assert set(_repro_segments()) <= before
