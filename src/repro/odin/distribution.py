@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .periodic import PeriodicSet
+
 __all__ = ["Distribution", "BlockDistribution", "CyclicDistribution",
            "BlockCyclicDistribution", "ArbitraryDistribution",
            "GridDistribution", "ConcatDistribution", "make_distribution"]
@@ -63,8 +65,15 @@ class Distribution:
     def axis_length(self) -> int:
         return self.global_shape[self.axis]
 
+    def periodic(self, worker: int) -> Optional[PeriodicSet]:
+        """*worker*'s ids along the distributed axis as a closed-form
+        periodic set (stored ascending), or None for an irregular
+        layout."""
+        return None
+
     def local_count(self, worker: int) -> int:
-        return len(self.indices_for(worker))
+        s = self.periodic(worker)
+        return len(self.indices_for(worker)) if s is None else s.count()
 
     def local_shape(self, worker: int) -> Tuple[int, ...]:
         shape = list(self.global_shape)
@@ -136,6 +145,14 @@ class Distribution:
             return self.local_position(gids)
         return np.asarray(gids, dtype=np.int64)
 
+    def axis_periodic(self, worker: int,
+                      axis: int) -> Optional[PeriodicSet]:
+        """:meth:`periodic` along any axis (a full-extent axis is the
+        whole range), or None where the ownership is irregular."""
+        if axis == self.axis:
+            return self.periodic(worker)
+        return PeriodicSet.full(self.global_shape[axis])
+
     def global_selector(self, worker: int):
         """Open-mesh indexer placing this worker's block in a global array:
         ``global_arr[dist.global_selector(w)] = local_block``."""
@@ -199,6 +216,10 @@ class BlockDistribution(Distribution):
     def local_count(self, worker: int) -> int:
         return self._counts[worker]
 
+    def periodic(self, worker: int) -> PeriodicSet:
+        return PeriodicSet(int(self._offsets[worker]),
+                           int(self._offsets[worker + 1]), 1, 0, 1)
+
     def with_shape(self, global_shape) -> "BlockDistribution":
         return BlockDistribution(global_shape, self.axis, self.nworkers)
 
@@ -227,6 +248,10 @@ class CyclicDistribution(Distribution):
     def local_position(self, global_idx) -> np.ndarray:
         gi = np.asarray(global_idx, dtype=np.int64)
         return gi // self.nworkers
+
+    def periodic(self, worker: int) -> PeriodicSet:
+        return PeriodicSet(0, self.axis_length, self.nworkers, worker,
+                           worker + 1)
 
     def with_shape(self, global_shape) -> "CyclicDistribution":
         return CyclicDistribution(global_shape, self.axis, self.nworkers)
@@ -269,6 +294,11 @@ class BlockCyclicDistribution(Distribution):
         block = gi // self.block_size
         local_block = block // self.nworkers
         return local_block * self.block_size + gi % self.block_size
+
+    def periodic(self, worker: int) -> PeriodicSet:
+        b = self.block_size
+        return PeriodicSet(0, self.axis_length, self.nworkers * b,
+                           worker * b, (worker + 1) * b)
 
     def with_shape(self, global_shape) -> "BlockCyclicDistribution":
         return BlockCyclicDistribution(global_shape, self.axis,
@@ -428,6 +458,13 @@ class GridDistribution(Distribution):
         dim = self.axes.index(axis)
         c = self.coords_of(worker)[dim]
         return gids - self._axis_offsets[axis][c]
+
+    def axis_periodic(self, worker: int, axis: int) -> PeriodicSet:
+        if axis not in self._axis_offsets:
+            return PeriodicSet.full(self.global_shape[axis])
+        c = self.coords_of(worker)[self.axes.index(axis)]
+        offsets = self._axis_offsets[axis]
+        return PeriodicSet(int(offsets[c]), int(offsets[c + 1]), 1, 0, 1)
 
     # -- base interface ----------------------------------------------------
     def indices_for(self, worker: int) -> np.ndarray:

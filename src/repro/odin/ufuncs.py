@@ -32,6 +32,7 @@ from ..trace import TRACER as _TR
 from . import opcodes
 from .array import DistArray
 from .distribution import BlockDistribution, Distribution
+from .periodic import intersect
 from .worker import BINARY_UFUNCS, TERNARY_UFUNCS, UNARY_UFUNCS
 
 __all__ = ["unary_ufunc", "binary_ufunc", "nary_ufunc", "strategy",
@@ -74,9 +75,10 @@ def redistribution_cost(src: Distribution, dst: Distribution) -> int:
     An element travels iff its owner changes.  Ownership is separable per
     axis (every distribution here splits whole axes), so the elements
     worker w keeps form a rectangular tile: the per-axis intersection of
-    w's source and destination holdings.  Computed on the driver from
-    metadata only -- this is what lets the ODIN process plan without
-    touching data.
+    w's source and destination holdings, counted in closed form for
+    periodic ownership and by index-set intersection otherwise.
+    Computed on the driver from metadata only -- this is what lets the
+    ODIN process plan without touching data.
     """
     if src.same_as(dst):
         return 0
@@ -87,21 +89,25 @@ def redistribution_cost(src: Distribution, dst: Distribution) -> int:
     for w in range(src.nworkers):
         cnt = 1
         for ax in range(src.ndim):
-            mine = src.axis_indices(w, ax)
-            theirs = dst.axis_indices(w, ax)
-            if mine is None and theirs is None:
-                cnt *= src.global_shape[ax]
-            elif mine is None:
-                cnt *= len(theirs)
-            elif theirs is None:
-                cnt *= len(mine)
-            else:
-                cnt *= len(np.intersect1d(mine, theirs,
-                                          assume_unique=True))
+            cnt *= _axis_overlap(src, dst, w, ax)
             if cnt == 0:
                 break
         stay += cnt
     return total - stay
+
+
+def _axis_overlap(src: Distribution, dst: Distribution, w: int,
+                  ax: int) -> int:
+    """How many ids along *ax* worker w holds under both layouts: closed
+    form unless one side's ownership of *ax* is irregular."""
+    mine, theirs = src.axis_periodic(w, ax), dst.axis_periodic(w, ax)
+    if mine is not None and theirs is not None:
+        return intersect(mine, theirs).size
+    # one side splits ax irregularly; the other may hold all of it (None)
+    mine, theirs = src.axis_indices(w, ax), dst.axis_indices(w, ax)
+    if mine is None or theirs is None:
+        return len(theirs if mine is None else mine)
+    return len(np.intersect1d(mine, theirs, assume_unique=True))
 
 
 def choose_strategy(da: Distribution, db: Distribution):

@@ -25,6 +25,7 @@ from ..trace import TRACER as _TR
 from . import opcodes
 from .distribution import (ArbitraryDistribution, BlockDistribution,
                            Distribution)
+from .periodic import PeriodicSet, Piece, intersect
 
 __all__ = ["WorkerState", "execute_op", "UFUNCS"]
 
@@ -184,12 +185,6 @@ def _split_by_owner(owner: np.ndarray, gids: np.ndarray,
     return parts if order is None else [order[k] for k in parts]
 
 
-def _axis_indexer(ndim: int, axis: int, idx) -> tuple:
-    sl: List[Any] = [slice(None)] * ndim
-    sl[axis] = idx
-    return tuple(sl)
-
-
 def _is_multi_axis(src: Distribution, dst: Distribution) -> bool:
     return (len(src.dist_axes) > 1 or len(dst.dist_axes) > 1
             or src.general_only or dst.general_only)
@@ -203,7 +198,8 @@ class _RedistPlan:
     output placement indexers -- is computed once from the distribution
     descriptors; execution replays the schedule: take, alltoall, place.
     Plans are pure index metadata, so one plan serves every array with
-    the same (src, dst) pair regardless of contents.
+    the same (src, dst) pair regardless of contents.  This base class
+    holds the grid engine's take-schedules and ``np.ix_`` indexers.
     """
 
     __slots__ = ("kind", "out_shape", "send", "recv", "self_pair")
@@ -211,31 +207,63 @@ class _RedistPlan:
     def __init__(self, kind, out_shape, send, recv, self_pair):
         self.kind = kind              # "single-axis" | "general"
         self.out_shape = out_shape    # dst.local_shape(w)
-        self.send = send              # [(peer, [(axis, idx), ...]), ...]
-        self.recv = recv              # [(peer, placement indexer), ...]
-        self.self_pair = self_pair    # (take_ops, placement) or None
+        self.send = send              # [(peer, take), ...]
+        self.recv = recv              # [(peer, place), ...]
+        self.self_pair = self_pair    # (take, place) or None
 
     def execute(self, state: WorkerState, local: np.ndarray) -> np.ndarray:
         comm = state.comm
         out = np.empty(self.out_shape, dtype=local.dtype)
         if self.self_pair is not None:
-            take_ops, place = self.self_pair
-            out[place] = _apply_take(local, take_ops)
+            take, place = self.self_pair
+            self._place(out, place, self._take(local, take))
         sendobjs: List[Any] = [None] * comm.size
-        for v, take_ops in self.send:
-            sendobjs[v] = _apply_take(local, take_ops)
+        for v, take in self.send:
+            sendobjs[v] = self._take(local, take)
         received = comm.alltoall(sendobjs)
         for u, place in self.recv:
-            out[place] = received[u]
+            self._place(out, place, received[u])
         return out
 
+    def _take(self, local: np.ndarray, take_ops) -> np.ndarray:
+        """Sequentially gather positions along each planned axis."""
+        out = local
+        for ax, idx in take_ops:
+            out = np.take(out, idx, axis=ax)
+        return out if take_ops else np.ascontiguousarray(out)
 
-def _apply_take(local: np.ndarray, take_ops) -> np.ndarray:
-    """Sequentially gather positions along each planned axis."""
-    out = local
-    for ax, idx in take_ops:
-        out = np.take(out, idx, axis=ax)
-    return out if take_ops else np.ascontiguousarray(out)
+    def _place(self, out: np.ndarray, indexer, data: np.ndarray) -> None:
+        out[indexer] = data
+
+
+class _AxisPlan(_RedistPlan):
+    """A single-axis plan: every take and place is a :class:`Piece` of
+    local positions along one axis, packed and placed through strided
+    views."""
+
+    __slots__ = ("take_axis", "place_axis")
+
+    def __init__(self, out_shape, send, recv, self_pair, take_axis,
+                 place_axis):
+        super().__init__("single-axis", out_shape, send, recv, self_pair)
+        self.take_axis = take_axis
+        self.place_axis = place_axis
+
+    def _take(self, local: np.ndarray, piece: Piece) -> np.ndarray:
+        return piece.pack(local, self.take_axis)
+
+    def _place(self, out: np.ndarray, piece: Piece,
+               data: np.ndarray) -> None:
+        piece.place(out, data, self.place_axis)
+
+
+def _ids_piece(dist: Distribution, worker: int) -> Piece:
+    """*worker*'s ids along *dist*'s axis, in its storage order, as
+    positions on a side that holds that axis in full."""
+    s = dist.periodic(worker)
+    if s is None:
+        return Piece([dist.indices_for(worker)])
+    return intersect(PeriodicSet.full(dist.axis_length), s)
 
 
 def _build_redist_plan(state: WorkerState, src: Distribution,
@@ -244,10 +272,14 @@ def _build_redist_plan(state: WorkerState, src: Distribution,
 
     Both sides of every pairwise transfer derive it deterministically
     from the distribution descriptors, so only array data crosses the
-    wire -- no index lists.  Single-axis pairs use owner arithmetic: the
-    sender asks ``dst.owner_of`` where each of its elements goes, the
-    receiver asks ``src.owner_of`` where each of its slots comes from,
-    and grouping by owner (one mask per peer) yields every take and place
+    wire -- no index lists.  Block, cyclic and block-cyclic pairs are
+    planned in closed form (:mod:`repro.odin.periodic`): the overlap of
+    two workers is periodic with L = lcm of the two periods, so each
+    piece is a head, a strided tile and a tail, built in O(P + L)
+    per worker and never O(n).  Irregular single-axis layouts use owner
+    arithmetic: the sender asks ``dst.owner_of`` where each of its
+    elements goes, the receiver asks ``src.owner_of`` where each of its
+    slots comes from, and one mask per peer yields every take and place
     array in O(n*P).  Grid distributions go through the general per-axis
     Cartesian-intersection engine (ownership is separable per axis, so
     the overlap of two workers is always a rectangular tile).
@@ -258,25 +290,30 @@ def _build_redist_plan(state: WorkerState, src: Distribution,
     P = state.comm.size
     ax = src.axis
     if ax == dst.axis:
-        mine = src.indices_for(w)
-        theirs = dst.indices_for(w)
-        takes = [[(ax, k)] if len(k) else None
-                 for k in _split_by_owner(dst.owner_of(mine), mine, P)]
-        places = [_axis_indexer(dst.ndim, ax, k) if len(k) else None
-                  for k in _split_by_owner(src.owner_of(theirs), theirs, P)]
+        mine, theirs = src.periodic(w), dst.periodic(w)
+        if mine is not None and theirs is not None:
+            takes = [intersect(mine, dst.periodic(v)) for v in range(P)]
+            places = [intersect(theirs, src.periodic(u)) for u in range(P)]
+        else:
+            mine, theirs = src.indices_for(w), dst.indices_for(w)
+            takes = [Piece([k]) for k in
+                     _split_by_owner(dst.owner_of(mine), mine, P)]
+            places = [Piece([k]) for k in
+                      _split_by_owner(src.owner_of(theirs), theirs, P)]
+        takes = [t if t.size else None for t in takes]
+        places = [p if p.size else None for p in places]
     else:
         # I own full slabs along dst.axis: send v its columns of my slab;
         # u's piece lands at u's rows (full extent here: ids are positions)
-        takes = [[(dst.axis, dst.indices_for(v))] for v in range(P)]
-        places = [_axis_indexer(dst.ndim, ax, src.indices_for(u))
-                  for u in range(P)]
+        takes = [_ids_piece(dst, v) for v in range(P)]
+        places = [_ids_piece(src, u) for u in range(P)]
     send = [(v, takes[v]) for v in range(P)
             if v != w and takes[v] is not None]
     recv = [(u, places[u]) for u in range(P)
             if u != w and places[u] is not None]
     self_pair = None if takes[w] is None else (takes[w], places[w])
-    return _RedistPlan("single-axis", dst.local_shape(w), send, recv,
-                       self_pair)
+    return _AxisPlan(dst.local_shape(w), send, recv, self_pair, dst.axis,
+                     ax)
 
 
 def _redistribute_block(state: WorkerState, local: np.ndarray,

@@ -3,10 +3,13 @@
 For any pair of distributions (including grids), redistribute must
 preserve every element: gather(redistribute(x)) == gather(x), and a
 round trip restores the exact layout.  Single-axis plans must also equal,
-array for array, the plans of a sorted-intersection planner kept here as
-the oracle, and planning a regular pair must never sort.
+position for position, the plans of a sorted-intersection planner kept
+here as the oracle; planning a regular pair must never sort, never build
+an index list and stay within a fixed memory bound.
 """
 
+import pickle
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import odin
+from repro.odin.context import OdinContext
 from repro.odin.distribution import (ArbitraryDistribution,
                                      BlockCyclicDistribution,
                                      BlockDistribution, CyclicDistribution,
@@ -97,7 +101,8 @@ class TestRedistributeProperty:
 @st.composite
 def _layout(draw, shape, P):
     """A random axis-0 layout of *shape* over P workers: block with
-    explicit (possibly empty) counts, cyclic, block-cyclic, a shuffled
+    explicit counts (one worker's forced empty for "block-gap"), cyclic,
+    block-cyclic with a block size that may exceed the axis, a shuffled
     arbitrary mapping, or the layout ``x[::-1]`` is planned from (each
     worker keeps its own elements, renumbered in descending order)."""
     n = shape[0]
@@ -106,14 +111,18 @@ def _layout(draw, shape, P):
         return sorted(draw(st.lists(st.integers(0, n), min_size=P - 1,
                                     max_size=P - 1)))
 
-    kind = draw(st.sampled_from(["block", "cyclic", "block-cyclic",
-                                 "arbitrary", "reversed"]))
-    if kind == "block":
-        return BlockDistribution(shape, 0, P,
-                                 counts=np.diff([0, *cuts(), n]))
+    kind = draw(st.sampled_from(["block", "block-gap", "cyclic",
+                                 "block-cyclic", "arbitrary", "reversed"]))
+    if kind in ("block", "block-gap"):
+        counts = np.diff([0, *cuts(), n])
+        if kind == "block-gap":
+            gap = draw(st.integers(0, P - 1))
+            counts[(gap + 1) % P] += counts[gap]
+            counts[gap] = 0
+        return BlockDistribution(shape, 0, P, counts=counts)
     if kind == "cyclic":
         return CyclicDistribution(shape, 0, P)
-    b = draw(st.integers(1, 9))
+    b = draw(st.one_of(st.integers(1, 9), st.integers(n, 2 * n + 3)))
     if kind == "block-cyclic":
         return BlockCyclicDistribution(shape, 0, P, block_size=b)
     if kind == "arbitrary":
@@ -156,9 +165,10 @@ def _assert_identical(got, want):
 
 
 def _assert_plan_is_reference(src, dst):
-    ax = src.axis
+    """Every plan piece, expanded to its positions, is the oracle's."""
     for w in range(src.nworkers):
         plan = _plan(src, dst, w)
+        assert plan.take_axis == plan.place_axis == src.axis
         takes = dict(plan.send)
         places = dict(plan.recv)
         if plan.self_pair is not None:
@@ -166,20 +176,18 @@ def _assert_plan_is_reference(src, dst):
         want_takes, want_places = _reference_pieces(src, dst, w)
         assert takes.keys() == want_takes.keys()
         assert places.keys() == want_places.keys()
-        for v, ops in takes.items():
-            [(op_axis, idx)] = ops
-            assert op_axis == ax
-            _assert_identical(idx, want_takes[v])
-        for u, indexer in places.items():
-            assert indexer[:ax] + indexer[ax + 1:] == \
-                (slice(None),) * (len(indexer) - 1)
-            _assert_identical(indexer[ax], want_places[u])
+        for v, piece in takes.items():
+            assert piece.size == len(want_takes[v])
+            _assert_identical(piece.positions(), want_takes[v])
+        for u, piece in places.items():
+            assert piece.size == len(want_places[u])
+            _assert_identical(piece.positions(), want_places[u])
 
 
 class TestPlanEquivalence:
-    @given(data=st.data(), P=st.sampled_from([2, 3, 4]),
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4, 11]),
            half=st.integers(0, 60))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_single_axis_plans_match_reference(self, data, P, half):
         shape = (2 * half + 1,)
         _assert_plan_is_reference(data.draw(_layout(shape, P)),
@@ -198,19 +206,129 @@ class TestPlanEquivalence:
             for dst in layouts:
                 _assert_plan_is_reference(src, dst)
 
+    @pytest.mark.parametrize("P", [2, 3, 4, 11])
+    @pytest.mark.parametrize("n", [1, 3, 10, 997, 4099])
+    def test_periodic_corners(self, P, n):
+        """Unequal block sizes > 1, blocks longer than the axis, fewer
+        elements than workers, empty explicit-count blocks."""
+        shape = (n,)
+        last_only = [0] * (P - 1) + [n]
+        tail_heavy = [0] + [n // (2 * P)] * (P - 2)
+        tail_heavy.append(n - sum(tail_heavy))
+        layouts = [BlockDistribution(shape, 0, P),
+                   BlockDistribution(shape, 0, P, counts=last_only),
+                   BlockDistribution(shape, 0, P, counts=tail_heavy),
+                   CyclicDistribution(shape, 0, P)]
+        layouts += [BlockCyclicDistribution(shape, 0, P, block_size=b)
+                    for b in (2, 3, 5, 64, n + 1)]
+        for src in layouts:
+            for dst in layouts:
+                _assert_plan_is_reference(src, dst)
+
+    @pytest.mark.parametrize("P", [2, 3, 11])
+    def test_cross_axis_plans_match_index_lists(self, P):
+        """src splits axis 0, dst axis 1 (and back): w sends v the dst
+        columns v owns and places u's rows at src's ids for u."""
+        shape = (41, 23)
+        lists = np.array_split(
+            np.random.default_rng(3).permutation(shape[1]), P)
+
+        def layouts(ax):
+            return [BlockDistribution(shape, ax, P),
+                    CyclicDistribution(shape, ax, P),
+                    BlockCyclicDistribution(shape, ax, P, block_size=4),
+                    BlockCyclicDistribution(shape, ax, P, block_size=50)]
+
+        pairs = [(s, d) for s in layouts(0) for d in layouts(1)]
+        pairs += [(d, s) for s, d in pairs]
+        pairs.append((CyclicDistribution(shape, 0, P),
+                      ArbitraryDistribution(shape, 1, lists)))
+        for src, dst in pairs:
+            for w in range(P):
+                plan = _plan(src, dst, w)
+                assert (plan.take_axis, plan.place_axis) == \
+                    (dst.axis, src.axis)
+                takes = dict(plan.send)
+                places = dict(plan.recv)
+                takes[w], places[w] = plan.self_pair
+                assert takes.keys() == places.keys() == set(range(P))
+                for v in range(P):
+                    _assert_identical(takes[v].positions(),
+                                      dst.indices_for(v))
+                    _assert_identical(places[v].positions(),
+                                      src.indices_for(v))
+
+
+def _execute_all(src, dst, values):
+    """Every worker's plan run on its block of *values* through a
+    simulated alltoall: all workers pack first, as on the wire, then each
+    places what the others packed for it."""
+    P = src.nworkers
+    plans = [_plan(src, dst, w) for w in range(P)]
+    blocks = [values[src.global_selector(w)] for w in range(P)]
+    packed = [{v: plan._take(block, take) for v, take in plan.send}
+              for plan, block in zip(plans, blocks)]
+
+    def state(w):
+        return types.SimpleNamespace(comm=types.SimpleNamespace(
+            size=P, alltoall=lambda _sendobjs: [packed[u].get(w)
+                                                for u in range(P)]))
+
+    return [plan.execute(state(w), block)
+            for w, (plan, block) in enumerate(zip(plans, blocks))]
+
+
+class TestPlanExecution:
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_strided_pieces_move_every_element(self, P):
+        """Runs, tiles with slice and index-array selections, heads and
+        tails, packed and placed along axis 0, axis 1 and across axes,
+        against the global array."""
+        shape = (121, 131)
+        values = np.random.default_rng(P).normal(size=shape)
+
+        def layouts(ax):
+            n = shape[ax]
+            return [BlockDistribution(shape, ax, P),
+                    BlockDistribution(shape, ax, P,
+                                      counts=[0] * (P - 1) + [n]),
+                    CyclicDistribution(shape, ax, P),
+                    *(BlockCyclicDistribution(shape, ax, P, block_size=b)
+                      for b in (2, 5, 6, 61))]
+
+        every = layouts(0) + layouts(1)
+        for src in every:
+            for dst in every:
+                outs = _execute_all(src, dst, values)
+                for w, out in enumerate(outs):
+                    assert np.array_equal(out,
+                                          values[dst.global_selector(w)]), \
+                        (src, dst, w)
+
+
+# the regular layouts planning must never expand into index lists
+_REGULAR = (BlockDistribution, CyclicDistribution, BlockCyclicDistribution)
+
+
+def _refuse_index_list(dist, worker):
+    raise AssertionError(f"planning built {type(dist).__name__}'s index "
+                         f"list for worker {worker}")
+
+
+def _regular_layouts(n, P):
+    return [BlockDistribution((n,), 0, P),
+            BlockDistribution((n,), 0, P,
+                              counts=[n - 3 * (P - 1)] + [3] * (P - 1)),
+            BlockDistribution((n,), 0, P, counts=[0] * (P - 1) + [n]),
+            CyclicDistribution((n,), 0, P),
+            BlockCyclicDistribution((n,), 0, P, block_size=7),
+            BlockCyclicDistribution((n,), 0, P, block_size=64)]
+
 
 class TestPlanningNeverSorts:
     @pytest.mark.parametrize("P", [2, 3])
     def test_regular_pairs_plan_without_sorting(self, monkeypatch, P):
-        n = 10_001
-        shape = (n,)
-        layouts = [BlockDistribution(shape, 0, P),
-                   BlockDistribution(shape, 0, P,
-                                     counts=[n - 3 * (P - 1)]
-                                     + [3] * (P - 1)),
-                   CyclicDistribution(shape, 0, P),
-                   BlockCyclicDistribution(shape, 0, P, block_size=7),
-                   BlockCyclicDistribution(shape, 0, P, block_size=64)]
+        layouts = _regular_layouts(10_001, P)
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("planning a regular pair sorted")
@@ -222,6 +340,99 @@ class TestPlanningNeverSorts:
             for dst in layouts:
                 for w in range(P):
                     _plan(src, dst, w)
+
+
+class TestPlanningIsSublinear:
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_regular_pairs_plan_in_bounded_memory(self, monkeypatch, P):
+        layouts = _regular_layouts(10 ** 7, P)
+
+        for cls in _REGULAR:
+            monkeypatch.setattr(cls, "indices_for", _refuse_index_list)
+        for src in layouts:
+            for dst in layouts:
+                for w in range(P):
+                    tracemalloc.start()
+                    try:
+                        _plan(src, dst, w)
+                        _size, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= 1 << 20, (src, dst, w, peak)
+
+    def test_cross_axis_pairs_plan_in_bounded_memory(self, monkeypatch):
+        shape = (2_000_001, 3)
+        pairs = [(CyclicDistribution(shape, 0, 2),
+                  BlockCyclicDistribution(shape, 1, 2, block_size=2)),
+                 (BlockDistribution(shape, 1, 2),
+                  BlockCyclicDistribution(shape, 0, 2, block_size=61))]
+        for cls in _REGULAR:
+            monkeypatch.setattr(cls, "indices_for", _refuse_index_list)
+        for src, dst in pairs:
+            for a, b in ((src, dst), (dst, src)):
+                tracemalloc.start()
+                try:
+                    _plan(a, b, 0)
+                    _size, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1 << 20, (a, b, peak)
+
+
+class TestLedgerPipeline:
+    """block -> cyclic -> block-cyclic(b) -> block on an odd axis, the
+    redistribution benchmark's own pipeline, on both transports."""
+
+    N = 100_003
+
+    @staticmethod
+    def _wire_bytes(obj):
+        buffers = []
+        blob = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+        return len(blob) + sum(pb.raw().nbytes for pb in buffers)
+
+    def _expected_peer_bytes(self, values, src, dst):
+        """Oracle bytes worker u sends worker v: the pickled array of the
+        ids both hold, ascending (None when there are none)."""
+        P = src.nworkers
+        out = {}
+        for u in range(P):
+            for v in range(P):
+                if u == v:
+                    continue
+                ids = np.intersect1d(src.indices_for(u), dst.indices_for(v),
+                                     assume_unique=True)
+                out[u, v] = self._wire_bytes(values[ids] if len(ids)
+                                             else None)
+        return out
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pipeline_bit_identical_and_bytes_match_oracle(self, backend):
+        n, P = self.N, 2
+        values = np.random.default_rng(7).normal(size=n)
+        with OdinContext(P, backend=backend) as ctx:
+            x = odin.array(values, ctx=ctx)
+            for b in range(57, 72):
+                cur = x
+                for dst in (CyclicDistribution((n,), 0, P),
+                            BlockCyclicDistribution((n,), 0, P,
+                                                    block_size=b),
+                            BlockDistribution((n,), 0, P)):
+                    want = self._expected_peer_bytes(values, cur.dist, dst)
+                    ctx.flush()
+                    ctx.reset_counters()
+                    cur = cur.redistribute(dst)
+                    ctx.flush()
+                    for u, wr in enumerate(ctx.comm._world_ranks[1:]):
+                        sent = ctx.world.fetch_counters(wr).by_peer
+                        for v in range(P):
+                            if v != u:
+                                assert sent.get(v + 1, 0) == want[u, v], \
+                                    (b, dst, u, v)
+                got = cur.gather()
+                assert got.dtype == values.dtype
+                assert np.array_equal(got.view(np.uint64),
+                                      values.view(np.uint64)), b
 
 
 class TestRedistributionCost:
