@@ -38,7 +38,8 @@ table = tabular.filter_records(lambda b: b["score"] > 1.0, table)
 print(f"after filter: {table.shape[0]:,} records "
       f"(counts per worker: {table.dist.counts()})")
 
-# REDUCE: per-category mean score, shuffled by key hash between workers
+# REDUCE: per-category mean score; each worker combines its rows per key
+# and only those partials are shuffled, by key hash, between workers
 means = tabular.group_aggregate(table, "category", "score", op="mean")
 counts = tabular.group_aggregate(table, "category", "score", op="count")
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .periodic import PeriodicSet
+from .periodic import PeriodicSet, overlap
 
 __all__ = ["Distribution", "BlockDistribution", "CyclicDistribution",
            "BlockCyclicDistribution", "ArbitraryDistribution",
@@ -96,9 +96,13 @@ class Distribution:
             # equal keys guarantee an identical index mapping; unequal
             # keys prove nothing (block vs 1-axis grid), so fall through
             return True
-        return all(
-            np.array_equal(self.indices_for(w), other.indices_for(w))
-            for w in range(self.nworkers))
+        mine = [self.periodic(w) for w in range(self.nworkers)]
+        theirs = [other.periodic(w) for w in range(self.nworkers)]
+        if any(s is None for s in mine + theirs):
+            return all(
+                np.array_equal(self.indices_for(w), other.indices_for(w))
+                for w in range(self.nworkers))
+        return _same_sets(mine, theirs)
 
     def with_shape(self, global_shape: Sequence[int]) -> "Distribution":
         """Same scheme applied to a different global shape."""
@@ -603,9 +607,21 @@ def _block_same_as_gridlike(self: "BlockDistribution",
         return False
     if grid.axes != (self.axis,):
         return False
-    return all(np.array_equal(self.indices_for(w),
-                              grid.axis_indices(w, self.axis))
-               for w in range(self.nworkers))
+    return _same_sets([self.periodic(w) for w in range(self.nworkers)],
+                      [grid.axis_periodic(w, self.axis)
+                       for w in range(self.nworkers)])
+
+
+def _same_sets(mine: Sequence[PeriodicSet],
+               theirs: Sequence[PeriodicSet]) -> bool:
+    """Worker by worker, the same ids at the same positions, in closed
+    form: periodic sets are stored ascending, so two are the same
+    layout iff what they share is all of each."""
+    for a, b in zip(mine, theirs):
+        n = a.count()
+        if b.count() != n or overlap(a, b) != n:
+            return False
+    return True
 
 
 BlockDistribution.same_as_gridlike = _block_same_as_gridlike

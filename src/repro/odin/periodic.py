@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["PeriodicSet", "Piece", "intersect"]
+__all__ = ["PeriodicSet", "Piece", "intersect", "overlap"]
 
 
 class PeriodicSet(NamedTuple):
@@ -55,6 +55,12 @@ class PeriodicSet(NamedTuple):
 
     def count(self) -> int:
         return max(self.below(self.hi) - self.below(self.lo), 0)
+
+    def below_each(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`below` of every element of an int64 array."""
+        width = self.whi - self.wlo
+        q, r = np.divmod(x, self.period)
+        return q * width + np.clip(r - self.wlo, 0, width)
 
 
 # ----------------------------------------------------------------------
@@ -273,3 +279,46 @@ def intersect(mine: PeriodicSet, other: PeriodicSet) -> Piece:
         tail = k1 * L + offsets
         parts.append(_local(mine, tail[tail < e], base))
     return Piece(parts)
+
+
+# ----------------------------------------------------------------------
+# counting
+# ----------------------------------------------------------------------
+def _count_in(walk: PeriodicSet, other: PeriodicSet, lo: int,
+              hi: int) -> int:
+    """Ids of both unclipped sets in ``[lo, hi)``: *walk*'s windows
+    there, each counted against *other* in closed form."""
+    if lo >= hi:
+        return 0
+    if walk.whi - walk.wlo == walk.period:      # every id: one window
+        starts = np.array([lo], dtype=np.int64)
+        ends = np.array([hi], dtype=np.int64)
+    else:
+        j = np.arange(lo // walk.period, (hi - 1) // walk.period + 1,
+                      dtype=np.int64) * walk.period
+        starts = np.clip(j + walk.wlo, lo, hi)
+        ends = np.clip(j + walk.whi, lo, hi)
+    return int((other.below_each(ends) - other.below_each(starts)).sum())
+
+
+def overlap(a: PeriodicSet, b: PeriodicSet) -> int:
+    """How many ids both sets own, without listing any.
+
+    The side with the longer period is walked one window at a time, and
+    only over one period L = lcm of both plus the partial periods at the
+    ends, so the cost is O(min(T_short, n / T_long)) windows: at most
+    O(sqrt(n)), however the two layouts are shaped.
+    """
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo >= hi:
+        return 0
+    walk, other = (a, b) if a.period >= b.period else (b, a)
+    if other.whi - other.wlo == other.period:   # a range: walk it
+        walk, other = other, walk
+    L = math.lcm(a.period, b.period)
+    k0, k1 = -(-lo // L), hi // L                # full periods [k0*L, k1*L)
+    if k1 <= k0:
+        return _count_in(walk, other, lo, hi)
+    return ((k1 - k0) * _count_in(walk, other, 0, L)
+            + _count_in(walk, other, lo, k0 * L)
+            + _count_in(walk, other, k1 * L, hi))

@@ -7,8 +7,11 @@ fundamental components for parallel Map-Reduce style computations."
 
 A table is simply a 1-D DistArray with a structured dtype; this module
 adds the record-wise map / filter / group-by-aggregate operators on top.
-Shuffles run worker-to-worker (hash partitioning over the worker comm);
-only row *counts* travel through the ODIN process.
+Map and filter never move a row.  Group-by is a combine, shuffle, merge:
+each worker reduces its block to one partial per key, the partials are
+hash-partitioned worker-to-worker over the worker comm, and each key's
+owner merges what arrives.  Only row *counts* travel through the ODIN
+process.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .array import DistArray
 from .context import OdinContext, get_context, local_registry
 from .creation import array as _dist_array
 from .distribution import BlockDistribution
+from .worker import GROUP_OPS
 
 __all__ = ["from_records", "map_records", "filter_records",
            "group_aggregate", "compress"]
@@ -102,15 +106,35 @@ def compress(mask: DistArray, a: DistArray) -> DistArray:
 
 def group_aggregate(a: DistArray, key_field: str, value_field: str,
                     op: str = "sum") -> DistArray:
-    """The "reduce" phase: shuffle rows by key hash, aggregate per key.
+    """The "reduce" phase: aggregate *value_field* per distinct key.
 
-    Returns a distributed table with fields ``key`` and ``value``; *op* is
-    one of ``sum``, ``count``, ``mean``, ``min``, ``max``.
+    Returns a distributed table with fields ``key`` and ``value``
+    (float64), one row per distinct key; *op* is one of ``sum``,
+    ``count``, ``mean``, ``min``, ``max``.  Each worker first reduces its
+    own block to one partial per key (a count, plus a float64 sum or a
+    partial extreme), then ships each partial to the worker the key's
+    hash names, which merges them: per-key partials cross the wire, not
+    records.  Each worker holds the rows of the keys it owns, keys
+    ascending.  ``sum``/``mean`` add per-block sums rather than records
+    in order (equal to a serial sum within rounding); ``count``, ``min``
+    and ``max`` are exact.
+
+    Bad requests are refused here, before any worker sees the op: a
+    worker that raised inside the shuffle would leave its peers waiting.
     """
     if a.dtype.names is None or key_field not in a.dtype.names:
         raise ValueError(f"array has no field {key_field!r}")
+    if op not in GROUP_OPS:
+        raise ValueError(f"unknown aggregation {op!r}; expected one of "
+                         f"{', '.join(GROUP_OPS)}")
     if op != "count" and value_field not in a.dtype.names:
         raise ValueError(f"array has no field {value_field!r}")
+    if a.dtype[key_field].kind == "O":
+        raise TypeError(f"key field {key_field!r} has object dtype; "
+                        f"group keys must be comparable fixed-size values")
+    if op != "count" and a.dtype[value_field].kind not in "biuf":
+        raise TypeError(f"{op} needs a numeric value field; "
+                        f"{value_field!r} is {a.dtype[value_field]}")
     out_id = a.ctx.new_array_id()
     results = a.ctx.run(opcodes.GROUPBY, a.array_id, out_id, key_field,
                         value_field if op != "count" else key_field, op)

@@ -32,7 +32,7 @@ from ..trace import TRACER as _TR
 from . import opcodes
 from .array import DistArray
 from .distribution import BlockDistribution, Distribution
-from .periodic import intersect
+from .periodic import overlap
 from .worker import BINARY_UFUNCS, TERNARY_UFUNCS, UNARY_UFUNCS
 
 __all__ = ["unary_ufunc", "binary_ufunc", "nary_ufunc", "strategy",
@@ -102,7 +102,7 @@ def _axis_overlap(src: Distribution, dst: Distribution, w: int,
     form unless one side's ownership of *ax* is irregular."""
     mine, theirs = src.axis_periodic(w, ax), dst.axis_periodic(w, ax)
     if mine is not None and theirs is not None:
-        return intersect(mine, theirs).size
+        return overlap(mine, theirs)
     # one side splits ax irregularly; the other may hold all of it (None)
     mine, theirs = src.axis_indices(w, ax), dst.axis_indices(w, ax)
     if mine is None or theirs is None:

@@ -597,6 +597,97 @@ def _key_hash(keys: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# group-by: combine -> shuffle -> merge
+# ----------------------------------------------------------------------
+GROUP_OPS = ("count", "sum", "mean", "min", "max")
+# integer keys whose range is at most this many times the block length
+# are grouped by a dense bincount; any other key goes through np.unique
+_DENSE_SPAN = 4
+
+
+def _fold(index: np.ndarray, size: int, values: Optional[np.ndarray],
+          agg_op: str) -> np.ndarray:
+    """Per-group float64 sum, min or max of *values* by group *index*
+    (zeros for ``count``, which needs no values)."""
+    if agg_op in ("min", "max"):
+        acc = np.full(size, np.inf if agg_op == "min" else -np.inf)
+        # ufunc.at propagates NaN, as NumPy's own min/max do, but it
+        # also warns, which must not become an error on one worker only
+        with np.errstate(invalid="ignore"):
+            (np.minimum if agg_op == "min" else np.maximum).at(
+                acc, index, values)
+        return acc
+    if agg_op == "count":
+        return np.zeros(size)
+    # bincount of no rows is an int64 array, whatever the weights
+    return np.bincount(index, weights=values,
+                       minlength=size).astype(np.float64, copy=False)
+
+
+def _columns(**cols: np.ndarray) -> np.ndarray:
+    """A structured array of equal-length columns, in argument order."""
+    out = np.empty(len(cols["key"]),
+                   dtype=[(name, col.dtype) for name, col in cols.items()])
+    for name, col in cols.items():
+        out[name] = col
+    return out
+
+
+def _combine(keys: np.ndarray, values: Optional[np.ndarray],
+             agg_op: str) -> np.ndarray:
+    """One block reduced to one ``(key, acc, count)`` partial per
+    distinct key, keys ascending.  Nothing here may raise for some
+    blocks and not others: the peers are about to enter the shuffle."""
+    n = len(keys)
+    if n and keys.dtype.kind in "iu":
+        lo, hi = keys.min(), keys.max()
+        span = int(hi) - int(lo) + 1
+        if span <= _DENSE_SPAN * n:
+            # keys - lo wraps in a narrow dtype; its unsigned view is exact
+            index = keys - lo
+            if index.dtype != np.intp:
+                index = index.view(f"u{index.itemsize}").astype(np.intp)
+            count = np.bincount(index, minlength=span)
+            acc = _fold(index, span, values, agg_op)
+            present = np.flatnonzero(count)
+            return _columns(key=present.astype(keys.dtype) + lo,
+                            acc=acc[present], count=count[present])
+    ukeys, index = np.unique(keys, return_inverse=True)
+    return _columns(key=ukeys, acc=_fold(index, len(ukeys), values, agg_op),
+                    count=np.bincount(index, minlength=len(ukeys)))
+
+
+def _merge(partials: np.ndarray, agg_op: str) -> np.ndarray:
+    """The owner's rows from its peers' partials: one ``(key, value)``
+    per distinct key, keys ascending."""
+    keys, index = np.unique(partials["key"], return_inverse=True)
+    count = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(count, index, partials["count"])
+    if agg_op == "count":
+        value = count.astype(np.float64)
+    else:
+        value = _fold(index, len(keys), partials["acc"], agg_op)
+        if agg_op == "mean":
+            value /= np.maximum(count, 1)
+    return _columns(key=keys, value=value)
+
+
+def _group_aggregate(state: WorkerState, local: np.ndarray, key_field: str,
+                     agg_field: str, agg_op: str) -> np.ndarray:
+    """Combine this block, ship each key's partial to the worker its
+    ``_key_hash`` names, merge what arrives."""
+    if agg_op not in GROUP_OPS:
+        raise ValueError(f"unknown aggregation {agg_op!r}")
+    values = None if agg_op == "count" else \
+        local[agg_field].astype(np.float64)
+    part = _combine(local[key_field], values, agg_op)
+    P = state.comm.size
+    dest = _key_hash(part["key"]) % P
+    received = state.comm.alltoall([part[dest == v] for v in range(P)])
+    return _merge(np.concatenate(received), agg_op)
+
+
+# ----------------------------------------------------------------------
 # checkpoint / restore (repro.recover)
 # ----------------------------------------------------------------------
 _CKPT_TAG = 7001  # p2p tag for the partner ring exchange
@@ -997,40 +1088,10 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         return None
 
     if code == opcodes.GROUPBY:
-        # shuffle rows by key hash over the worker comm, then aggregate
+        # combine per key, shuffle the partials by key hash, merge
         _code, src_id, dst_id, key_field, agg_field, agg_op = op
         local, _dist = state.get(src_id)
-        P = state.comm.size
-        keys = local[key_field]
-        dest = _key_hash(keys) % P
-        outbound = [local[dest == v] for v in range(P)]
-        received = state.comm.alltoall(outbound)
-        mine = np.concatenate([r for r in received if len(r)]) \
-            if any(len(r) for r in received) else local[:0]
-        uniq, inverse = np.unique(mine[key_field], return_inverse=True)
-        values = mine[agg_field]
-        if agg_op == "count":
-            agg = np.bincount(inverse, minlength=len(uniq)).astype(
-                np.float64)
-        elif agg_op == "sum":
-            agg = np.bincount(inverse, weights=values.astype(np.float64),
-                              minlength=len(uniq))
-        elif agg_op == "mean":
-            sums = np.bincount(inverse, weights=values.astype(np.float64),
-                               minlength=len(uniq))
-            cnts = np.bincount(inverse, minlength=len(uniq))
-            agg = sums / np.maximum(cnts, 1)
-        elif agg_op in ("min", "max"):
-            fill = np.inf if agg_op == "min" else -np.inf
-            agg = np.full(len(uniq), fill)
-            ufn = np.minimum if agg_op == "min" else np.maximum
-            ufn.at(agg, inverse, values.astype(np.float64))
-        else:
-            raise ValueError(f"unknown aggregation {agg_op!r}")
-        out = np.empty(len(uniq), dtype=[("key", uniq.dtype),
-                                         ("value", np.float64)])
-        out["key"] = uniq
-        out["value"] = agg
+        out = _group_aggregate(state, local, key_field, agg_field, agg_op)
         state.arrays[dst_id] = (out, None)
         return (int(len(out)), out.dtype.descr)
 

@@ -12,6 +12,7 @@ import pytest
 from repro import odin
 from repro.metrics import REGISTRY as _MX
 from repro.mpi.errors import InjectedFault
+from repro.odin import tabular
 
 
 def _killer(name, victim_windex, killed):
@@ -62,6 +63,30 @@ class TestCheckpointReplay:
             expect = np.sin(src) + src * 3.0
             # replay is deterministic re-execution: bit-identical
             assert np.array_equal(np.asarray(y), expect)
+        finally:
+            odin.shutdown()
+
+    def test_groupby_replays_with_fresh_counts(self):
+        """A GROUPBY's output length per worker depends on the worker
+        count: replayed on the shrunk pool, its table gets the counts
+        the replay produced, and every key's aggregate survives."""
+        ctx = odin.init(4, recover=True)
+        try:
+            rec = np.zeros(400, dtype=[("k", "i8"), ("v", "f8")])
+            rec["k"] = np.arange(400) % 13 - 6
+            rec["v"] = np.arange(400.0)
+            t = tabular.from_records(rec)
+            agg = tabular.group_aggregate(t, "k", "v", op="sum")
+            killed = []
+            _killer("post-groupby crash", 1, killed)(odin.ones(8))
+            assert ctx.nworkers == 3
+            assert len(agg.dist.counts()) == 3
+            assert sum(agg.dist.counts()) == 13
+            out = agg.gather()
+            order = np.argsort(out["key"])
+            assert np.array_equal(out["key"][order], np.arange(-6, 7))
+            want = [rec["v"][rec["k"] == k].sum() for k in range(-6, 7)]
+            assert np.array_equal(out["value"][order], want)
         finally:
             odin.shutdown()
 

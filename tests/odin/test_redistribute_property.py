@@ -8,6 +8,7 @@ here as the oracle; planning a regular pair must never sort, never build
 an index list and stay within a fixed memory bound.
 """
 
+import hashlib
 import pickle
 import tracemalloc
 import types
@@ -377,6 +378,43 @@ class TestPlanningIsSublinear:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 1 << 20, (a, b, peak)
+
+
+class TestSameAsClosedForm:
+    """``same_as`` on periodic layouts compares overlap counts, never
+    index lists, and agrees with comparing the lists."""
+
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4, 11]),
+           half=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_index_list_oracle(self, data, P, half):
+        shape = (2 * half + 1,)
+        a, b = data.draw(_layout(shape, P)), data.draw(_layout(shape, P))
+        want = all(np.array_equal(a.indices_for(w), b.indices_for(w))
+                   for w in range(P))
+        assert a.same_as(b) == want
+        assert b.same_as(a) == want
+
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_large_regular_pairs_build_no_index_list(self, monkeypatch, P):
+        n = 10 ** 7
+        layouts = _regular_layouts(n, P) + [
+            BlockCyclicDistribution((n,), 0, P, block_size=n),
+            BlockCyclicDistribution((n,), 0, P, block_size=-(-n // P)),
+            BlockDistribution((n,), 0, P, counts=[n] + [0] * (P - 1))]
+        # the oracle, taken before index lists are refused: a digest of
+        # every worker's list
+        prints = [tuple(hashlib.sha1(d.indices_for(w).tobytes()).digest()
+                        for w in range(P)) for d in layouts]
+        for cls in _REGULAR:
+            monkeypatch.setattr(cls, "indices_for", _refuse_index_list)
+        equal = 0
+        for a, fa in zip(layouts, prints):
+            for b, fb in zip(layouts, prints):
+                assert a.same_as(b) == (fa == fb), (a, b)
+                equal += fa == fb
+        # bc(n) is block [n, 0, ...]; at P = 2, bc(n/2) is block too
+        assert equal == len(layouts) + 2 + 2 * (P == 2)
 
 
 class TestLedgerPipeline:
