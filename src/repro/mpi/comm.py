@@ -35,7 +35,7 @@ from ..trace import TRACER as _TR
 from . import ops as _ops
 from .costmodel import (COLLECTIVE_ALGORITHMS, COMMODITY_CLUSTER, CostModel,
                         Topology, select_algorithm)
-from .datatypes import decode_buffer_spec
+from .datatypes import _decode_recv_spec, decode_buffer_spec
 from .errors import (CommRevokedError, RankError, RankFailure, TagError,
                      TruncationError)
 from .request import RecvRequest, SendRequest
@@ -150,6 +150,58 @@ class _Blocks:
     def __setitem__(self, k: int, value) -> None:
         lo, hi = self.bounds[k]
         self.flat[lo:hi] = value
+
+
+def _combiner(op: _ops.Op, buffers: bool):
+    """The ``combine(a, b, out)`` every reduction kernel folds with.
+
+    It returns ``a op b``, operands in the order given.  On buffers the
+    result lands in *out* -- the kernel's accumulator, or ``None`` for a
+    fresh array.  A binary ufunc writes it there directly (an
+    elementwise ufunc may alias *out* with an operand).  Any other
+    ``np_func`` -- ``MAXLOC``, ``MINLOC``, a :func:`create_op` callable
+    that takes no ``out=`` -- computes a fresh result, copied into *out*.
+    Objects ignore *out*.
+    """
+    if not buffers:
+        return lambda a, b, out: op(a, b)
+    f = op.np_func
+    if isinstance(f, np.ufunc) and f.nin == 2 and f.nout == 1:
+        return lambda a, b, out: f(a, b, out=out)
+
+    def combine(a, b, out):
+        res = f(a, b)
+        if out is None:
+            return res
+        out[...] = res
+        return out
+
+    return combine
+
+
+def _accumulator(sflat: np.ndarray, rflat: Optional[np.ndarray]):
+    """``(acc, in_place)``: the array a buffer reduction accumulates in.
+
+    The leading elements of *rflat* when they can hold the result as
+    they are -- the send dtype, C-contiguous and writable: *sflat* is
+    copied in, or not at all when the two are the same memory.  Without
+    *rflat* (a non-root ``Reduce``), on a dtype mismatch, a strided or
+    read-only *rflat*, or partial overlap with *sflat*: a private
+    staging copy of *sflat*, which the caller copies out at the end.
+    """
+    n = sflat.size
+    if (rflat is not None and rflat.dtype == sflat.dtype
+            and rflat.size >= n and rflat.flags.c_contiguous
+            and rflat.flags.writeable):
+        acc = rflat[:n]
+        if not np.may_share_memory(acc, sflat):
+            np.copyto(acc, sflat)
+            return acc, True
+        if (sflat.flags.c_contiguous
+                and sflat.__array_interface__["data"][0]
+                == acc.__array_interface__["data"][0]):
+            return acc, True
+    return sflat.copy(), False
 
 
 def _traced_collective(default_algorithm: str):
@@ -566,7 +618,7 @@ class Intracomm:
 
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Optional[Status] = None) -> None:
-        flat, _count, dt = decode_buffer_spec(buf)
+        flat, _count, dt = _decode_recv_spec(buf)
         incoming = np.asarray(self._p2p_recv(source, tag, status).payload)
         if incoming.nbytes > flat.nbytes:
             raise TruncationError(
@@ -695,7 +747,7 @@ class Intracomm:
                 return None
             partner = i | mask
             if partner < m:
-                acc = combine(acc, recv(partner, tag))
+                acc = combine(acc, recv(partner, tag), acc)
             mask <<= 1
         return acc
 
@@ -710,7 +762,7 @@ class Intracomm:
                 return None
             partner = v | mask
             if partner < m:
-                acc = combine(acc, recv((partner + root_i) % m, tag))
+                acc = combine(acc, recv((partner + root_i) % m, tag), acc)
             mask <<= 1
         return acc
 
@@ -734,7 +786,10 @@ class Intracomm:
         """Everyone sends to the root, which folds in member order.
 
         O(m * msg) root memory pressure -- kept only as an explicitly
-        selectable baseline, never chosen by the cost model.
+        selectable baseline, never chosen by the cost model.  The fold
+        lands in the root's own *value* from its turn on; the members
+        before it fold into fresh arrays (*value* still holds the root's
+        operand then).
         """
         m = len(ws)
         if i != root_i:
@@ -743,7 +798,8 @@ class Intracomm:
         acc = None
         for j in range(m):
             part = value if j == i else recv(j, tag)
-            acc = part if acc is None else combine(acc, part)
+            acc = part if acc is None else combine(
+                acc, part, value if j >= i else None)
         return acc
 
     def _allreduce_recdbl(self, tag, ws, i, acc, combine, send, recv):
@@ -764,7 +820,7 @@ class Intracomm:
             if i & 1:
                 send(acc, i - 1, tag)
                 return recv(i - 1, tag + 2)
-            acc = combine(acc, recv(i + 1, tag))
+            acc = combine(acc, recv(i + 1, tag), acc)
             pn = i // 2
         else:
             pn = i - r
@@ -774,7 +830,8 @@ class Intracomm:
             j = 2 * pj if pj < r else pj + r
             send(acc, j, tag + 1)
             other = recv(j, tag + 1)
-            acc = combine(other, acc) if pj < pn else combine(acc, other)
+            acc = (combine(other, acc, acc) if pj < pn
+                   else combine(acc, other, acc))
             mask <<= 1
         if pn < r:
             send(acc, 2 * pn + 1, tag + 2)
@@ -822,8 +879,8 @@ class Intracomm:
         m = len(blocks)
         for k in range(m - 1):
             send(blocks[(i - k) % m], (i + 1) % m, tag)
-            b = (i - k - 1) % m
-            blocks[b] = combine(blocks[b], recv((i - 1) % m, tag, blocks[b]))
+            blk = blocks[(i - k - 1) % m]
+            combine(blk, recv((i - 1) % m, tag, blk), blk)
 
     def _pairwise_exchange(self, tag, i, blocks, out, send, recv):
         """Pairwise-exchange alltoall: step k sends ``blocks[i + k]`` and
@@ -840,7 +897,7 @@ class Intracomm:
         from i - 1, folds its own value in and forwards the result to
         i + 1.  Returns ``(exclusive prefix or None, inclusive prefix)``."""
         prefix = recv(i - 1, tag) if i > 0 else None
-        acc = value if prefix is None else combine(prefix, value)
+        acc = value if prefix is None else combine(prefix, value, None)
         if i + 1 < self._size:
             send(acc, i + 1, tag)
         return prefix, acc
@@ -875,7 +932,7 @@ class Intracomm:
                 send(acc, i - 1, tag)
                 acc[:] = recv(i - 1, tag + 3)
                 return acc
-            acc = combine(acc, recv(i + 1, tag))
+            acc = combine(acc, recv(i + 1, tag), acc)
             pn = i // 2
         else:
             pn = i - r
@@ -898,7 +955,7 @@ class Intracomm:
                 give, keep = acc[off[mid]:off[hi]], acc[off[lo]:off[mid]]
                 hi = mid
             send(give, j, tag + 1)
-            keep[:] = combine(keep, recv(j, tag + 1, keep))
+            combine(keep, recv(j, tag + 1, keep), keep)
             mask >>= 1
         # recursive doubling allgather of the owned blocks
         mask = 1
@@ -1058,23 +1115,17 @@ class Intracomm:
                   "rank-ordered-tree": self._reduce_ordered,
                   "gather-fold": self._reduce_gather_fold,
                   "ring": self._reduce_ring}[algo]
-        combine = op if np_dtype is None else op.np_func
+        combine = _combiner(op, np_dtype is not None)
         return kernel(tag, self._world_ranks, self._rank, root, value,
                       combine, send, recv)
 
-    def _allreduce(self, value, op, algorithm, nbytes, count, np_dtype,
-                   compose):
-        """Select, label and run one allreduce.  ``reduce+bcast`` is a
-        composition of the two public collectives, which each form
-        supplies as *compose*."""
-        algo = self._select("allreduce", nbytes, count, op.commutative,
-                            algorithm)
-        self._note_algorithm(algo)
-        if algo == "reduce+bcast":
-            return compose()
+    def _allreduce(self, algo, value, op, count, np_dtype):
+        """Run allreduce kernel *algo*, which the caller selected and
+        labelled.  ``reduce+bcast`` is no kernel: each form composes it
+        from its two public collectives."""
         ctx_id, tag = self._next_coll()
         ws = self._world_ranks
-        combine = op if np_dtype is None else op.np_func
+        combine = _combiner(op, np_dtype is not None)
         if algo == "hierarchical":
             return self._hier_allreduce(
                 tag, self._groups(), value, combine,
@@ -1214,27 +1265,27 @@ class Intracomm:
             self._allreduce_buffer(arr, out, op, algorithm)
             return out
         nbytes = int(size_hint) if size_hint else _OBJECT_SIZE_GUESS
-
-        def compose():
+        algo = self._select("allreduce", nbytes, None, op.commutative,
+                            algorithm)
+        self._note_algorithm(algo)
+        if algo == "reduce+bcast":
             result = self.reduce(sendobj, op=op, root=0, size_hint=size_hint)
             return self.bcast(result, root=0, size_hint=size_hint)
-
-        return self._allreduce(sendobj, op, algorithm, nbytes, None, None,
-                               compose)
+        return self._allreduce(algo, sendobj, op, None, None)
 
     @_traced_collective("linear-chain")
     def scan(self, sendobj: Any, op: _ops.Op = _ops.SUM) -> Any:
         """Inclusive prefix reduction along rank order (linear chain)."""
         tag, send, recv = self._coll_io()
-        return self._linear_chain(tag, self._rank, sendobj, op,
-                                  send, recv)[1]
+        return self._linear_chain(tag, self._rank, sendobj,
+                                  _combiner(op, False), send, recv)[1]
 
     @_traced_collective("linear-chain")
     def exscan(self, sendobj: Any, op: _ops.Op = _ops.SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
         tag, send, recv = self._coll_io()
-        return self._linear_chain(tag, self._rank, sendobj, op,
-                                  send, recv)[0]
+        return self._linear_chain(tag, self._rank, sendobj,
+                                  _combiner(op, False), send, recv)[0]
 
     # ------------------------------------------------------------------
     # collectives: buffer path
@@ -1244,10 +1295,10 @@ class Intracomm:
               algorithm: Optional[str] = None) -> None:
         """Size-adaptive broadcast of a NumPy buffer."""
         self._check_rank(root)
+        flat, count, dt = _decode_recv_spec(buf)
         if self._size == 1:
             self._note_algorithm("local")
             return
-        flat, count, dt = decode_buffer_spec(buf)
         value = self._bcast(flat, root, algorithm, count * dt.extent, count,
                             dt.np_dtype)
         if value is not flat:
@@ -1259,7 +1310,7 @@ class Intracomm:
     def Scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
         """Scatter equal contiguous blocks of *sendbuf* from the root."""
         self._check_rank(root)
-        _rflat, rcount, _rdt = decode_buffer_spec(recvbuf)
+        _rflat, rcount, _rdt = _decode_recv_spec(recvbuf)
         self._scatterv(sendbuf, [rcount] * self._size,
                        [rcount * r for r in range(self._size)], recvbuf,
                        root)
@@ -1273,7 +1324,7 @@ class Intracomm:
         self._scatterv(sendbuf, counts, displs, recvbuf, root)
 
     def _scatterv(self, sendbuf, counts, displs, recvbuf, root) -> None:
-        rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
+        rflat, _rcount, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(rdt.np_dtype)
         i = self._rank
         blocks = None
@@ -1306,7 +1357,7 @@ class Intracomm:
         out = None
         np_dtype = sdt.np_dtype
         if i == root:
-            rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
+            rflat, _rcount, rdt = _decode_recv_spec(recvbuf)
             np_dtype = rdt.np_dtype
             out = _Blocks(rflat, _spans(counts, displs))
             rflat[displs[root]:displs[root] + scount] = sflat
@@ -1327,7 +1378,7 @@ class Intracomm:
 
     def _allgatherv(self, sendbuf, recvbuf, counts, displs) -> None:
         sflat, scount, _sdt = decode_buffer_spec(sendbuf)
-        rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
+        rflat, _rcount, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(rdt.np_dtype)
         me = self._rank
         rflat[displs[me]:displs[me] + scount] = sflat.view(rdt.np_dtype)
@@ -1338,7 +1389,7 @@ class Intracomm:
     def Alltoall(self, sendbuf, recvbuf) -> None:
         p = self._size
         sflat, scount, _sdt = decode_buffer_spec(sendbuf)
-        rflat, rcount, rdt = decode_buffer_spec(recvbuf)
+        rflat, rcount, rdt = _decode_recv_spec(recvbuf)
         if scount % p or rcount % p:
             raise ValueError("Alltoall buffers must divide evenly by size")
         tag, send, recv = self._coll_io(rdt.np_dtype)
@@ -1348,19 +1399,25 @@ class Intracomm:
         self._pairwise_exchange(tag, self._rank, blocks, out, send, recv)
 
     def _reduce_buffer(self, sendbuf, recvbuf, op, root, algorithm) -> None:
-        """Shared engine behind :meth:`Reduce` and ndarray :meth:`reduce`."""
+        """Shared engine behind :meth:`Reduce` and ndarray :meth:`reduce`.
+
+        The root accumulates in its *recvbuf* where :func:`_accumulator`
+        allows, the other ranks in a staging copy of *sendbuf*; every
+        combine is in place (:func:`_combiner`).  On error the root's
+        *recvbuf* may hold a partial result (MPI leaves it undefined).
+        """
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        acc = sflat.astype(sdt.np_dtype, copy=True)
+        rflat = rdt = None
+        if self._rank == root and recvbuf is not None:
+            rflat, _rc, rdt = _decode_recv_spec(recvbuf)
+        acc, in_place = _accumulator(sflat, rflat)
         if self._size == 1:
             self._note_algorithm("local")
-            if recvbuf is not None:
-                rflat, _rc, rdt = decode_buffer_spec(recvbuf)
-                rflat[:acc.size] = acc.view(rdt.np_dtype)
-            return
-        result = self._reduce(acc, op, root, algorithm, acc.nbytes, scount,
-                              sdt.np_dtype)
-        if result is not None and recvbuf is not None:
-            rflat, _rc, rdt = decode_buffer_spec(recvbuf)
+            result = acc
+        else:
+            result = self._reduce(acc, op, root, algorithm, acc.nbytes,
+                                  scount, sdt.np_dtype)
+        if rflat is not None and (result is not acc or not in_place):
             rflat[:scount] = np.asarray(result).view(rdt.np_dtype)[:scount]
 
     @_traced_collective("binomial-tree")
@@ -1372,23 +1429,30 @@ class Intracomm:
 
     def _allreduce_buffer(self, sendbuf, recvbuf, op, algorithm) -> None:
         """Shared engine behind :meth:`Allreduce` and ndarray
-        :meth:`allreduce`."""
-        sflat, scount, sdt = decode_buffer_spec(sendbuf)
-        rflat, _rcount, rdt = decode_buffer_spec(recvbuf)
-        acc = sflat.astype(sdt.np_dtype, copy=True)
-        if self._size == 1:
-            self._note_algorithm("local")
-            rflat[:scount] = acc.view(rdt.np_dtype)
-            return
+        :meth:`allreduce`.
 
-        def compose():
+        The kernels accumulate in *recvbuf* itself where
+        :func:`_accumulator` allows and combine in place
+        (:func:`_combiner`): a p = 2 call copies *sendbuf* into *recvbuf*
+        once, makes one wire copy per side and combines once, allocating
+        nothing.  On error *recvbuf* may hold a partial result (MPI
+        leaves it undefined).
+        """
+        sflat, scount, sdt = decode_buffer_spec(sendbuf)
+        rflat, _rcount, rdt = _decode_recv_spec(recvbuf)
+        algo = "local"
+        if self._size > 1:
+            algo = self._select("allreduce", sflat.nbytes, scount,
+                                op.commutative, algorithm)
+        self._note_algorithm(algo)
+        if algo == "reduce+bcast":
             self.Reduce(sendbuf, recvbuf, op=op, root=0)
             self.Bcast(recvbuf, root=0)
-            return rflat
-
-        result = self._allreduce(acc, op, algorithm, acc.nbytes, scount,
-                                 sdt.np_dtype, compose)
-        if result is not rflat:
+            return
+        acc, in_place = _accumulator(sflat, rflat)
+        result = acc if algo == "local" else self._allreduce(
+            algo, acc, op, scount, sdt.np_dtype)
+        if result is not acc or not in_place:
             rflat[:scount] = np.asarray(result).view(rdt.np_dtype)[:scount]
 
     @_traced_collective("reduce+bcast")
@@ -1414,10 +1478,10 @@ class Intracomm:
     def Scan(self, sendbuf, recvbuf, op: _ops.Op = _ops.SUM) -> None:
         """Inclusive prefix reduction over buffers (linear chain)."""
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
+        rflat, _rc, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(sdt.np_dtype, scount)
         _prefix, acc = self._linear_chain(tag, self._rank, sflat,
-                                          op.np_func, send, recv)
-        rflat, _rc, rdt = decode_buffer_spec(recvbuf)
+                                          _combiner(op, True), send, recv)
         rflat[:acc.size] = acc.view(rdt.np_dtype)
 
     @_traced_collective("linear-chain")
@@ -1425,11 +1489,11 @@ class Intracomm:
         """Exclusive prefix reduction over buffers; rank 0's recvbuf is
         left untouched (MPI leaves it undefined)."""
         sflat, scount, sdt = decode_buffer_spec(sendbuf)
+        rflat, _rc, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(sdt.np_dtype, scount)
         prefix, _acc = self._linear_chain(tag, self._rank, sflat,
-                                          op.np_func, send, recv)
+                                          _combiner(op, True), send, recv)
         if prefix is not None:
-            rflat, _rc, rdt = decode_buffer_spec(recvbuf)
             rflat[:prefix.size] = prefix.view(rdt.np_dtype)
 
     # ------------------------------------------------------------------

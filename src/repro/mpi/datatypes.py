@@ -82,14 +82,9 @@ def from_numpy_dtype(dtype) -> Datatype:
         return Datatype(f"MPI_USER<{dtype}>", dtype)
 
 
-def decode_buffer_spec(spec):
-    """Decode an mpi4py-style buffer specification.
-
-    Accepts ``array``, ``[array, Datatype]`` or ``[array, count, Datatype]``
-    and returns ``(flat_view, count, Datatype)`` where *flat_view* is a
-    1-D view (no copy) of the underlying array restricted to *count*
-    elements.
-    """
+def _parse(spec):
+    """``(array, count or None, Datatype)`` of a buffer specification,
+    the array viewed as the datatype."""
     count = None
     dtype = None
     if isinstance(spec, (list, tuple)):
@@ -111,9 +106,37 @@ def decode_buffer_spec(spec):
         dtype = from_numpy_dtype(arr.dtype)
     elif arr.dtype != dtype.np_dtype:
         arr = arr.view(dtype.np_dtype)
-    flat = arr.reshape(-1)
+    return arr, count, dtype
+
+
+def _restrict(flat, count, dtype):
     if count is None:
         count = flat.shape[0]
     elif count > flat.shape[0]:
         raise ValueError(f"count {count} exceeds buffer length {flat.shape[0]}")
     return flat[:count], int(count), dtype
+
+
+def decode_buffer_spec(spec):
+    """Decode an mpi4py-style buffer specification.
+
+    Accepts ``array``, ``[array, Datatype]`` or ``[array, count, Datatype]``
+    and returns ``(flat, count, Datatype)`` where *flat* is a 1-D
+    array of the buffer's data restricted to *count* elements: a view
+    wherever the array can be flattened without a copy, else a copy --
+    fine for data that is only read (a send buffer).
+    """
+    arr, count, dtype = _parse(spec)
+    return _restrict(arr.reshape(-1), count, dtype)
+
+
+def _decode_recv_spec(spec):
+    """:func:`decode_buffer_spec` for a buffer that is written (a receive
+    buffer): *flat* is always a view, so every write lands in the
+    caller's array.  A multi-dimensional array that cannot be flattened
+    without a copy raises ``ValueError``, as mpi4py does."""
+    arr, count, dtype = _parse(spec)
+    flat = arr.reshape(-1)
+    if flat.size and not np.may_share_memory(flat, arr):
+        raise ValueError("receive buffer is not contiguous")
+    return _restrict(flat, count, dtype)

@@ -56,6 +56,15 @@ class PeriodicSet(NamedTuple):
     def count(self) -> int:
         return max(self.below(self.hi) - self.below(self.lo), 0)
 
+    def nth(self, k: int) -> int:
+        """The k-th id of the set in ascending order (its id at local
+        position k), in O(1)."""
+        if not 0 <= k < self.count():
+            raise IndexError(f"position {k} outside a set of "
+                             f"{self.count()} ids")
+        q, r = divmod(self.below(self.lo) + k, self.whi - self.wlo)
+        return q * self.period + self.wlo + r
+
     def below_each(self, x: np.ndarray) -> np.ndarray:
         """:meth:`below` of every element of an int64 array."""
         width = self.whi - self.wlo

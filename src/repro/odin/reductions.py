@@ -147,7 +147,9 @@ def _argextreme(a: DistArray, mode: str) -> int:
         if payload is None:
             continue
         val, local = payload
-        gid = int(a.dist.indices_for(w)[local])
+        owned = a.dist.periodic(w)
+        gid = (int(a.dist.indices_for(w)[local]) if owned is None
+               else owned.nth(local))
         better = (best_val is None
                   or (val < best_val if mode == "min" else val > best_val)
                   or (val == best_val and gid < best_gid))

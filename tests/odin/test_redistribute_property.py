@@ -417,6 +417,25 @@ class TestSameAsClosedForm:
         assert equal == len(layouts) + 2 + 2 * (P == 2)
 
 
+class TestNth:
+    """``PeriodicSet.nth(k)`` is element k of the worker's index list."""
+
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4, 11]),
+           n=st.integers(1, 121))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_index_list(self, data, P, n):
+        d = data.draw(_layout((n,), P))
+        for w in range(P):
+            s = d.periodic(w)
+            if s is None:
+                continue
+            ids = d.indices_for(w)
+            assert [s.nth(k) for k in range(len(ids))] == ids.tolist()
+            for k in (-1, len(ids)):
+                with pytest.raises(IndexError):
+                    s.nth(k)
+
+
 class TestLedgerPipeline:
     """block -> cyclic -> block-cyclic(b) -> block on an odd axis, the
     redistribution benchmark's own pipeline, on both transports."""

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import odin
+from repro.odin.distribution import (BlockCyclicDistribution,
+                                     BlockDistribution, CyclicDistribution)
 from tests.conftest import settle_counters
 
 
@@ -100,3 +102,24 @@ class TestArgExtremes:
         x = odin.array(xs)
         assert xs[odin.argmin(x)] == xs.min()
         assert xs[odin.argmax(x)] == xs.max()
+
+    @pytest.mark.parametrize("dist,kw", [("block", {}), ("cyclic", {}),
+                                         ("block-cyclic",
+                                          {"block_size": 64})])
+    def test_regular_layouts_build_no_index_list(self, odin4, monkeypatch,
+                                                 dist, kw):
+        """The winner's global id comes from the layout's closed form:
+        no worker's index list is built on the driver."""
+        n, peak = 10 ** 7, 6_543_211
+        x = odin.arange(n, dtype=np.int32, dist=dist, **kw)
+        y = -abs(x - peak)
+        odin.get_context().flush()
+
+        def refuse(dist, worker):
+            raise AssertionError(f"index list of worker {worker} built")
+
+        for cls in (BlockDistribution, CyclicDistribution,
+                    BlockCyclicDistribution):
+            monkeypatch.setattr(cls, "indices_for", refuse)
+        assert odin.argmax(y) == peak
+        assert odin.argmin(y) == 0
