@@ -42,9 +42,7 @@ FOLDS = {
                      {"op": NAME, "worker": "worker"})],
     ("odin.worker", "fused.kernel"): [],
     ("odin.worker", "fused.stack"): [],
-    ("odin.worker", "redistribute.exchange"): [
-        ("c", "odin.plan_cache.hits", "plan=hit", _WORKER),
-        ("c", "odin.plan_cache.misses", "plan=miss", _WORKER)],
+    ("odin.worker", "redistribute.exchange"): [],
     "solver.krylov": [("c", "solver.iterations", 1, {"method": "method"}),
                       ("g", "solver.residual", "resid",
                        {"method": "method"})],

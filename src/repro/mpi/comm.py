@@ -892,12 +892,13 @@ class Intracomm:
             out[src] = recv(src, tag, out[src])
         return out
 
-    def _linear_chain(self, tag, i, value, combine, send, recv):
+    def _linear_chain(self, tag, i, value, combine, send, recv, out=None):
         """Linear-chain prefix: member i receives the exclusive prefix
-        from i - 1, folds its own value in and forwards the result to
-        i + 1.  Returns ``(exclusive prefix or None, inclusive prefix)``."""
+        from i - 1, folds its own value in (into *out* when given, cast
+        to its dtype) and forwards the result to i + 1.  Returns
+        ``(exclusive prefix or None, inclusive prefix)``."""
         prefix = recv(i - 1, tag) if i > 0 else None
-        acc = value if prefix is None else combine(prefix, value, None)
+        acc = value if prefix is None else combine(prefix, value, out)
         if i + 1 < self._size:
             send(acc, i + 1, tag)
         return prefix, acc
@@ -1481,7 +1482,8 @@ class Intracomm:
         rflat, _rc, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(sdt.np_dtype, scount)
         _prefix, acc = self._linear_chain(tag, self._rank, sflat,
-                                          _combiner(op, True), send, recv)
+                                          _combiner(op, True), send, recv,
+                                          np.empty_like(sflat))
         rflat[:acc.size] = acc.view(rdt.np_dtype)
 
     @_traced_collective("linear-chain")
@@ -1492,7 +1494,8 @@ class Intracomm:
         rflat, _rc, rdt = _decode_recv_spec(recvbuf)
         tag, send, recv = self._coll_io(sdt.np_dtype, scount)
         prefix, _acc = self._linear_chain(tag, self._rank, sflat,
-                                          _combiner(op, True), send, recv)
+                                          _combiner(op, True), send, recv,
+                                          np.empty_like(sflat))
         if prefix is not None:
             rflat[:prefix.size] = prefix.view(rdt.np_dtype)
 

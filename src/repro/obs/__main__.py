@@ -48,9 +48,7 @@ def _render_status(doc: dict) -> str:
                          f"op-log length {ctx.get('oplog_len')}")
         plan = ctx.get("plan_cache")
         if plan:
-            lines.append(f"    plan cache: {plan.get('hits')} hits / "
-                         f"{plan.get('misses')} misses "
-                         f"({plan.get('cached_plans')} cached)")
+            lines.append(f"    plans built: {plan.get('misses')}")
         for r in ctx.get("ranks", []):
             state = ("FAILED" if r.get("failed")
                      else r.get("pending") or "idle")

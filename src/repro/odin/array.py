@@ -19,10 +19,13 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import opcodes
-from .context import OdinContext, get_context
-from .distribution import Distribution
+from .context import OdinContext, get_context, local_registry
+from .distribution import (BlockDistribution, Distribution, GridDistribution,
+                           same_scheme)
 
 __all__ = ["DistArray"]
+
+local_registry["__squeeze__"] = np.squeeze
 
 Scalar = Union[int, float, complex, bool, np.number]
 
@@ -152,19 +155,20 @@ class DistArray:
         return out
 
     def _squeeze_local(self, axes) -> "DistArray":
-        """Remove length-1 non-distributed axes (metadata + local op)."""
-        from .local import _call_builtin_local
+        """Remove length-1 non-distributed axes: each worker squeezes and
+        keeps its own block, under the same scheme."""
         new_shape = tuple(s for ax, s in enumerate(self.shape)
                           if ax not in axes)
         new_axis = self.dist.axis - sum(1 for ax in axes
                                         if ax < self.dist.axis)
-        lists = [self.dist.indices_for(w)
-                 for w in range(self.dist.nworkers)]
-        from .distribution import ArbitraryDistribution
-        new_dist = ArbitraryDistribution(new_shape, new_axis, lists)
-        return _call_builtin_local(
-            self.ctx, "__squeeze__", [self], {"axes": axes},
-            out_dist=new_dist, dtype=self.dtype)
+        new_dist = same_scheme(self.dist, new_shape, new_axis)
+        out_id = self.ctx.new_array_id()
+        results = self.ctx.call_local(
+            "__squeeze__", (("array", self.array_id),),
+            {"axis": ("value", axes)}, out_id=out_id, out_dist=new_dist)
+        if {tag for tag, _p in results} != {"stored"}:
+            raise AssertionError("squeeze workers failed to store blocks")
+        return DistArray(self.ctx, out_id, new_dist, self.dtype)
 
     def __setitem__(self, key, value) -> None:
         key = self._normalize_key(key)
@@ -337,31 +341,16 @@ class DistArray:
 
 def _block_like(dist: Distribution, new_shape) -> Distribution:
     """A balanced block distribution over the same workers/axis."""
-    from .distribution import BlockDistribution
     return BlockDistribution(new_shape, dist.axis, dist.nworkers)
 
 
 def _permuted_distribution(dist: Distribution, axes, new_shape):
     """The distribution after np.transpose(data, axes): distributed axis k
     (old numbering) becomes axis axes.index(k)."""
-    from .distribution import (ArbitraryDistribution, BlockCyclicDistribution,
-                               BlockDistribution, CyclicDistribution,
-                               GridDistribution)
     if isinstance(dist, GridDistribution):
         new_axes = tuple(axes.index(a) for a in dist.axes)
         return GridDistribution(new_shape, new_axes, dist.grid)
-    new_axis = axes.index(dist.axis)
-    if isinstance(dist, BlockDistribution):
-        return BlockDistribution(new_shape, new_axis, dist.nworkers,
-                                 counts=dist.counts())
-    if isinstance(dist, CyclicDistribution):
-        return CyclicDistribution(new_shape, new_axis, dist.nworkers)
-    if isinstance(dist, BlockCyclicDistribution):
-        return BlockCyclicDistribution(new_shape, new_axis, dist.nworkers,
-                                       block_size=dist.block_size)
-    lists = [dist.indices_for(w) for w in range(dist.nworkers)]
-    return ArbitraryDistribution(new_shape, new_axis, lists,
-                                 validate=False)
+    return same_scheme(dist, new_shape, axes.index(dist.axis))
 
 
 def _raise_oob(k, ax):

@@ -240,7 +240,6 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                     state.index = new_index
                     state.comm = new_wcomm
                     state.full_comm = new_full
-                    state.plan_cache.clear()
                 comm = new_full
                 _worker_tls.comm = new_wcomm
                 _worker_tls.index = new_index
@@ -857,13 +856,10 @@ class OdinContext:
             c._issue(opcodes.REGISTER_LOCAL, name, spec)
 
     def plan_cache_stats(self) -> Dict[str, Any]:
-        """Aggregate worker-side communication-plan cache statistics."""
-        stats = self._issue(opcodes.PLAN_STATS)
-        hits = sum(s[0] for s in stats)
-        misses = sum(s[1] for s in stats)
-        out = {"hits": hits, "misses": misses,
-               "cached_plans": sum(s[2] for s in stats),
-               "hit_rate": hits / max(hits + misses, 1)}
+        """Communication plans the workers built so far, in cache terms:
+        every redistribution and slice builds its own plan, so ``hits``
+        is 0 and ``misses`` counts the plans."""
+        out = {"hits": 0, "misses": sum(self._issue(opcodes.PLAN_STATS))}
         # cached for the /status endpoint, which must never issue ops
         self._last_plan_stats = out
         return out

@@ -23,7 +23,8 @@ from .periodic import PeriodicSet, overlap
 
 __all__ = ["Distribution", "BlockDistribution", "CyclicDistribution",
            "BlockCyclicDistribution", "ArbitraryDistribution",
-           "GridDistribution", "ConcatDistribution", "make_distribution"]
+           "GridDistribution", "ConcatDistribution", "make_distribution",
+           "same_scheme"]
 
 
 class Distribution:
@@ -123,10 +124,9 @@ class Distribution:
 
     def cache_key(self):
         """Hashable value identifying the index mapping, or None when the
-        distribution cannot be cheaply keyed (such a distribution opts out
-        of the worker-side redistribution-plan cache).  Two distributions
-        with equal keys must assign every global index to the same worker
-        at the same local position."""
+        distribution cannot be cheaply keyed.  Two distributions with
+        equal keys must assign every global index to the same worker at
+        the same local position (:meth:`same_as` relies on it)."""
         return None
 
     # -- multi-axis protocol (used by the redistribution engine) --------
@@ -625,6 +625,26 @@ def _same_sets(mine: Sequence[PeriodicSet],
 
 
 BlockDistribution.same_as_gridlike = _block_same_as_gridlike
+
+
+def same_scheme(dist: Distribution, global_shape: Sequence[int],
+                axis: int) -> Distribution:
+    """*dist*'s layout on a new global shape whose axis *axis* takes the
+    place of *dist*'s distributed axis (same length): every worker keeps
+    the same ids at the same positions.  Block (with its counts), cyclic
+    and block-cyclic keep their closed form; any other single-axis
+    layout becomes its index lists."""
+    P = dist.nworkers
+    if isinstance(dist, BlockDistribution):
+        return BlockDistribution(global_shape, axis, P, counts=dist.counts())
+    if isinstance(dist, CyclicDistribution):
+        return CyclicDistribution(global_shape, axis, P)
+    if isinstance(dist, BlockCyclicDistribution):
+        return BlockCyclicDistribution(global_shape, axis, P,
+                                       block_size=dist.block_size)
+    return ArbitraryDistribution(global_shape, axis,
+                                 [dist.indices_for(w) for w in range(P)],
+                                 validate=False)
 
 
 def make_distribution(global_shape, nworkers: int, dist: str = "block",

@@ -13,8 +13,8 @@ import numpy as np
 
 from .array import DistArray
 from .context import local_registry, worker_comm
-from .distribution import (ArbitraryDistribution, BlockDistribution,
-                           ConcatDistribution)
+from .distribution import (BlockDistribution, ConcatDistribution,
+                           same_scheme)
 
 __all__ = ["dot", "matmul", "concatenate", "sort"]
 
@@ -53,8 +53,7 @@ def matmul(a: DistArray, b: DistArray) -> DistArray:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     a = _rows_dist_of(a)
     out_shape = (a.shape[0],) if b.ndim == 1 else (a.shape[0], b.shape[1])
-    lists = [a.dist.indices_for(w) for w in range(a.dist.nworkers)]
-    out_dist = ArbitraryDistribution(out_shape, 0, lists, validate=False)
+    out_dist = same_scheme(a.dist, out_shape, 0)
     out_id = a.ctx.new_array_id()
     results = a.ctx.call_local(
         "__odin_matmul__",

@@ -18,11 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Callable, Optional
 
-import numpy as np
-
 from .array import DistArray
 from .context import OdinContext, get_context, local_registry
-from .distribution import Distribution
 
 __all__ = ["local", "LocalFunction"]
 
@@ -102,37 +99,3 @@ def local(fn: Callable = None, *, name: Optional[str] = None):
         return lambda f: LocalFunction(f, name=name)
     return LocalFunction(fn, name=name)
 
-
-# -- built-in local helpers used by the array layer ------------------------
-def _builtin_squeeze(block, axes=()):
-    return np.squeeze(block, axis=tuple(axes))
-
-
-local_registry["__squeeze__"] = _builtin_squeeze
-
-
-def _call_builtin_local(ctx: OdinContext, name: str, arrays, kwargs,
-                        out_dist: Distribution, dtype) -> DistArray:
-    """Invoke a builtin worker helper whose result has a known dist."""
-    arg_specs = tuple(("array", a.array_id) for a in arrays)
-    kwarg_specs = {k: ("value", v) for k, v in kwargs.items()}
-    out_id = ctx.new_array_id()
-    results = ctx.call_local(name, arg_specs, kwarg_specs, out_id=out_id)
-    # builtin helpers may return blocks whose shape no longer matches the
-    # input distribution; workers stored nothing, so scatter the dist in a
-    # second op
-    tags = {tag for tag, _p in results}
-    if tags == {"stored"}:
-        return DistArray(ctx, out_id, results[0][1], dtype)
-    # the helper returned reshaped blocks: reassemble and scatter under the
-    # target distribution (driver-mediated, used only for tiny metadata ops
-    # like squeeze)
-    blocks = [payload for _tag, payload in results]
-    full = np.empty(out_dist.global_shape, dtype=dtype)
-    for w, block in enumerate(blocks):
-        idx = out_dist.indices_for(w)
-        sl = [slice(None)] * out_dist.ndim
-        sl[out_dist.axis] = idx
-        full[tuple(sl)] = block
-    ctx.scatter(out_id, out_dist, full)
-    return DistArray(ctx, out_id, out_dist, dtype)

@@ -31,7 +31,7 @@ SAVE = "save"                # (id, path_pattern)
 GROUPBY = "groupby"          # tabular shuffle-reduce
 TRANSFORM = "transform"      # (src_id, dst_id, fname) -> new local length
 SET_DIST = "set_dist"        # (id, dist) fix metadata after a transform
-PLAN_STATS = "plan_stats"    # () -> (hits, misses, cached_plans)
+PLAN_STATS = "plan_stats"    # () -> plans built
 SHUTDOWN = "shutdown"
 
 # Fault recovery (repro.recover).  CKPT snapshots every live array and

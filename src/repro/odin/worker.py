@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import importlib
 import marshal
-import os
 import sys
 import types
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -23,16 +21,10 @@ from ..mpi.comm import Intracomm
 from ..obs import causal as _CZ
 from ..trace import TRACER as _TR
 from . import opcodes
-from .distribution import (ArbitraryDistribution, BlockDistribution,
-                           Distribution)
+from .distribution import ArbitraryDistribution, Distribution, same_scheme
 from .periodic import PeriodicSet, Piece, intersect
 
 __all__ = ["WorkerState", "execute_op", "UFUNCS"]
-
-
-def _plan_cache_cap() -> int:
-    """Max cached communication plans per worker (LRU bound)."""
-    return int(os.environ.get("REPRO_ODIN_PLAN_CACHE", "64"))
 
 # ufuncs exposed as odin.<name>; unary and binary sets drive arity checks
 UNARY_UFUNCS = {
@@ -77,13 +69,8 @@ class WorkerState:
     full_comm: Optional[Intracomm] = None  # driver + workers (scatter path)
     arrays: Dict[int, Tuple[np.ndarray, Distribution]] = field(
         default_factory=dict)
-    # communication-plan cache (redistribution + slicing index math),
-    # LRU-bounded; keyed on (kind, src dist key, dst dist key, dtype)
-    plan_cache: "OrderedDict[tuple, Any]" = field(
-        default_factory=OrderedDict)
-    plan_cache_cap: int = field(default_factory=_plan_cache_cap)
-    plan_hits: int = 0
-    plan_misses: int = 0
+    # communication plans built, one per redistribution or slice op
+    plans_built: int = 0
     # SCR-style in-memory checkpoints: version -> (own snapshot, partner's
     # snapshot, partner's old worker index).  A snapshot is a deep-copied
     # {array_id: (block, dist)}.  The partner copy belongs to the previous
@@ -239,21 +226,25 @@ class _RedistPlan:
 class _AxisPlan(_RedistPlan):
     """A single-axis plan: every take and place is a :class:`Piece` of
     local positions along one axis, packed and placed through strided
-    views."""
+    views.  A slice with a negative step places through the reversed
+    output, so both ends still list every piece in ascending source id."""
 
-    __slots__ = ("take_axis", "place_axis")
+    __slots__ = ("take_axis", "place_axis", "reverse")
 
     def __init__(self, out_shape, send, recv, self_pair, take_axis,
-                 place_axis):
+                 place_axis, reverse):
         super().__init__("single-axis", out_shape, send, recv, self_pair)
         self.take_axis = take_axis
         self.place_axis = place_axis
+        self.reverse = reverse
 
     def _take(self, local: np.ndarray, piece: Piece) -> np.ndarray:
         return piece.pack(local, self.take_axis)
 
     def _place(self, out: np.ndarray, piece: Piece,
                data: np.ndarray) -> None:
+        if self.reverse:
+            out = np.flip(out, self.place_axis)
         piece.place(out, data, self.place_axis)
 
 
@@ -266,40 +257,77 @@ def _ids_piece(dist: Distribution, worker: int) -> Piece:
     return intersect(PeriodicSet.full(dist.axis_length), s)
 
 
-def _build_redist_plan(state: WorkerState, src: Distribution,
-                       dst: Distribution) -> _RedistPlan:
-    """Plan construction: the index math formerly done on every call.
+def _image(s: PeriodicSet, start: int, step: int) -> PeriodicSet:
+    """The source ids the destination ids *s* take when destination id k
+    takes source id ``start + step*k``.  A slice lands on a block layout,
+    so *s* is a range, and its image has period |step| and a one-residue
+    window."""
+    if (start, step) == (0, 1):
+        return s
+    if s.period != 1:
+        raise ValueError("a slice must land on a block layout")
+    if s.hi <= s.lo:
+        return PeriodicSet(0, 0, 1, 0, 1)
+    first, last = start + step * s.lo, start + step * (s.hi - 1)
+    T = abs(step)
+    return PeriodicSet(min(first, last), max(first, last) + 1, T, start % T,
+                       start % T + 1)
 
-    Both sides of every pairwise transfer derive it deterministically
-    from the distribution descriptors, so only array data crosses the
-    wire -- no index lists.  Block, cyclic and block-cyclic pairs are
-    planned in closed form (:mod:`repro.odin.periodic`): the overlap of
-    two workers is periodic with L = lcm of the two periods, so each
-    piece is a head, a strided tile and a tail, built in O(P + L)
-    per worker and never O(n).  Irregular single-axis layouts use owner
-    arithmetic: the sender asks ``dst.owner_of`` where each of its
-    elements goes, the receiver asks ``src.owner_of`` where each of its
-    slots comes from, and one mask per peer yields every take and place
-    array in O(n*P).  Grid distributions go through the general per-axis
+
+def _preimage(ids: np.ndarray, start: int, step: int, m: int):
+    """Positions in *ids* of the source ids that a destination id k < m
+    takes, and those k."""
+    k, r = np.divmod(ids - start, step)
+    kept = np.flatnonzero((r == 0) & (k >= 0) & (k < m))
+    return kept, k[kept]
+
+
+def _build_redist_plan(state: WorkerState, src: Distribution,
+                       dst: Distribution, start: int = 0,
+                       step: int = 1) -> _RedistPlan:
+    """This worker's communication plan for one redistribution or slice.
+
+    Destination id k along the distributed axis takes source id
+    ``start + step*k``: ``(0, 1)`` is a plain redistribution, anything
+    else a slice.  Both sides of every pairwise transfer derive the plan
+    deterministically from the distribution descriptors, so only array
+    data crosses the wire -- no index lists.  Block, cyclic and
+    block-cyclic sources are planned in closed form
+    (:mod:`repro.odin.periodic`): u sends v the ids of u's periodic set
+    in the image of v's, so each piece is a head, a strided tile and a
+    tail, built in O(P + L) per worker (L = lcm of the two periods) and
+    never O(n).  Irregular single-axis layouts use owner arithmetic: the
+    sender asks ``dst.owner_of`` where each of its elements goes, the
+    receiver asks ``src.owner_of`` where each of its slots comes from,
+    and one mask per peer yields every take and place array in O(n*P).
+    Grid distributions go through the general per-axis
     Cartesian-intersection engine (ownership is separable per axis, so
     the overlap of two workers is always a rectangular tile).
     """
-    if _is_multi_axis(src, dst):
+    if (start, step) == (0, 1) and _is_multi_axis(src, dst):
         return _build_general_plan(state, src, dst)
     w = state.index
     P = state.comm.size
     ax = src.axis
     if ax == dst.axis:
-        mine, theirs = src.periodic(w), dst.periodic(w)
+        mine, theirs = src.axis_periodic(w, ax), dst.periodic(w)
         if mine is not None and theirs is not None:
-            takes = [intersect(mine, dst.periodic(v)) for v in range(P)]
-            places = [intersect(theirs, src.periodic(u)) for u in range(P)]
+            takes = [intersect(mine, _image(dst.periodic(v), start, step))
+                     for v in range(P)]
+            image = _image(theirs, start, step)
+            places = [intersect(image, src.axis_periodic(u, ax))
+                      for u in range(P)]
         else:
-            mine, theirs = src.indices_for(w), dst.indices_for(w)
-            takes = [Piece([k]) for k in
-                     _split_by_owner(dst.owner_of(mine), mine, P)]
-            places = [Piece([k]) for k in
-                      _split_by_owner(src.owner_of(theirs), theirs, P)]
+            mine = src.indices_for(w)
+            kept, k = _preimage(mine, start, step, dst.axis_length)
+            takes = [Piece([kept[p]]) for p in
+                     _split_by_owner(dst.owner_of(k), mine[kept], P)]
+            # slots in the order the (reversed, for step < 0) output
+            # lists them: source ids ascend for a block destination
+            slots = dst.indices_for(w)
+            gids = start + step * (slots[::-1] if step < 0 else slots)
+            places = [Piece([p]) for p in
+                      _split_by_owner(src.owner_of(gids), gids, P)]
         takes = [t if t.size else None for t in takes]
         places = [p if p.size else None for p in places]
     else:
@@ -313,18 +341,33 @@ def _build_redist_plan(state: WorkerState, src: Distribution,
             if u != w and places[u] is not None]
     self_pair = None if takes[w] is None else (takes[w], places[w])
     return _AxisPlan(dst.local_shape(w), send, recv, self_pair, dst.axis,
-                     ax)
+                     ax, step < 0)
 
 
 def _redistribute_block(state: WorkerState, local: np.ndarray,
-                        src: Distribution, dst: Distribution) -> np.ndarray:
-    """Move a local block from distribution *src* to *dst* (plan-cached)."""
-    plan, cached = _redist_plan_for(state, src, dst, local.dtype)
+                        src: Distribution, dst: Distribution,
+                        start: int = 0, step: int = 1) -> np.ndarray:
+    """Move a local block from distribution *src* to *dst*, slicing it on
+    the way for any ``(start, step)`` but ``(0, 1)``.  Every op builds its
+    own plan: O(P + L) index arithmetic for periodic layouts."""
+    plan = _build_redist_plan(state, src, dst, start, step)
+    state.plans_built += 1
     if _TR.enabled:
         with _TR.span("odin.worker", "redistribute.exchange",
-                      worker=state.index, kind=plan.kind, plan=cached):
+                      worker=state.index, kind=plan.kind):
             return plan.execute(state, local)
     return plan.execute(state, local)
+
+
+def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
+                 slices, new_dist: Distribution) -> np.ndarray:
+    """Slice onto the block layout *new_dist*: every other axis is cut in
+    place, and the distributed axis is a redistribution in which
+    destination id k takes source id ``start + step*k``."""
+    ax = src.axis
+    start, _stop, step = slices[ax].indices(src.axis_length)
+    cut = tuple(slice(None) if a == ax else sl for a, sl in enumerate(slices))
+    return _redistribute_block(state, local[cut], src, new_dist, start, step)
 
 
 def _pair_tile(src: Distribution, dst: Distribution, from_w: int,
@@ -393,139 +436,6 @@ def _build_general_plan(state: WorkerState, src: Distribution,
             continue
         recv.append((u, _tile_indexer(dst, w, tile, out_shape)))
     return _RedistPlan("general", out_shape, send, recv, self_pair)
-
-
-# ----------------------------------------------------------------------
-# plan cache (LRU per worker; keys derived from distribution descriptors)
-# ----------------------------------------------------------------------
-def _plan_cache_get(state: WorkerState, key):
-    plan = state.plan_cache.get(key)
-    if plan is not None:
-        state.plan_cache.move_to_end(key)
-        state.plan_hits += 1
-        return plan
-    state.plan_misses += 1
-    return None
-
-
-def _plan_cache_put(state: WorkerState, key, plan) -> None:
-    cache = state.plan_cache
-    cache[key] = plan
-    while len(cache) > state.plan_cache_cap:
-        cache.popitem(last=False)
-
-
-def _redist_plan_for(state: WorkerState, src: Distribution,
-                     dst: Distribution, dtype):
-    """The plan and how the cache served it: ``"hit"``, ``"miss"``, or
-    None for an unkeyable distribution."""
-    src_key = src.cache_key()
-    dst_key = dst.cache_key()
-    if src_key is None or dst_key is None:
-        # unkeyable distribution: build fresh, bypass the cache entirely
-        return _build_redist_plan(state, src, dst), None
-    key = ("redist", src_key, dst_key, np.dtype(dtype).str)
-    plan = _plan_cache_get(state, key)
-    if plan is not None:
-        return plan, "hit"
-    plan = _build_redist_plan(state, src, dst)
-    _plan_cache_put(state, key, plan)
-    return plan, "miss"
-
-
-# ----------------------------------------------------------------------
-# slicing
-# ----------------------------------------------------------------------
-def _slice_survivors(dist: Distribution, worker: int, sl: slice):
-    """Global source indices on *worker* that survive slice *sl* along the
-    distributed axis, plus their new global indices."""
-    start, stop, step = sl.indices(dist.axis_length)
-    mine = dist.indices_for(worker)
-    if step > 0:
-        mask = (mine >= start) & (mine < stop) & ((mine - start) % step == 0)
-    else:
-        mask = (mine <= start) & (mine > stop) & ((start - mine) % -step == 0)
-    kept = mine[mask]
-    new_g = (kept - start) // step
-    return kept, new_g
-
-
-class _SlicePlan:
-    """Precomputed slice-then-redistribute schedule.
-
-    Stores the local slicing indexer, the survivor take along the
-    distributed axis, and the inner redistribution plan from the implied
-    intermediate distribution to the target -- so a cache hit skips the
-    survivor scan and the ArbitraryDistribution construction entirely.
-    """
-
-    __slots__ = ("local_sl", "take", "axis", "inner")
-
-    def __init__(self, local_sl, take, axis, inner):
-        self.local_sl = local_sl
-        self.take = take
-        self.axis = axis
-        self.inner = inner
-
-    def execute(self, state: WorkerState, local: np.ndarray) -> np.ndarray:
-        part = local[self.local_sl]
-        part = np.take(part, self.take, axis=self.axis)
-        return self.inner.execute(state, part)
-
-
-def _build_slice_plan(state: WorkerState, src: Distribution, slices,
-                      new_dist: Distribution) -> _SlicePlan:
-    w = state.index
-    # local part: every non-distributed axis is sliced in place
-    local_sl: List[Any] = []
-    mid_shape = list(src.global_shape)
-    for ax, sl in enumerate(slices):
-        if ax == src.axis:
-            local_sl.append(slice(None))
-        else:
-            local_sl.append(sl)
-            mid_shape[ax] = len(range(*sl.indices(src.global_shape[ax])))
-    # distributed axis: keep survivors, renumber them globally
-    axis_sl = slices[src.axis]
-    kept, _new_g = _slice_survivors(src, w, axis_sl)
-    take = src.axis_local_position(w, src.axis, kept)
-    start, stop, step = axis_sl.indices(src.axis_length)
-    mid_shape[src.axis] = len(range(start, stop, step))
-    # ownership after the cut, before rebalancing: each worker holds the
-    # survivors of its own segment (deterministically recomputable)
-    lists = [_slice_survivors(src, v, axis_sl)[1]
-             for v in range(src.nworkers)]
-    inter = ArbitraryDistribution(tuple(mid_shape), src.axis, lists,
-                                  validate=False)
-    inner = _build_redist_plan(state, inter, new_dist)
-    return _SlicePlan(tuple(local_sl), take, src.axis, inner)
-
-
-def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
-                 slices, new_dist: Distribution) -> np.ndarray:
-    """Slice then redistribute to *new_dist* (same ndim preserved)."""
-    src_key = src.cache_key()
-    dst_key = new_dist.cache_key()
-    key = None
-    plan = cached = None
-    if src_key is not None and dst_key is not None:
-        # slices are unhashable before 3.12: normalize to index triples
-        triples = tuple(sl.indices(src.global_shape[ax])
-                        for ax, sl in enumerate(slices))
-        key = ("slice", src_key, triples, dst_key,
-               np.dtype(local.dtype).str)
-        plan = _plan_cache_get(state, key)
-        cached = "miss" if plan is None else "hit"
-    if plan is None:
-        plan = _build_slice_plan(state, src, slices, new_dist)
-        if key is not None:
-            _plan_cache_put(state, key, plan)
-    if _TR.enabled:
-        with _TR.span("odin.worker", "redistribute.exchange",
-                      worker=state.index, kind=plan.inner.kind,
-                      plan=cached):
-            return plan.execute(state, local)
-    return plan.execute(state, local)
 
 
 # ----------------------------------------------------------------------
@@ -724,8 +634,8 @@ def _restore(state: WorkerState, version: int, old_indices, dead_indices,
     Runs on the post-shrink communicator; ``state.index``/``state.comm``
     are already the new ones.  ``old_indices[j]`` is new worker j's old
     index; each dead worker's blocks come from its ring partner's copy.
-    Single-axis arrays are redistributed with the (cacheable) alltoall
-    plan; grid/concat/undistributed arrays take an allgather-assemble
+    Single-axis arrays are redistributed with an alltoall plan;
+    grid/concat/undistributed arrays take an allgather-assemble
     fallback.  Returns the number of restored arrays.
     """
     own, partner, partner_of = state.checkpoints.get(
@@ -759,7 +669,7 @@ def _restore(state: WorkerState, version: int, old_indices, dead_indices,
         else:
             general.append(array_id)
 
-    # -- single-axis arrays: alltoall redistribution, plan-cacheable ----
+    # -- single-axis arrays: alltoall redistribution --------------------
     for array_id in sorted(simple):
         _block, old_dist = own[array_id]
         # source view over the NEW workers: worker j holds the old blocks
@@ -971,7 +881,7 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         return None
 
     if code == opcodes.PLAN_STATS:
-        return (state.plan_hits, state.plan_misses, len(state.plan_cache))
+        return state.plans_built
 
     if code == opcodes.SETITEM:
         _code, array_id, slices, value_spec = op
@@ -981,19 +891,21 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
             # (one-copy rule); mutate a private copy
             local = local.copy()
             state.arrays[array_id] = (local, dist)
-        w = state.index
-        local_sl = []
-        for ax, sl in enumerate(slices):
-            if ax == dist.axis:
-                local_sl.append(None)  # placeholder
-            else:
-                local_sl.append(sl)
-        kept, _new_g = _slice_survivors(dist, w, slices[dist.axis])
-        take = dist.axis_local_position(w, dist.axis, kept)
-        local_sl[dist.axis] = take
+        ax = dist.axis
+        ids = range(*slices[ax].indices(dist.axis_length))
+        mine = dist.periodic(state.index)
+        if mine is None:
+            kept = Piece([_preimage(dist.indices_for(state.index), ids.start,
+                                    ids.step, len(ids))[0]])
+        else:   # what a slice plan takes from me, for every destination
+            kept = intersect(mine, _image(PeriodicSet(0, len(ids), 1, 0, 1),
+                                          ids.start, ids.step))
         if value_spec[0] == "scalar":
-            sl = list(local_sl)
-            local[tuple(sl)] = value_spec[1]
+            view = local[tuple(slice(None) if a == ax else sl
+                               for a, sl in enumerate(slices))]
+            shape = list(view.shape)
+            shape[ax] = kept.size
+            kept.place(view, np.broadcast_to(value_spec[1], shape), ax)
         else:
             raise ValueError("only scalar setitem values are supported via "
                              "control messages; use local functions for "
@@ -1022,16 +934,13 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         if axis == dist.axis:
             part = reducer.reduce(local, axis=axis) if local.size else None
             return ("partial", part)
-        # purely local reduction: result stays distributed, with the same
-        # axis decomposition (expressed as an arbitrary distribution so
-        # nonuniform block counts survive unchanged)
+        # purely local reduction: the result stays distributed by the
+        # same scheme, every worker keeping its ids
         reduced = reducer.reduce(local, axis=axis)
         new_shape = tuple(s for i, s in enumerate(dist.global_shape)
                           if i != axis)
         new_axis = dist.axis - (1 if axis < dist.axis else 0)
-        lists = [dist.indices_for(v) for v in range(dist.nworkers)]
-        new_dist = ArbitraryDistribution(new_shape, new_axis, lists,
-                                         validate=False)
+        new_dist = same_scheme(dist, new_shape, new_axis)
         out_id = op[4]
         state.arrays[out_id] = (reduced, new_dist)
         return ("stored", new_dist)

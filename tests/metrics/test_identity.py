@@ -130,10 +130,6 @@ EXPECTED = {
     "mpi.coll.calls{algorithm=recursive-doubling,op=allreduce}": 2,
     "mpi.coll.calls{algorithm=ring,op=allgather}": 3,
     "mpi.rma.bytes{op=Put}": 32,
-    "odin.plan_cache.hits{worker=0}": 1,
-    "odin.plan_cache.hits{worker=1}": 1,
-    "odin.plan_cache.misses{worker=0}": 1,
-    "odin.plan_cache.misses{worker=1}": 1,
     "odin.worker.op_seconds{op=create,worker=0}": 1,
     "odin.worker.op_seconds{op=create,worker=1}": 1,
     "odin.worker.op_seconds{op=delete_many,worker=0}": 5,

@@ -125,6 +125,39 @@ class TestPrefixBuffers:
         assert spmd(4)(body) == [5.0, 5.0, 7.0, 7.0]
 
 
+# rank 0's inclusive prefix is its own buffer, uncombined: keep it 0/1
+_LOGICAL_ROWS = np.array([[1.0, 1.0, 0.0, 1.0],
+                          [1.0, 0.0, 0.0, -1.0],
+                          [0.5, 3.0, 1.0, 2.5]])
+
+
+def _logical_prefix_body(comm):
+    send = _LOGICAL_ROWS[comm.rank]
+    out = {}
+    for name, op in (("LAND", mpi.LAND), ("LOR", mpi.LOR)):
+        scan, exscan = np.full(4, -7.0), np.full(4, -7.0)
+        comm.Scan(send, scan, op=op)
+        comm.Exscan(send, exscan, op=op)
+        out[name] = (scan.tolist(), exscan.tolist())
+    return out
+
+
+class TestLogicalPrefix:
+    """A logical op's bool result is cast into the float buffers."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_land_lor_on_float_buffers(self, backend):
+        results = mpi.run_spmd(_logical_prefix_body, 3, backend=backend)
+        for name, ufunc in (("LAND", np.logical_and),
+                            ("LOR", np.logical_or)):
+            want = ufunc.accumulate(_LOGICAL_ROWS, axis=0).astype(float)
+            for r, res in enumerate(results):
+                scan, exscan = res[name]
+                assert scan == want[r].tolist(), (name, r)
+                assert exscan == ([-7.0] * 4 if r == 0
+                                  else want[r - 1].tolist()), (name, r)
+
+
 class TestReduceScatter:
     def test_object_reduce_scatter(self):
         def body(comm):

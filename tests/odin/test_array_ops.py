@@ -184,6 +184,19 @@ class TestReductions:
         assert isinstance(rowsum, odin.DistArray)
         assert np.allclose(rowsum.gather(), data.sum(axis=1))
 
+    @pytest.mark.parametrize("dist, cls", [
+        ("block", odin.BlockDistribution),
+        ("cyclic", odin.CyclicDistribution),
+        ("block-cyclic", odin.BlockCyclicDistribution)])
+    def test_local_axis_reduction_keeps_the_scheme(self, odin4, dist, cls):
+        data = np.random.default_rng(8).normal(size=(23, 4))
+        x = odin.array(data, dist=dist, block_size=3)
+        rowsum = x.sum(axis=1)
+        assert type(rowsum.dist) is cls
+        assert rowsum.dist.same_as(odin.make_distribution(
+            (23,), 4, dist, block_size=3))
+        assert np.allclose(rowsum.gather(), data.sum(axis=1))
+
     def test_module_level_functions(self, odin4):
         x = odin.arange(9, dtype=np.float64)
         assert odin.sum(x) == pytest.approx(36.0)
@@ -218,6 +231,26 @@ class TestIndexing:
         x = odin.zeros(10)
         x[7] = 1.5
         assert x[7] == 1.5 and x.sum() == 1.5
+
+    @given(data=st.data(), n=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_setitem_slice_property(self, odin4, data, n):
+        """Periodic layouts assign through closed-form pieces, irregular
+        ones through their index lists: both as NumPy does."""
+        dist = data.draw(st.sampled_from(["block", "cyclic", "block-cyclic",
+                                          "arbitrary"]))
+        kw = {"block_size": 3} if dist == "block-cyclic" else {}
+        if dist == "arbitrary":
+            perm = np.random.default_rng(n).permutation(n)
+            kw = {"index_lists": np.array_split(perm, 4)}
+        bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+        sl = slice(data.draw(bound), data.draw(bound),
+                   data.draw(st.sampled_from([1, 2, 5, -1, -3, n + 1])))
+        want = np.arange(3.0 * n).reshape(n, 3)
+        x = odin.array(want, dist=dist, **kw)
+        x[sl, 1:] = -1.0
+        want[sl, 1:] = -1.0
+        assert np.array_equal(x.gather(), want)
 
     def test_len_and_metadata(self, odin4):
         x = odin.zeros((12, 3))

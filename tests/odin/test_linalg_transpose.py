@@ -47,6 +47,15 @@ class TestMatmul:
         y = odin.matmul(dA, odin.matmul(dA, odin.array(x)))
         assert np.allclose(y.gather(), A @ (A @ x))
 
+    def test_result_keeps_the_row_layout(self, odin4):
+        A = np.random.default_rng(8).normal(size=(30, 5))
+        x = np.random.default_rng(9).normal(size=5)
+        dA = odin.array(A, counts=[3, 12, 0, 15])
+        got = odin.matmul(dA, odin.array(x))
+        assert type(got.dist) is odin.BlockDistribution
+        assert got.dist.counts() == [3, 12, 0, 15]
+        assert np.allclose(got.gather(), A @ x)
+
     def test_left_operand_redistributed_if_needed(self, odin4):
         A = np.random.default_rng(8).normal(size=(12, 6))
         x = np.random.default_rng(9).normal(size=6)

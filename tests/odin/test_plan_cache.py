@@ -1,10 +1,12 @@
-"""Worker-side communication-plan cache (PR 4).
+"""Communication plans, and the distribution keys ``same_as`` relies on.
 
-Redistribution and slicing compute their intersection/index math once per
-``(src dist, dst dist, dtype)`` key and replay precomputed schedules on
-every later call.  These tests pin down correctness under cache hits,
-key discrimination across dtype/distribution changes, the LRU eviction
-bound, and the driver-visible statistics API.
+Every redistribution and slice builds its own plan on each worker -- in
+closed form for block, cyclic and block-cyclic layouts -- so nothing is
+cached.  ``ctx.plan_cache_stats()`` keeps its cache-shaped answer for the
+benchmark ledger: ``hits`` is 0 and ``misses`` counts the plans built.
+These tests pin down correctness over repeated, dtype-changing,
+distribution-changing, grid and sliced redistributions, that count, and
+the key contract of :meth:`Distribution.cache_key`.
 """
 
 import numpy as np
@@ -18,15 +20,20 @@ from repro.odin.distribution import (ArbitraryDistribution,
                                      BlockDistribution, ConcatDistribution,
                                      CyclicDistribution, GridDistribution)
 
+P = 4
+
 
 @pytest.fixture
 def ctx():
-    with OdinContext(4) as c:
+    with OdinContext(P) as c:
         yield c
 
 
-def _stats(ctx):
-    return ctx.plan_cache_stats()
+def _built(ctx):
+    """Plans built so far, checking the cache-shaped form of the answer."""
+    stats = ctx.plan_cache_stats()
+    assert stats["hits"] == 0
+    return stats["misses"]
 
 
 class TestCacheKeys:
@@ -70,94 +77,63 @@ class TestCacheKeys:
 
 
 class TestCachedRedistribution:
-    def test_repeated_redistribution_hits_and_stays_correct(self, ctx):
+    def test_repeated_redistribution_stays_correct(self, ctx):
         data = np.arange(4000.0)
         x = odin.array(data, ctx=ctx)
-        cyc = CyclicDistribution((4000,), 0, 4)
+        cyc = CyclicDistribution((4000,), 0, P)
+        before = _built(ctx)
         for _ in range(5):
             y = x.redistribute(cyc)
             assert np.array_equal(y.gather(), data)
-        stats = _stats(ctx)
-        # 4 workers miss once each; every later call hits
-        assert stats["hits"] > 0
-        assert stats["hit_rate"] > 0.5
-
-    def test_hit_rate_exceeds_90_percent_on_repeats(self, ctx):
-        data = np.arange(2000.0)
-        x = odin.array(data, ctx=ctx)
-        cyc = CyclicDistribution((2000,), 0, 4)
-        blk = BlockDistribution((2000,), 0, 4)
-        for _ in range(25):
-            y = x.redistribute(cyc)
-            x = y.redistribute(blk)
-        assert np.array_equal(x.gather(), data)
-        assert _stats(ctx)["hit_rate"] > 0.9
+        # every repeat builds its own plan on every worker
+        assert _built(ctx) - before == 5 * P
 
     def test_dtype_change_misses_but_stays_correct(self, ctx):
-        cyc = CyclicDistribution((1000,), 0, 4)
+        cyc = CyclicDistribution((1000,), 0, P)
         f64 = odin.array(np.arange(1000.0), ctx=ctx)
         i64 = odin.array(np.arange(1000), ctx=ctx)
         assert np.array_equal(f64.redistribute(cyc).gather(),
                               np.arange(1000.0))
-        s_mid = _stats(ctx)
-        assert np.array_equal(i64.redistribute(cyc).gather(),
-                              np.arange(1000))
-        s_end = _stats(ctx)
-        # the int64 redistribution keyed differently: fresh misses
-        assert s_end["misses"] > s_mid["misses"]
+        mid = _built(ctx)
+        out = i64.redistribute(cyc).gather()
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.arange(1000))
+        assert _built(ctx) - mid == P
 
     def test_distribution_change_misses_but_stays_correct(self, ctx):
         data = np.arange(1200.0)
         x = odin.array(data, ctx=ctx)
-        for target in (CyclicDistribution((1200,), 0, 4),
-                       BlockCyclicDistribution((1200,), 0, 4, block_size=8),
-                       BlockDistribution((1200,), 0, 4,
+        before = _built(ctx)
+        for target in (CyclicDistribution((1200,), 0, P),
+                       BlockCyclicDistribution((1200,), 0, P, block_size=8),
+                       BlockDistribution((1200,), 0, P,
                                          counts=[600, 300, 200, 100])):
             assert np.array_equal(x.redistribute(target).gather(), data)
-        stats = _stats(ctx)
-        assert stats["misses"] >= 3 * 4  # three distinct keys, 4 workers
+        assert _built(ctx) - before == 3 * P
 
     def test_grid_redistribution_cached(self, ctx):
+        """Grid pairs take the general engine; its plans count too."""
         data = np.random.default_rng(7).normal(size=(16, 12))
         g = odin.array(data, ctx=ctx, dist="grid", axes=(0, 1), grid=(2, 2))
-        blk = BlockDistribution((16, 12), 0, 4)
+        blk = BlockDistribution((16, 12), 0, P)
+        before = _built(ctx)
         for _ in range(3):
             assert np.allclose(g.redistribute(blk).gather(), data)
-        assert _stats(ctx)["hits"] > 0
+        assert _built(ctx) - before == 3 * P
 
     def test_sliced_views_cached(self, ctx):
+        """A slice is one redistribution: one plan per worker."""
         data = np.arange(3000.0)
         x = odin.array(data, ctx=ctx)
+        before = _built(ctx)
         for _ in range(4):
             y = x[100:2900:3]
             assert np.array_equal(y.gather(), data[100:2900:3])
-        assert _stats(ctx)["hits"] > 0
+        assert _built(ctx) - before == 4 * P
 
 
-class TestEvictionBound:
-    def test_cache_size_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ODIN_PLAN_CACHE", "4")
-        with OdinContext(2) as ctx:
-            data = np.arange(600.0)
-            x = odin.array(data, ctx=ctx)
-            # 8 distinct keys through a 4-entry cache
-            targets = [
-                BlockCyclicDistribution((600,), 0, 2, block_size=b)
-                for b in (1, 2, 3, 4, 5, 6, 7, 8)
-            ]
-            for t in targets:
-                assert np.array_equal(x.redistribute(t).gather(), data)
-            stats = ctx.plan_cache_stats()
-            assert stats["cached_plans"] <= 4 * 2  # cap x workers
-            # re-running the oldest key misses again (it was evicted)
-            before = stats["misses"]
-            assert np.array_equal(
-                x.redistribute(targets[0]).gather(), data)
-            assert ctx.plan_cache_stats()["misses"] > before
-
+class TestPlanStats:
     def test_plan_stats_opcode_roundtrip(self):
         with OdinContext(2) as ctx:
-            raw = ctx.run(opcodes.PLAN_STATS)
-            assert len(raw) == 2
-            for hits, misses, cached in raw:
-                assert hits == 0 and misses == 0 and cached == 0
+            assert ctx.run(opcodes.PLAN_STATS) == [0, 0]
+            assert ctx.plan_cache_stats() == {"hits": 0, "misses": 0}

@@ -2,13 +2,16 @@
 
 For any pair of distributions (including grids), redistribute must
 preserve every element: gather(redistribute(x)) == gather(x), and a
-round trip restores the exact layout.  Single-axis plans must also equal,
-position for position, the plans of a sorted-intersection planner kept
-here as the oracle; planning a regular pair must never sort, never build
-an index list and stay within a fixed memory bound.
+round trip restores the exact layout.  Single-axis plans -- slices
+included, as redistributions whose destination id k takes source id
+``start + step*k`` -- must also equal, position for position, the plans
+of a sorted-intersection planner kept here as the oracle; planning a
+regular pair must never sort, never build an index list and stay within
+a fixed memory bound.
 """
 
 import hashlib
+import math
 import pickle
 import tracemalloc
 import types
@@ -24,8 +27,8 @@ from repro.odin.distribution import (ArbitraryDistribution,
                                      BlockCyclicDistribution,
                                      BlockDistribution, CyclicDistribution,
                                      GridDistribution)
-from repro.odin.worker import (WorkerState, _build_redist_plan,
-                               _slice_survivors)
+from repro.odin.periodic import _Idx
+from repro.odin.worker import WorkerState, _build_redist_plan
 
 W = 4  # matches the odin4 fixture
 
@@ -131,32 +134,33 @@ def _layout(draw, shape, P):
             draw(st.integers(0, 2 ** 16))).permutation(n)
         return ArbitraryDistribution(shape, 0, np.split(perm, cuts()))
     base = BlockCyclicDistribution(shape, 0, P, block_size=b)
-    reverse = slice(None, None, -1)
     return ArbitraryDistribution(
-        shape, 0, [_slice_survivors(base, v, reverse)[1] for v in range(P)],
+        shape, 0, [n - 1 - base.indices_for(v) for v in range(P)],
         validate=False)
 
 
-def _plan(src, dst, w):
+def _plan(src, dst, w, start=0, step=1):
     """Worker w's plan; building one never communicates."""
     state = WorkerState(index=w, comm=types.SimpleNamespace(
         size=src.nworkers), registry={})
-    return _build_redist_plan(state, src, dst)
+    return _build_redist_plan(state, src, dst, start, step)
 
 
-def _reference_pieces(src, dst, w):
+def _reference_pieces(src, dst, w, start=0, step=1):
     """The sorted-intersection planner, kept as the oracle: per peer, the
-    global ids both sides hold, ascending, as src take positions (w
-    sending) and dst place positions (w receiving); empty pieces
-    omitted."""
+    source ids u holds that v's destination ids take, ascending, as src
+    take positions (w sending) and dst place positions (w receiving);
+    empty pieces omitted."""
     P = src.nworkers
 
     def common(u, v):
-        return np.intersect1d(src.indices_for(u), dst.indices_for(v),
+        return np.intersect1d(src.indices_for(u),
+                              start + step * dst.indices_for(v),
                               assume_unique=True)
 
     takes = {v: src.local_position(common(w, v)) for v in range(P)}
-    places = {u: dst.local_position(common(u, w)) for u in range(P)}
+    places = {u: dst.local_position((common(u, w) - start) // step)
+              for u in range(P)}
     return ({v: t for v, t in takes.items() if len(t)},
             {u: p for u, p in places.items() if len(p)})
 
@@ -165,24 +169,30 @@ def _assert_identical(got, want):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _assert_plan_is_reference(src, dst):
-    """Every plan piece, expanded to its positions, is the oracle's."""
+def _assert_plan_is_reference(src, dst, start=0, step=1):
+    """Every plan piece, expanded to its positions, is the oracle's (a
+    negative step places through the reversed output)."""
     for w in range(src.nworkers):
-        plan = _plan(src, dst, w)
+        plan = _plan(src, dst, w, start, step)
         assert plan.take_axis == plan.place_axis == src.axis
+        assert plan.reverse == (step < 0)
         takes = dict(plan.send)
         places = dict(plan.recv)
         if plan.self_pair is not None:
             takes[w], places[w] = plan.self_pair
-        want_takes, want_places = _reference_pieces(src, dst, w)
+        want_takes, want_places = _reference_pieces(src, dst, w, start,
+                                                    step)
         assert takes.keys() == want_takes.keys()
         assert places.keys() == want_places.keys()
+        last = dst.local_count(w) - 1
         for v, piece in takes.items():
             assert piece.size == len(want_takes[v])
             _assert_identical(piece.positions(), want_takes[v])
         for u, piece in places.items():
             assert piece.size == len(want_places[u])
-            _assert_identical(piece.positions(), want_places[u])
+            got = piece.positions()
+            _assert_identical(last - got if step < 0 else got,
+                              want_places[u])
 
 
 class TestPlanEquivalence:
@@ -260,12 +270,12 @@ class TestPlanEquivalence:
                                       src.indices_for(v))
 
 
-def _execute_all(src, dst, values):
+def _execute_all(src, dst, values, start=0, step=1):
     """Every worker's plan run on its block of *values* through a
     simulated alltoall: all workers pack first, as on the wire, then each
     places what the others packed for it."""
     P = src.nworkers
-    plans = [_plan(src, dst, w) for w in range(P)]
+    plans = [_plan(src, dst, w, start, step) for w in range(P)]
     blocks = [values[src.global_selector(w)] for w in range(P)]
     packed = [{v: plan._take(block, take) for v, take in plan.send}
               for plan, block in zip(plans, blocks)]
@@ -305,6 +315,55 @@ class TestPlanExecution:
                     assert np.array_equal(out,
                                           values[dst.global_selector(w)]), \
                         (src, dst, w)
+
+
+# ----------------------------------------------------------------------
+# slices: redistributions whose destination id k takes start + step*k
+# ----------------------------------------------------------------------
+@st.composite
+def _slice(draw, n):
+    """Any start and stop (absent, inside the axis or past either end)
+    and a step of 1..9 or longer than the axis, either sign."""
+    bound = st.one_of(st.none(), st.integers(-n - 3, n + 3))
+    step = draw(st.one_of(st.integers(1, 9), st.integers(n + 1, 2 * n + 5)))
+    return slice(draw(bound), draw(bound),
+                 step * draw(st.sampled_from([1, -1])))
+
+
+def _slice_target(src, sl):
+    """The block layout ``x[sl]`` lands on, and the slice's start and
+    step along the distributed axis (axis 0)."""
+    ids = range(*sl.indices(src.axis_length))
+    dst = BlockDistribution((len(ids),) + src.global_shape[1:], 0,
+                            src.nworkers)
+    return dst, ids.start, ids.step
+
+
+class TestSlicePlans:
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4]),
+           n=st.integers(1, 70))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_plans_match_reference(self, data, P, n):
+        src = data.draw(_layout((n, 2), P))
+        sl = data.draw(_slice(n))
+        dst, start, step = _slice_target(src, sl)
+        _assert_plan_is_reference(src, dst, start, step)
+        values = np.arange(2.0 * n).reshape(n, 2)
+        outs = _execute_all(src, dst, values, start, step)
+        for w, out in enumerate(outs):
+            assert np.array_equal(out, values[sl][dst.global_selector(w)])
+        # closed form: no index array longer than one joint period
+        for w in range(P):
+            s = src.periodic(w)
+            if s is None:
+                continue
+            L = math.lcm(s.period, abs(step))
+            plan = _plan(src, dst, w, start, step)
+            pieces = [piece for _peer, piece in plan.send + plan.recv]
+            pieces += plan.self_pair or ()
+            for piece in pieces:
+                assert all(seg.size <= L for seg in piece.segs
+                           if type(seg) is _Idx), (src, sl, w)
 
 
 # the regular layouts planning must never expand into index lists
@@ -360,6 +419,26 @@ class TestPlanningIsSublinear:
                     finally:
                         tracemalloc.stop()
                     assert peak <= 1 << 20, (src, dst, w, peak)
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1),
+                                     slice(None, None, 2),
+                                     slice(None, None, -1),
+                                     slice(-5, 2, -7)])
+    def test_regular_slices_plan_in_bounded_memory(self, monkeypatch, cut):
+        P = 2
+        layouts = _regular_layouts(10 ** 7, P)
+        for cls in _REGULAR:
+            monkeypatch.setattr(cls, "indices_for", _refuse_index_list)
+        for src in layouts:
+            dst, start, step = _slice_target(src, cut)
+            for w in range(P):
+                tracemalloc.start()
+                try:
+                    _plan(src, dst, w, start, step)
+                    _size, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1 << 20, (src, cut, w, peak)
 
     def test_cross_axis_pairs_plan_in_bounded_memory(self, monkeypatch):
         shape = (2_000_001, 3)

@@ -45,6 +45,21 @@ class TestBasicSlices:
         assert col.shape == (12,)
         assert np.allclose(col.gather(), data[:, 2])
 
+    def test_column_of_block_array_stays_block_on_the_workers(self, odin4):
+        """``x[:, 3]`` keeps the block layout of ``x[:, 3:4]``, and each
+        worker squeezes its own block: no column crosses the driver."""
+        n = 40_000
+        data = np.arange(4.0 * n).reshape(n, 4)
+        x = odin.array(data)
+        ctx = odin.get_context()
+        settle_counters(ctx)
+        col = x[:, 3]
+        _msgs, sent = ctx.control_traffic()
+        assert type(col.dist) is odin.BlockDistribution
+        assert col.dist.counts() == [n // 4] * 4
+        assert sent < 8 * n // 10
+        assert np.array_equal(col.gather(), data[:, 3])
+
     def test_integer_on_distributed_axis_of_2d_rejected(self, odin4):
         x = odin.zeros((8, 3))
         with pytest.raises(NotImplementedError):
@@ -58,6 +73,31 @@ class TestBasicSlices:
         x = odin.arange(30, dist="cyclic", dtype=np.float64)
         got = x[4:25:3].gather()
         assert np.allclose(got, np.arange(30.0)[4:25:3])
+
+    def test_slices_of_concatenated_and_one_axis_grid_arrays(self, odin4):
+        """Concatenations slice by owner arithmetic, and a full-axis cut of
+        them or of a one-axis grid takes the general engine."""
+        A = np.arange(30.0).reshape(10, 3)
+        B = np.arange(100.0, 121.0).reshape(7, 3)
+        want = np.concatenate([A, B])
+        c = odin.concatenate([odin.array(A, dist="cyclic"), odin.array(B)])
+        g = odin.array(want, dist="grid", axes=(0,), grid=(4,))
+        for x in (c, g):
+            for key in ((slice(None), slice(1, None)), (slice(2, 9),),
+                        (slice(None, None, -1),), (slice(15, 1, -4), 2)):
+                assert np.array_equal(x[key].gather(), want[key]), (x, key)
+
+    @pytest.mark.parametrize("dist, kw", [("cyclic", {}), ("block", {}),
+                                          ("block-cyclic", {"block_size": 7})])
+    def test_steps_along_a_distributed_second_axis(self, odin4, dist, kw):
+        """Strided pieces packed and placed through the reversed output
+        along axis 1."""
+        A = np.arange(5 * 400.0).reshape(5, 400)
+        x = odin.array(A, dist=dist, axis=1, **kw)
+        for key in ((slice(None), slice(None, None, -1)),
+                    (slice(1, 4), slice(390, 3, -3)),
+                    (slice(None, None, 2), slice(2, None, 5))):
+            assert np.array_equal(x[key].gather(), A[key]), key
 
     @given(start=st.integers(-45, 45),
            stop=st.integers(-45, 45) | st.none(),
