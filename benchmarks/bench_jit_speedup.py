@@ -4,13 +4,20 @@ machine code."
 Three kernels (the paper's sum, a saxpy reduction, and an iterative
 logistic-map kernel a vectorizer cannot help with), each timed as pure
 Python, Seamless JIT, and NumPy where expressible.
+
+A second section times the call boundary: a repeated ``@jit`` call on
+one and on five 1000-element arrays (the marshaller's cost), and
+``sin(x)*cos(y)`` over 4 M float64 as ``@elementwise``, as a fused ODIN
+kernel and as NumPy -- the two compiled forms share one loop emitter.
 """
 
+import math
 import time
 
 import numpy as np
 
-from repro.seamless import compiler_available, jit
+from repro.seamless import (compile_elementwise, compiler_available,
+                            elementwise, jit)
 
 try:
     from .common import Section, main, table
@@ -40,6 +47,22 @@ def logistic_final(x0, r, steps):
     for _i in range(steps):
         x = r * x * (1.0 - x)
     return x
+
+
+def one_array(a):
+    return a[0]
+
+
+def five_arrays(a, b, c, d, e):
+    return a[0] + b[0] + c[0] + d[0] + e[0]
+
+
+def sin_cos(x, y):
+    return math.sin(x) * math.cos(y)
+
+
+M = 4_000_000
+CALLS = 20_000
 
 
 def _time(fn, *args, repeats=3):
@@ -92,11 +115,48 @@ def _measure():
     return rows
 
 
+def _per_call_us(fn, args, repeats=5):
+    """Best-of-*repeats* mean time of one call over CALLS calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            fn(*args)
+        best = min(best, (time.perf_counter() - t0) / CALLS)
+    return best * 1e6
+
+
+def _call_boundary():
+    arrays = [np.zeros(1000) for _ in range(5)]
+    j1, j5 = jit(one_array), jit(five_arrays)
+    j1(arrays[0]); j5(*arrays)
+    calls = [("@jit, 1 array", f"{_per_call_us(j1, arrays[:1]):.2f}"),
+             ("@jit, 5 arrays", f"{_per_call_us(j5, arrays):.2f}")]
+
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-10, 10, M), rng.uniform(-10, 10, M)
+    vectorized = elementwise(sin_cos)
+    fused = compile_elementwise((("load", 0), ("unary", "sin"), ("load", 1),
+                                 ("unary", "cos"), ("binary", "multiply")), 2)
+    out = np.empty(M)
+    t_vec, v_vec = _time(vectorized, x, y, repeats=5)
+    t_fused, _ = _time(fused, out, x, y, repeats=5)
+    t_np, v_np = _time(lambda: np.sin(x) * np.cos(y), repeats=5)
+    assert np.allclose(v_vec, v_np, rtol=0, atol=1e-14)
+    assert np.allclose(out, v_np, rtol=0, atol=1e-14)
+    loops = [(name, f"{t * 1e3:.1f}", f"{t / t_fused:.2f}")
+             for name, t in (("@elementwise", t_vec), ("fused ODIN kernel",
+                                                        t_fused),
+                             ("NumPy", t_np))]
+    return calls, loops
+
+
 def generate_report() -> str:
     if not compiler_available():
         return Section("L3/C5: Seamless JIT speedup").line(
             "SKIPPED: no C compiler available.").render()
     rows = _measure()
+    calls, loops = _call_boundary()
     section = Section("L3/C5: Seamless JIT speedup over pure Python")
     section.add(table(
         ["kernel", "python ms", "jit ms", "numpy ms", "jit speedup",
@@ -108,6 +168,12 @@ def generate_report() -> str:
         "'node-level Python code as fast as compiled languages' claim. "
         "The logistic-map row shows the case vectorization cannot touch, "
         "where only compilation helps.")
+    section.add(table(["repeated call", "us per call"], calls,
+                      title=f"Call boundary: best mean of {CALLS:,} calls "
+                            f"on 1000-element float64 arrays"))
+    section.add(table(["sin(x)*cos(y)", "ms", "vs fused"], loops,
+                      title=f"One loop emitter: {M:,} float64 elements "
+                            f"(best of 5)"))
     return section.render()
 
 

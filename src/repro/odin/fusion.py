@@ -5,10 +5,10 @@ loop via :func:`repro.seamless.compile_elementwise`, then applied to each
 worker's local blocks -- true loop fusion with no intermediate temporaries,
 which is the paper's promise for ODIN expression optimization.
 
-When no C compiler is available, or compilation fails, the caller falls
-back to the NumPy stack machine in :mod:`repro.odin.worker`; each
-fallback records an ``odin.fusion``/``fallback`` instant and counts
-``odin.fusion.fallbacks``.
+When no C compiler is available, the program uses an op without a C
+mapping, or the compile or load fails, the caller falls back to the NumPy
+stack machine in :mod:`repro.odin.worker`; each fallback records an
+``odin.fusion``/``fallback`` instant and counts ``odin.fusion.fallbacks``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ def compiled_kernel(program: Tuple[tuple, ...],
 
 
 def _build(program, n_inputs: int) -> Optional[Callable]:
+    from ..seamless import compile_elementwise
     try:
-        from ..seamless import compile_elementwise
         fn = compile_elementwise(program, n_inputs)
         reason = "no compiler"
-    except Exception as exc:  # noqa: BLE001 - any failure falls back
+    # an op without a C mapping, a failed compile, a failed load
+    except (ValueError, RuntimeError, OSError) as exc:
         fn, reason = None, repr(exc)
     if fn is None:
         if _TR.recording:
@@ -52,11 +53,8 @@ def _build(program, n_inputs: int) -> Optional[Callable]:
         return None
 
     def kernel(blocks: List[np.ndarray]) -> np.ndarray:
-        flats = [np.ascontiguousarray(b, dtype=np.float64).reshape(-1)
-                 for b in blocks]
-        n = flats[0].size
-        out = np.empty(n, dtype=np.float64)
-        fn(out, *flats)
-        return out.reshape(blocks[0].shape)
+        out = np.empty(blocks[0].shape)
+        fn(out.reshape(-1), *(b.reshape(-1) for b in blocks))
+        return out
 
     return kernel

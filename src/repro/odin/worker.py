@@ -818,12 +818,15 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         _code, array_id, index_tuple = op
         local, dist = state.get(array_id)
         li = []
-        for ax in range(dist.ndim):
-            ids = dist.axis_indices(state.index, ax)
-            if ids is None:
-                li.append(int(index_tuple[ax]))
-                continue
-            pos = np.nonzero(ids == index_tuple[ax])[0]
+        for ax, g in enumerate(index_tuple):
+            mine = dist.axis_periodic(state.index, ax)
+            if mine is None:    # irregular layout: scan the owned ids
+                pos = np.flatnonzero(dist.axis_indices(state.index, ax) == g)
+            elif mine.lo <= g < mine.hi and \
+                    mine.wlo <= g % mine.period < mine.whi:
+                pos = (mine.below(g) - mine.below(mine.lo),)
+            else:
+                pos = ()
             if len(pos) == 0:
                 return None  # not this worker's tile
             li.append(int(pos[0]))

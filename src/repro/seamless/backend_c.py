@@ -12,9 +12,12 @@ Every caller gets one compile line, :data:`CFLAGS`: ``-O3
 never ``-ffast-math``.  GCC may then vectorise plain arithmetic but not
 reorder it or fuse ``a*b + c`` into an FMA, so it keeps NumPy's bits; it
 calls vector math only where a source declares a libm function with
-``__attribute__((simd))``, which only the fused elementwise kernels do
-(:mod:`repro.seamless.elementwise`).  The disk cache is keyed by the
-source, the flags, the compiler's version line and the CPU's ISA flags.
+``__attribute__((simd))``, which the one elementwise loop emitter does
+for fused ODIN kernels and ``vectorize`` alike
+(:mod:`repro.seamless.elementwise`); ``@jit`` and ``static`` keep scalar
+libm.  The disk cache is keyed by the source, the flags, the compiler's
+version line and the CPU's ISA flags.  Every entry point calls its
+compiled function through one :class:`Marshaller`.
 """
 
 from __future__ import annotations
@@ -27,17 +30,18 @@ import platform
 import subprocess
 import tempfile
 import threading
-from typing import List, Optional
+from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
 from . import ir
 from .frontend import UnsupportedError
 from .infer import TypedFunction
-from .stypes import BOOL, FLOAT64, INT64, VOID, ArrayType, SType
+from .stypes import (BOOL, FLOAT64, INT64, VOID, ArrayType, SType,
+                     from_annotation)
 
-__all__ = ["compiler_available", "emit_c", "compile_typed",
-           "compile_c_source", "CompiledKernel"]
+__all__ = ["compiler_available", "emit_c", "c_params", "compile_typed",
+           "compile_c_source", "Marshaller", "CompiledKernel"]
 
 _PRELUDE = """\
 #include <math.h>
@@ -207,38 +211,43 @@ def c_double(value: float) -> str:
 
 
 def emit_c(tf: TypedFunction, symbol: Optional[str] = None) -> str:
-    """Generate the C translation unit for one typed function.
+    """Generate the C translation unit for one typed function."""
+    return _PRELUDE + "\n" + _functions(tf, symbol or f"seamless_{tf.ir.name}")
+
+
+def _functions(tf: TypedFunction, symbol: str, storage: str = "") -> str:
+    """The C functions of *tf* under *symbol*, without the prelude.
 
     User helpers resolved during inference are emitted first as ``static``
     functions of the same translation unit (transitively hoisted there by
-    the inference pass).
+    the inference pass), each after a forward declaration: helper bodies
+    may call each other in any order.
     """
-    symbol = symbol or f"seamless_{tf.ir.name}"
-    pieces = []
-    # forward declarations first: helper bodies may call each other in any
-    # order (nested helpers are hoisted after their callers)
-    for helper_symbol, callee in tf.callees.items():
-        pieces.append("static " + _signature(callee, helper_symbol) + ";")
-    for helper_symbol, callee in tf.callees.items():
-        pieces.append("static " + _CGen(callee).function(helper_symbol))
-    pieces.append(_CGen(tf).function(symbol))
-    return _PRELUDE + "\n" + "\n".join(pieces)
+    pieces = ["static " + _signature(callee, helper) + ";"
+              for helper, callee in tf.callees.items()]
+    pieces += ["static " + _CGen(callee).function(helper)
+               for helper, callee in tf.callees.items()]
+    pieces.append(storage + _CGen(tf).function(symbol))
+    return "\n".join(pieces)
+
+
+def c_params(names, types) -> List[str]:
+    """The C parameters of a function taking *names* of *types*: an array
+    is its element pointer followed by one ``int64_t`` per dimension
+    (``a__len`` for 1-D, ``a__d0, a__d1`` for 2-D), which is the order
+    :class:`Marshaller` passes them in."""
+    params = []
+    for name, t in zip(names, types):
+        params.append(f"{t.c_name} {name}")     # an array's is ``T*``
+        if isinstance(t, ArrayType):
+            params += ([f"int64_t {name}__len"] if t.ndim == 1 else
+                       [f"int64_t {name}__d{d}" for d in range(t.ndim)])
+    return params
 
 
 def _signature(tf: TypedFunction, symbol: str) -> str:
-    params = []
-    for name, t in zip(tf.ir.arg_names, tf.arg_types):
-        if isinstance(t, ArrayType):
-            params.append(f"{t.element.c_name}* {name}")
-            if t.ndim == 1:
-                params.append(f"int64_t {name}__len")
-            else:
-                params.append(f"int64_t {name}__d0")
-                params.append(f"int64_t {name}__d1")
-        else:
-            params.append(f"{t.c_name} {name}")
-    ret = tf.return_type.c_name if tf.return_type != VOID else "void"
-    return f"{ret} {symbol}({', '.join(params) or 'void'})"
+    params = c_params(tf.ir.arg_names, tf.arg_types)
+    return f"{tf.return_type.c_name} {symbol}({', '.join(params) or 'void'})"
 
 
 class _CGen:
@@ -251,33 +260,19 @@ class _CGen:
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
-    # -- types ----------------------------------------------------------
-    @staticmethod
-    def ctype(t: SType) -> str:
-        if isinstance(t, ArrayType):
-            return t.element.c_name + "*"
-        return t.c_name
+    def block(self, stmts, head: str) -> None:
+        """``head {`` then *stmts* one level deeper; the caller closes."""
+        self.emit(head + " {")
+        self.indent += 1
+        for child in stmts:
+            self.stmt(child)
+        self.indent -= 1
 
     def function(self, symbol: str) -> str:
-        tf = self.tf
-        params = []
-        for name, t in zip(tf.ir.arg_names, tf.arg_types):
-            if isinstance(t, ArrayType):
-                params.append(f"{t.element.c_name}* {name}")
-                if t.ndim == 1:
-                    params.append(f"int64_t {name}__len")
-                else:
-                    params.append(f"int64_t {name}__d0")
-                    params.append(f"int64_t {name}__d1")
-            else:
-                params.append(f"{self.ctype(t)} {name}")
-        ret = self.ctype(tf.return_type) if tf.return_type != VOID \
-            else "void"
-        head = f"{ret} {symbol}({', '.join(params) or 'void'})"
-        self.lines = [head, "{"]
-        for name, t in sorted(tf.locals.items()):
-            self.emit(f"{self.ctype(t)} {name} = 0;")
-        for stmt in tf.ir.body:
+        self.lines = [_signature(self.tf, symbol), "{"]
+        for name, t in sorted(self.tf.locals.items()):
+            self.emit(f"{t.c_name} {name} = 0;")
+        for stmt in self.tf.ir.body:
             self.stmt(stmt)
         self.lines.append("}")
         return "\n".join(self.lines) + "\n"
@@ -308,32 +303,16 @@ class _CGen:
             self.emit(f"int64_t __step_{sid} = {step};")
             if node.parallel:
                 self.emit(self._omp_pragma(node))
-            self.emit(f"for ({var} = {start}; {cond}; "
-                      f"{var} += __step_{sid}) {{")
-            self.indent += 1
-            for child in node.body:
-                self.stmt(child)
-            self.indent -= 1
+            self.block(node.body, f"for ({var} = {start}; {cond}; "
+                                  f"{var} += __step_{sid})")
             self.emit("}")
         elif isinstance(node, ir.While):
-            self.emit(f"while ({self.expr(node.cond)}) {{")
-            self.indent += 1
-            for child in node.body:
-                self.stmt(child)
-            self.indent -= 1
+            self.block(node.body, f"while ({self.expr(node.cond)})")
             self.emit("}")
         elif isinstance(node, ir.If):
-            self.emit(f"if ({self.expr(node.cond)}) {{")
-            self.indent += 1
-            for child in node.body:
-                self.stmt(child)
-            self.indent -= 1
+            self.block(node.body, f"if ({self.expr(node.cond)})")
             if node.orelse:
-                self.emit("} else {")
-                self.indent += 1
-                for child in node.orelse:
-                    self.stmt(child)
-                self.indent -= 1
+                self.block(node.orelse, "} else")
             self.emit("}")
         elif isinstance(node, ir.Return):
             if node.value is None or self.tf.return_type == VOID:
@@ -511,72 +490,128 @@ class _CGen:
 # ----------------------------------------------------------------------
 _CTYPE_OF = {INT64: ctypes.c_int64, FLOAT64: ctypes.c_double,
              BOOL: ctypes.c_int64}
+#: the Python types a scalar parameter takes as they are: exactly those
+#: whose values :func:`~repro.seamless.stypes.discover` maps to its type;
+#: the first converts any other value
+_EXACT = {INT64: (int, np.int64), FLOAT64: (float, np.float64),
+          BOOL: (bool,)}
+_byte = ctypes.c_char
+_addressof = ctypes.addressof
 
 
-class CompiledKernel:
-    """A natively compiled function bound through ctypes.
+def written_arrays(tf: TypedFunction) -> FrozenSet[str]:
+    """The array parameters whose elements *tf*'s body assigns."""
+    return frozenset(stmt.array for stmt in tf.ir.walk_statements()
+                     if isinstance(stmt, ir.StoreSub)
+                     and stmt.array in tf.ir.arg_names)
 
-    Handles argument conversion (lists -> arrays, dtype coercion with
-    write-back for mutated array arguments) so call sites look exactly like
-    the original Python function.
+
+class Marshaller:
+    """The one binding of a compiled C function to Python arguments, for
+    ``@jit``, ``vectorize``, fused ODIN kernels and ``static`` wrappers.
+
+    A parameter of *arg_types* (Seamless types or annotations) becomes
+    ``c_void_p`` plus a ``c_int64`` per dimension (arrays, in
+    :func:`c_params` order), ``c_int64`` or ``c_double``; *restype* is
+    None for ``void``.  Each array gets one identity check -- dtype,
+    ndim, C-contiguity, and writeability if *written* names it -- and
+    passes its own pointer (read-only inputs too); only one that fails is
+    copied, and a written copy is written back.  A written read-only
+    array raises NumPy's ``ValueError`` before the call.
     """
+
+    def __init__(self, fn, names: Sequence[str], arg_types, written,
+                 restype):
+        self.fn = fn
+        self.names = tuple(names)
+        argtypes = []
+        self._checks = []   # (dtype or None, ndim or exact types, written)
+        for name, t in zip(self.names, map(from_annotation, arg_types)):
+            if isinstance(t, ArrayType):
+                argtypes += [ctypes.c_void_p] + [ctypes.c_int64] * t.ndim
+                self._checks.append((t.np_dtype, t.ndim, name in written))
+            else:
+                argtypes.append(_CTYPE_OF[t])
+                self._checks.append((None, _EXACT[t], False))
+        fn.argtypes = argtypes
+        restype = from_annotation(restype)
+        fn.restype = _CTYPE_OF.get(restype)     # None: void
+        self._bool = restype == BOOL
+
+    def exact(self, args) -> Optional[list]:
+        """The C arguments for *args* if every one passes the identity
+        check as it is (scalars: an exact type), else None."""
+        if len(args) != len(self._checks):
+            return None
+        c_args = []
+        for v, (dtype, spec, written) in zip(args, self._checks):
+            if dtype is None:
+                if type(v) not in spec:
+                    return None
+                c_args.append(v)
+            elif isinstance(v, np.ndarray) and v.dtype is dtype \
+                    and v.ndim == spec:
+                try:   # checks writeability and C-contiguity too
+                    c_args.append(_addressof(_byte.from_buffer(v)))
+                except (TypeError, ValueError):   # read-only, strided, empty
+                    flags = v.flags
+                    if not flags.c_contiguous or \
+                            written and not flags.writeable:
+                        return None
+                    c_args.append(v.__array_interface__["data"][0])
+                c_args += v.shape
+            else:
+                return None
+        return c_args
+
+    def invoke(self, c_args: list):
+        """Call the C function on arguments :meth:`exact` returned."""
+        result = self.fn(*c_args)
+        return bool(result) if self._bool else result
+
+    def __call__(self, *args):
+        c_args = self.exact(args)
+        if c_args is not None:
+            return self.invoke(c_args)
+        if len(args) != len(self._checks):
+            raise TypeError(f"{self.fn.__name__} takes {len(self._checks)} "
+                            f"arguments")
+        converted, writeback = [], []
+        for name, v, (dtype, spec, written) in zip(self.names, args,
+                                                   self._checks):
+            if dtype is None:
+                converted.append(spec[0](v))
+                continue
+            if written and isinstance(v, np.ndarray) and \
+                    not v.flags.writeable:
+                raise ValueError("assignment destination is read-only")
+            arr = np.ascontiguousarray(v, dtype=dtype)
+            if arr.ndim != spec:
+                raise TypeError(f"argument {name!r} must be {spec}-D")
+            if written and arr is not v:
+                writeback.append((v, arr))
+            converted.append(arr)
+        result = self.invoke(self.exact(converted))
+        for original, arr in writeback:
+            if isinstance(original, np.ndarray):
+                original[...] = arr
+            elif isinstance(original, list):
+                original[:] = arr.tolist()
+        return result
+
+
+class CompiledKernel(Marshaller):
+    """A natively compiled typed function, called like the original
+    Python function (lists become arrays; written arguments that had to
+    be converted are written back)."""
 
     def __init__(self, tf: TypedFunction, symbol: Optional[str] = None):
         self.tf = tf
         self.symbol = symbol or f"seamless_{tf.ir.name}"
         self.c_source = emit_c(tf, self.symbol)
         lib = compile_c_source(self.c_source, tag=tf.ir.name)
-        self._fn = getattr(lib, self.symbol)
-        argtypes = []
-        for t in tf.arg_types:
-            if isinstance(t, ArrayType):
-                argtypes.append(np.ctypeslib.ndpointer(
-                    dtype=t.element.np_dtype, ndim=t.ndim,
-                    flags="C_CONTIGUOUS"))
-                argtypes.extend([ctypes.c_int64] * t.ndim)
-            else:
-                argtypes.append(_CTYPE_OF[t])
-        self._fn.argtypes = argtypes
-        self._fn.restype = None if tf.return_type == VOID else \
-            _CTYPE_OF[tf.return_type]
-        self._written = self._find_written_arrays()
-
-    def _find_written_arrays(self):
-        written = set()
-        for stmt in self.tf.ir.walk_statements():
-            if isinstance(stmt, ir.StoreSub):
-                written.add(stmt.array)
-        return {name for name in written if name in self.tf.ir.arg_names}
-
-    def __call__(self, *args):
-        if len(args) != len(self.tf.arg_types):
-            raise TypeError(f"{self.tf.ir.name} takes "
-                            f"{len(self.tf.arg_types)} arguments")
-        c_args = []
-        writeback = []
-        for name, t, value in zip(self.tf.ir.arg_names, self.tf.arg_types,
-                                  args):
-            if isinstance(t, ArrayType):
-                original = value
-                arr = np.ascontiguousarray(value, dtype=t.element.np_dtype)
-                if arr.ndim != t.ndim:
-                    raise TypeError(f"argument {name!r} must be "
-                                    f"{t.ndim}-D")
-                if name in self._written and arr is not original:
-                    writeback.append((original, arr))
-                c_args.append(arr)
-                c_args.extend(arr.shape)
-            else:
-                c_args.append(t.np_dtype.type(value))
-        result = self._fn(*c_args)
-        for original, arr in writeback:
-            if isinstance(original, np.ndarray):
-                original[...] = arr
-            elif isinstance(original, list):
-                original[:] = arr.tolist()
-        if self.tf.return_type == BOOL:
-            return bool(result)
-        return result
+        super().__init__(getattr(lib, self.symbol), tf.ir.arg_names,
+                         tf.arg_types, written_arrays(tf), tf.return_type)
 
 
 def compile_typed(tf: TypedFunction) -> CompiledKernel:

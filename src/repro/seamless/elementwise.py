@@ -1,8 +1,11 @@
-"""Fused elementwise kernels for ODIN (the Fig. 2 ODIN->Seamless edge).
+"""The one elementwise loop emitter, and fused kernels for ODIN (the
+Fig. 2 ODIN->Seamless edge).
 
-:func:`compile_elementwise` turns an ODIN postfix expression program into
-one C loop over float64 blocks -- genuine loop fusion: a chain like
-``sqrt(u*u + v*v) * 2 - 1`` becomes a single pass with no temporaries.
+:func:`loop_source` emits the contiguous float64 loop behind every
+elementwise entry point.  :func:`compile_elementwise` fills it from an
+ODIN postfix program -- genuine loop fusion: ``sqrt(u*u + v*v) * 2 - 1``
+becomes one pass with no temporaries -- and ``@elementwise``
+(:mod:`repro.seamless.vectorize`) from a compiled scalar function.
 
 On x86_64 the loop is a SIMD loop.  The source declares each libm
 function it calls with ``__attribute__((simd("notinbranch")))`` when the
@@ -12,9 +15,8 @@ and so on, within libmvec's documented 4 ULP).  Plain arithmetic,
 ``sqrt`` and the selects keep NumPy's bits, because the compile line
 forbids reordering and FMA contraction (:data:`backend_c.CFLAGS`).  A
 host without libmvec builds the scalar loop and records one
-``seamless.cc``/``scalar_math`` instant per process.  Only these kernels
-get the declarations: ``@jit``, ``vectorize`` and ``static`` sources keep
-scalar libm.
+``seamless.cc``/``scalar_math`` instant per process.  ``@jit`` and
+``static`` sources keep scalar libm and its bits.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import os
 import re
 from typing import Callable, FrozenSet, Optional, Sequence
 
-import numpy as np
-
 from ..trace import TRACER as _TR
-from .backend_c import (X86_64, _PRELUDE, c_double, compile_c_source,
-                        compiler_available)
+from .backend_c import (X86_64, _PRELUDE, Marshaller, c_double, c_params,
+                        compile_c_source, compiler_available)
+from .stypes import FLOAT64, float64_array
 
-__all__ = ["compile_elementwise", "elementwise_c_source", "vector_math"]
+__all__ = ["compile_elementwise", "elementwise_c_source", "loop_source",
+           "loop_kernel", "vector_math"]
 
 _UNARY_C = {
     "negative": "(-({x}))", "absolute": "fabs({x})", "abs": "fabs({x})",
@@ -96,7 +98,7 @@ def _simd_declarations(body: str) -> str:
 
 def _note_scalar_math() -> None:
     """One ``seamless.cc``/``scalar_math`` instant per process on a host
-    whose fused kernels cannot call vector math."""
+    whose loops cannot call vector math."""
     global _scalar_math_pid
     if vector_math() or not _TR.recording or \
             _scalar_math_pid == os.getpid():
@@ -106,55 +108,66 @@ def _note_scalar_math() -> None:
                 reason="no libmvec" if X86_64 else "not x86_64")
 
 
-def elementwise_c_source(program: Sequence[tuple], n_inputs: int,
-                         symbol: str = "fused_kernel") -> str:
-    """C source of the fused loop, or raise ValueError if the program uses
-    an op without a C mapping."""
-    stack = []
-    tmp_count = 0
-    body_exprs = []
+def _loop_params(scalars: Sequence[bool]):
+    """Names and types of the output, then of each input: an array, or a
+    ``double`` by value where *scalars* says so."""
+    return (["out"] + [f"in{k}" for k in range(len(scalars))],
+            [float64_array] + [FLOAT64 if s else float64_array
+                               for s in scalars])
 
-    def fresh(expr: str) -> str:
-        nonlocal tmp_count
-        name = f"t{tmp_count}"
-        tmp_count += 1
-        body_exprs.append(f"double {name} = {expr};")
-        return name
 
-    for inst in program:
-        tag = inst[0]
-        if tag == "load":
-            stack.append(f"in{inst[1]}[i]")
-        elif tag == "const":
-            stack.append(c_double(inst[1]))
-        elif tag == "unary":
-            template = _UNARY_C.get(inst[1])
-            if template is None:
-                raise ValueError(f"no C mapping for unary {inst[1]!r}")
-            stack.append(fresh(template.format(x=stack.pop())))
-        elif tag == "binary":
-            template = _BINARY_C.get(inst[1])
-            if template is None:
-                raise ValueError(f"no C mapping for binary {inst[1]!r}")
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(fresh(template.format(a=a, b=b)))
-        else:
-            raise ValueError(f"bad instruction {inst!r}")
-    if len(stack) != 1:
-        raise ValueError("malformed program")
-    params = ", ".join(
-        ["double* out", "int64_t n"]
-        + [f"const double* in{k}" for k in range(n_inputs)])
-    inner = "\n        ".join(body_exprs + [f"out[i] = {stack[0]};"])
-    return (_PRELUDE + _simd_declarations(inner) + f"""
-void {symbol}({params})
+def loop_source(symbol: str, scalars: Sequence[bool], lines: Sequence[str],
+                result: str, helpers: str) -> str:
+    """The one elementwise loop: ``out[i] = result`` for every i of the
+    output.  *lines* and *result* are C reading input k as the ``double``
+    ``xk``; *helpers* are ``static inline`` functions they call.  Every
+    libm function in them that libmvec provides is declared ``simd``."""
+    _note_scalar_math()
+    names, types = _loop_params(scalars)
+    loads = [f"const double x{k} = in{k}{'' if s else '[i]'};"
+             for k, s in enumerate(scalars)]
+    inner = "\n        ".join(loads + list(lines) + [f"out[i] = {result};"])
+    return (_PRELUDE + _simd_declarations(helpers + inner) + helpers + f"""
+void {symbol}({", ".join(c_params(names, types))})
 {{
-    for (int64_t i = 0; i < n; ++i) {{
+    for (int64_t i = 0; i < out__len; ++i) {{
         {inner}
     }}
 }}
 """)
+
+
+def loop_kernel(lib, symbol: str, scalars: Sequence[bool]) -> Marshaller:
+    """Bind a :func:`loop_source` loop as ``kernel(out, *inputs)``."""
+    names, types = _loop_params(scalars)
+    return Marshaller(getattr(lib, symbol), names, types, ("out",), None)
+
+
+def elementwise_c_source(program: Sequence[tuple], n_inputs: int,
+                         symbol: str = "fused_kernel") -> str:
+    """C source of the fused loop, or raise ValueError if the program uses
+    an op without a C mapping."""
+    stack, lines = [], []
+    for inst in program:
+        tag, arg = inst[0], inst[1]
+        table = {"unary": _UNARY_C, "binary": _BINARY_C}.get(tag)
+        if tag == "load":
+            stack.append(f"x{arg}")
+        elif tag == "const":
+            stack.append(c_double(arg))
+        elif table is None:
+            raise ValueError(f"bad instruction {inst!r}")
+        elif arg not in table:
+            raise ValueError(f"no C mapping for {tag} {arg!r}")
+        else:   # pop the right operand first
+            operands = {"x": stack.pop()} if tag == "unary" else \
+                {"b": stack.pop(), "a": stack.pop()}
+            lines.append(f"double t{len(lines)} = "
+                         f"{table[arg].format(**operands)};")
+            stack.append(f"t{len(lines) - 1}")
+    if len(stack) != 1:
+        raise ValueError("malformed program")
+    return loop_source(symbol, (False,) * n_inputs, lines, stack[0], "")
 
 
 def compile_elementwise(program: Sequence[tuple],
@@ -166,18 +179,8 @@ def compile_elementwise(program: Sequence[tuple],
             _TR.instant("seamless.elementwise", "no_compiler")
         return None
     source = elementwise_c_source(tuple(program), n_inputs)
-    _note_scalar_math()
     t0 = _TR.now()
     lib = compile_c_source(source, tag="fused")
     if _TR.enabled:
         _TR.complete("seamless.elementwise", "compile", t0)
-    fn = lib.fused_kernel
-    ptr = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1,
-                                 flags="C_CONTIGUOUS")
-    fn.argtypes = [ptr, ctypes.c_int64] + [ptr] * n_inputs
-    fn.restype = None
-
-    def kernel(out: np.ndarray, *inputs: np.ndarray) -> None:
-        fn(out, out.shape[0], *inputs)
-
-    return kernel
+    return loop_kernel(lib, "fused_kernel", (False,) * n_inputs)

@@ -43,7 +43,8 @@ _CALL_ALIASES = {
     "log10": "log10", "sin": "sin", "cos": "cos", "tan": "tan",
     "arcsin": "asin", "asin": "asin", "arccos": "acos", "acos": "acos",
     "arctan": "atan", "atan": "atan", "sinh": "sinh", "cosh": "cosh",
-    "tanh": "tanh", "floor": "floor", "ceil": "ceil", "fabs": "fabs",
+    "tanh": "tanh", "floor": "floor", "ceil": "ceil", "rint": "rint",
+    "fabs": "fabs",
     "abs": "abs", "absolute": "fabs", "pow": "pow", "atan2": "atan2",
     "arctan2": "atan2", "hypot": "hypot", "fmod": "fmod", "min": "min",
     "max": "max", "minimum": "min", "maximum": "max", "int": "int",

@@ -24,7 +24,7 @@ BINOPS = ("add", "sub", "mul", "div", "floordiv", "mod", "pow",
 COMPARE_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 UNARY_CALLS = ("sqrt", "exp", "log", "log2", "log10", "sin", "cos", "tan",
                "asin", "acos", "atan", "sinh", "cosh", "tanh", "floor",
-               "ceil", "fabs", "abs", "int", "float", "round")
+               "ceil", "rint", "fabs", "abs", "int", "float", "round")
 BINARY_CALLS = ("pow", "atan2", "hypot", "fmod", "min", "max")
 
 

@@ -33,6 +33,9 @@ class JitDispatcher:
         self.nopython = nopython
         self._lock = threading.Lock()
         self._specializations: Dict[Tuple[SType, ...], CompiledKernel] = {}
+        # the kernel of the last signature called: a repeated call whose
+        # arguments pass its identity check skips discovery and the lock
+        self._last: Optional[CompiledKernel] = None
         self._ir = None
         self._ir_error: Optional[Exception] = None
         self._fallback_reason: Optional[str] = None
@@ -100,6 +103,14 @@ class JitDispatcher:
     def __call__(self, *args, **kwargs):
         if _TR.enabled:
             _TR.instant("seamless.jit", "call", kernel=self.py_func.__name__)
+        last = self._last
+        if last is not None and not kwargs:
+            c_args = last.exact(args)
+            if c_args is not None:
+                if _TR.enabled:
+                    _TR.instant("seamless.jit", "hit",
+                                kernel=self.py_func.__name__)
+                return last.invoke(c_args)
         if kwargs:
             return self._fallback("keyword arguments", args, kwargs)
         if not compiler_available():
@@ -110,6 +121,7 @@ class JitDispatcher:
             kernel = self._get_specialization(sig)
         except (UnsupportedError, TypeError, RuntimeError) as exc:
             return self._fallback(str(exc), args, kwargs)
+        self._last = kernel
         return kernel(*args)
 
     def _fallback(self, reason: str, args, kwargs):

@@ -220,6 +220,33 @@ class TestIndexing:
         x = odin.array(data)
         assert x[3, 2] == data[3, 2]
 
+    @pytest.mark.parametrize("dist", ["block", "cyclic", "block-cyclic",
+                                      "grid", "arbitrary"])
+    def test_scalar_fetch_every_layout(self, odin4, monkeypatch, dist):
+        """A periodic layout answers ``x[i, j]`` in closed form, never
+        building an index list; an irregular one scans its lists."""
+        from repro.odin import distribution as D
+
+        n = 23
+        want = np.arange(3.0 * n).reshape(n, 3)
+        kw = {"block-cyclic": {"block_size": 3},
+              "grid": {"axes": (0,), "grid": (4,)},
+              "arbitrary": {"index_lists": np.array_split(
+                  np.random.default_rng(5).permutation(n), 4)}}
+        x = odin.array(want, dist=dist, **kw.get(dist, {}))
+        odin4.flush()
+        if dist != "arbitrary":
+            def refuse(*_args, **_kwargs):
+                raise AssertionError("FETCH built an index list")
+
+            for cls in (D.BlockDistribution, D.CyclicDistribution,
+                        D.BlockCyclicDistribution, D.GridDistribution):
+                monkeypatch.setattr(cls, "indices_for", refuse)
+            monkeypatch.setattr(D.GridDistribution, "axis_indices", refuse)
+        for i in range(-n, n):
+            for j in range(3):
+                assert x[i, j] == want[i, j]
+
     def test_setitem_scalar_slice(self, odin4):
         x = odin.zeros(20)
         x[5:15] = 3.0

@@ -178,6 +178,12 @@ def _scale_inplace(x, a):
         x[i] = x[i] * a
 
 
+@jit
+def _fill(a):
+    for i in range(len(a)):
+        a[i] = 7.0
+
+
 @jit(nopython=True)
 def _strict(x):
     return x * 2
@@ -209,6 +215,33 @@ class TestJitDispatcher:
         data = np.arange(4, dtype=np.float32)
         _scale_inplace(data, 2.0)
         assert np.allclose(data, [0, 2, 4, 6])
+
+    def test_written_read_only_array_raises(self, monkeypatch):
+        """Writing through a read-only array raises NumPy's ValueError
+        before any element changes, compiled or interpreted."""
+        import importlib
+        # the package re-exports a function named ``jit``
+        jit_module = importlib.import_module("repro.seamless.jit")
+        x = np.zeros(4)
+        _fill(x)            # compiled: the dispatcher's last signature
+        assert (x == 7.0).all()
+        for dtype in (np.float64, np.float32):    # by pointer, by copy
+            ro = np.zeros(4, dtype=dtype)
+            ro.flags.writeable = False
+            with pytest.raises(ValueError, match="read-only"):
+                _fill(ro)
+            assert not ro.any()
+        monkeypatch.setattr(jit_module, "compiler_available", lambda: False)
+        interpreted = jit(_fill.py_func)
+        with pytest.raises(ValueError, match="read-only"):
+            interpreted(ro)
+        assert interpreted.last_fallback_reason == "no C compiler available"
+        assert not ro.any()
+
+    def test_read_only_input_is_read_in_place(self):
+        x = np.arange(5.0)
+        x.flags.writeable = False
+        assert _jsum(x) == 10.0 and _jsum(x[::2]) == 6.0
 
     def test_fallback_to_python(self):
         assert _fallback_fn({"key": 42}) == 42

@@ -12,7 +12,7 @@ import pytest
 from repro.seamless import (CModule, HeaderParseError, build_module,
                             compile_and_run_cpp, compile_elementwise,
                             compiler_available, elementwise_c_source,
-                            export_cpp, parse_header)
+                            export_cpp, parse_header, UnsupportedError)
 from repro.seamless.cheader import ctype_of
 
 pytestmark = pytest.mark.skipif(not compiler_available(),
@@ -125,7 +125,47 @@ def annotated(x: "float64[]"):
 '''
 
 
+GRID_KERNELS = '''
+def total(a: "float64[,]"):
+    s = 0.0
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            s += a[i, j]
+    return s
+
+
+def scale(x: "float64[]", f: "float64"):
+    for i in range(len(x)):
+        x[i] = x[i] * f
+'''
+
+
 class TestStaticCompilation:
+    def test_2d_parameter_and_written_array(self, tmp_path):
+        """A 2-D parameter is declared and passed with both dims; a
+        written list is written back, a written read-only array refused."""
+        src_path = tmp_path / "grid.py"
+        src_path.write_text(GRID_KERNELS)
+        wrapper = build_module(str(src_path), {"total": [], "scale": []})
+        assert "double grid_total(double* a, int64_t a__d0, " \
+            "int64_t a__d1);" in open(wrapper).read()
+        sys.path.insert(0, str(tmp_path))
+        try:
+            import grid_seamless as mod
+            a = np.arange(12.0).reshape(3, 4)
+            assert mod.total(a) == a.sum()
+            assert mod.total(np.asfortranarray(a)) == a.sum()
+            data = [1.0, 2.0]
+            mod.scale(data, 3.0)
+            assert data == [3.0, 6.0]
+            ro = np.ones(2)
+            ro.flags.writeable = False
+            with pytest.raises(ValueError, match="read-only"):
+                mod.scale(ro, 2.0)
+        finally:
+            sys.path.remove(str(tmp_path))
+            sys.modules.pop("grid_seamless", None)
+
     def test_build_module_and_import(self, tmp_path):
         src_path = tmp_path / "kern.py"
         src_path.write_text(KERNELS)
@@ -190,6 +230,12 @@ int main() {
         header = open(exports["header"]).read()
         assert "namespace algos" in header
 
+    def test_2d_parameter_refused_at_export(self, tmp_path):
+        with pytest.raises(UnsupportedError, match="1-D"):
+            export_cpp(GRID_KERNELS, {"total": []}, str(tmp_path / "out"),
+                       name="grid")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_cpp_reports_compiler_error(self, tmp_path):
         exports = export_cpp(KERNELS, {"ksum": ["float64[]"]},
                              str(tmp_path), name="x")
@@ -218,14 +264,17 @@ class TestElementwise:
         k(out, a, b)
         assert np.allclose(out, np.tanh(a * 2 + b))
 
-    def test_every_mapped_op(self):
-        """Every entry of the op table over random and edge inputs:
+    def test_every_mapped_op(self, tmp_path):
+        """Every entry of the op table over random and edge inputs, both
+        as a fused program and as an ``@elementwise`` scalar function:
         transcendental ops within libmvec's documented 4 ULP of Python's
         ``math`` (glibc's scalar functions), every other op bit-identical
         to NumPy, NaN positions and the sign of zero included."""
         from repro.seamless.elementwise import _BINARY_C, _UNARY_C
         assert set(_UNARY_C) == set(_EXACT_UNARY) | set(_MATH_UNARY)
         assert set(_BINARY_C) == set(_EXACT_BINARY) | set(_MATH_BINARY)
+        assert set(_SCALAR_OPS) == set(_UNARY_C) | set(_BINARY_C)
+        scalar = _scalar_functions(tmp_path)
         rng = np.random.default_rng(5)
         a = np.concatenate([_EDGES, rng.uniform(-1, 1, 200),
                             rng.uniform(-30, 30, 200),
@@ -236,12 +285,14 @@ class TestElementwise:
         y = np.concatenate([gb, rng.permutation(a)])
         failures = []
         for name in _UNARY_C:
-            failures += _check_op(name, (("load", 0), ("unary", name)),
-                                  (x,), _MATH_UNARY.get(name))
+            for run in (_fused((("load", 0), ("unary", name)), 1),
+                        scalar[name]):
+                failures += _check_op(name, run, (x,), _MATH_UNARY.get(name))
         for name in _BINARY_C:
-            failures += _check_op(
-                name, (("load", 0), ("load", 1), ("binary", name)), (x, y),
-                _MATH_BINARY.get(name))
+            for run in (_fused((("load", 0), ("load", 1), ("binary", name)),
+                               2), scalar[name]):
+                failures += _check_op(name, run, (x, y),
+                                      _MATH_BINARY.get(name))
         assert not failures, "\n".join(failures)
 
     @pytest.mark.parametrize("prog, numpy_fn", [
@@ -302,10 +353,64 @@ def _ulps(x, y):
     return np.abs(ordered(x) - ordered(y))
 
 
-def _check_op(name, prog, inputs, math_fn):
-    k = compile_elementwise(prog, len(inputs))
-    out = np.empty_like(inputs[0])
-    k(out, *inputs)
+#: each op of the table as the scalar Python an ``@elementwise`` user
+#: writes, with NumPy's NaN and tie rules spelled out
+_SCALAR_OPS = {
+    "negative": "-x", "absolute": "abs(x)", "abs": "abs(x)",
+    "sqrt": "math.sqrt(x)", "floor": "math.floor(x)",
+    "ceil": "math.ceil(x)", "rint": "np.rint(x)", "square": "x * x",
+    "reciprocal": "1.0 / x",
+    "sign": "1.0 if x > 0 else (-1.0 if x < 0 else (0.0 if x == 0 else x))",
+    "exp": "math.exp(x)", "log": "math.log(x)", "log2": "math.log2(x)",
+    "log10": "math.log10(x)", "sin": "math.sin(x)", "cos": "math.cos(x)",
+    "tan": "math.tan(x)", "arcsin": "math.asin(x)",
+    "arccos": "math.acos(x)", "arctan": "math.atan(x)",
+    "sinh": "math.sinh(x)", "cosh": "math.cosh(x)", "tanh": "math.tanh(x)",
+    "add": "x + y", "subtract": "x - y", "multiply": "x * y",
+    "divide": "x / y", "true_divide": "x / y", "mod": "x % y",
+    "maximum": "x if x != x or x > y else y",
+    "minimum": "x if x != x or x < y else y",
+    "fmax": "x if y != y or x > y else y",
+    "fmin": "x if y != y or x < y else y",
+    "power": "x ** y", "arctan2": "math.atan2(x, y)",
+    "hypot": "math.hypot(x, y)",
+}
+
+
+def _scalar_functions(tmp_path):
+    """``{op: @elementwise kernel}``, written to a module file so that the
+    frontend can read each function's source."""
+    import importlib.util
+
+    from repro.seamless import elementwise
+    lines = ["import math", "import numpy as np"]
+    for name, expr in _SCALAR_OPS.items():
+        args = "x, y" if "y" in expr else "x"
+        lines += ["", "", f"def {name}({args}):", f"    return {expr}"]
+    path = tmp_path / "scalar_ops.py"
+    path.write_text("\n".join(lines) + "\n")
+    spec = importlib.util.spec_from_file_location("scalar_ops", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    kernels = {name: elementwise(getattr(module, name))
+               for name in _SCALAR_OPS}
+    assert all(k.compiled for k in kernels.values())
+    return kernels
+
+
+def _fused(prog, n_inputs):
+    k = compile_elementwise(prog, n_inputs)
+
+    def run(*inputs):
+        out = np.empty_like(inputs[0])
+        k(out, *inputs)
+        return out
+
+    return run
+
+
+def _check_op(name, run, inputs, math_fn):
+    out = run(*inputs)
     with np.errstate(all="ignore"):
         ref = getattr(np, name)(*inputs)
     nan = np.isnan(ref)
