@@ -6,10 +6,11 @@ the distribution": which nodes, which dimension, nonuniform sections, and
 index mapping".  All four are here, parameterized by the distributed axis.
 
 A distribution answers purely index-arithmetic questions (no
-communication): which global indices along the distributed axis live on
-worker *w*, in which local order, and conversely who owns a given global
-index.  The redistribution engine in :mod:`repro.odin.redistribute` is
-built on those answers.
+communication): which global indices along each axis live on worker *w*,
+in which local order -- as a closed-form periodic set wherever the
+layout is regular -- and, for a single-axis layout, who owns a given
+global index.  The redistribution planner in :mod:`repro.odin.worker`
+is built on those answers.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ class Distribution:
     """Base class: a single-axis decomposition of a global shape."""
 
     kind = "abstract"
-    # distributions whose local_position needs the worker id must route
-    # through the general (worker-aware) redistribution engine
-    general_only = False
 
     def __init__(self, global_shape: Sequence[int], axis: int,
                  nworkers: int):
@@ -85,25 +83,36 @@ class Distribution:
         return [self.local_count(w) for w in range(self.nworkers)]
 
     def same_as(self, other: "Distribution") -> bool:
-        """Conformability test: identical global shape and identical
-        index-to-worker assignment (paper III-D: binary ufuncs are
-        'trivially parallelizable' exactly in this case)."""
-        if self.global_shape != other.global_shape:
-            return False
-        if self.axis != other.axis or self.nworkers != other.nworkers:
+        """Conformability test: identical global shape and, worker by
+        worker, the same local shape holding the same elements at the
+        same positions (paper III-D: binary ufuncs are 'trivially
+        parallelizable' exactly in this case).  Symmetric, whatever the
+        two classes: compared axis by axis, in closed form wherever both
+        sides are periodic along that axis."""
+        if self.global_shape != other.global_shape or \
+                self.nworkers != other.nworkers:
             return False
         ka, kb = self.cache_key(), other.cache_key()
         if ka is not None and ka == kb:
             # equal keys guarantee an identical index mapping; unequal
             # keys prove nothing (block vs 1-axis grid), so fall through
             return True
-        mine = [self.periodic(w) for w in range(self.nworkers)]
-        theirs = [other.periodic(w) for w in range(self.nworkers)]
-        if any(s is None for s in mine + theirs):
-            return all(
-                np.array_equal(self.indices_for(w), other.indices_for(w))
-                for w in range(self.nworkers))
-        return _same_sets(mine, theirs)
+        shapes = [self.local_shape(w) for w in range(self.nworkers)]
+        if shapes != [other.local_shape(w) for w in range(self.nworkers)]:
+            return False
+        # an empty tile holds nothing, whatever its ids on other axes
+        held = [w for w, shape in enumerate(shapes) if 0 not in shape]
+        for ax in range(self.ndim):
+            mine = [self.axis_periodic(w, ax) for w in held]
+            theirs = [other.axis_periodic(w, ax) for w in held]
+            if any(s is None for s in mine + theirs):
+                if not all(np.array_equal(axis_ids(self, w, ax),
+                                          axis_ids(other, w, ax))
+                           for w in held):
+                    return False
+            elif not _same_sets(mine, theirs):
+                return False
+        return True
 
     def with_shape(self, global_shape: Sequence[int]) -> "Distribution":
         """Same scheme applied to a different global shape."""
@@ -142,13 +151,6 @@ class Distribution:
             return self.indices_for(worker)
         return None
 
-    def axis_local_position(self, worker: int, axis: int,
-                            gids: np.ndarray) -> np.ndarray:
-        """Local storage positions of global indices along *axis*."""
-        if axis == self.axis:
-            return self.local_position(gids)
-        return np.asarray(gids, dtype=np.int64)
-
     def axis_periodic(self, worker: int,
                       axis: int) -> Optional[PeriodicSet]:
         """:meth:`periodic` along any axis (a full-extent axis is the
@@ -160,13 +162,8 @@ class Distribution:
     def global_selector(self, worker: int):
         """Open-mesh indexer placing this worker's block in a global array:
         ``global_arr[dist.global_selector(w)] = local_block``."""
-        per_axis = []
-        for ax in range(self.ndim):
-            ids = self.axis_indices(worker, ax)
-            per_axis.append(np.arange(self.global_shape[ax],
-                                      dtype=np.int64)
-                            if ids is None else ids)
-        return np.ix_(*per_axis)
+        return np.ix_(*(axis_ids(self, worker, ax)
+                        for ax in range(self.ndim)))
 
     def __repr__(self):
         return (f"{type(self).__name__}(shape={self.global_shape}, "
@@ -398,7 +395,6 @@ class GridDistribution(Distribution):
     """
 
     kind = "grid"
-    general_only = True  # local positions depend on the grid coordinates
 
     def __init__(self, global_shape, axes: Sequence[int],
                  grid: Sequence[int]):
@@ -454,15 +450,6 @@ class GridDistribution(Distribution):
         offsets = self._axis_offsets[axis]
         return np.arange(offsets[c], offsets[c + 1], dtype=np.int64)
 
-    def axis_local_position(self, worker: int, axis: int,
-                            gids: np.ndarray) -> np.ndarray:
-        gids = np.asarray(gids, dtype=np.int64)
-        if axis not in self._axis_offsets:
-            return gids
-        dim = self.axes.index(axis)
-        c = self.coords_of(worker)[dim]
-        return gids - self._axis_offsets[axis][c]
-
     def axis_periodic(self, worker: int, axis: int) -> PeriodicSet:
         if axis not in self._axis_offsets:
             return PeriodicSet.full(self.global_shape[axis])
@@ -476,15 +463,6 @@ class GridDistribution(Distribution):
         compatibility; prefer :meth:`axis_indices`)."""
         return self.axis_indices(worker, self.axes[0])
 
-    def owner_of(self, global_idx) -> np.ndarray:
-        raise NotImplementedError(
-            "single-axis ownership is ambiguous on a grid; use "
-            "axis_indices/worker_at")
-
-    def local_position(self, global_idx) -> np.ndarray:
-        raise NotImplementedError(
-            "use axis_local_position with an explicit axis on a grid")
-
     def local_shape(self, worker: int) -> Tuple[int, ...]:
         shape = list(self.global_shape)
         for ax in self.axes:
@@ -493,16 +471,6 @@ class GridDistribution(Distribution):
 
     def local_count(self, worker: int) -> int:
         return len(self.indices_for(worker))
-
-    def same_as(self, other: "Distribution") -> bool:
-        if not isinstance(other, GridDistribution):
-            # a 1-axis grid is equivalent to a block distribution
-            if isinstance(other, BlockDistribution) and \
-                    len(self.axes) == 1:
-                return other.same_as_gridlike(self)
-            return False
-        return (self.global_shape == other.global_shape
-                and self.axes == other.axes and self.grid == other.grid)
 
     def with_shape(self, global_shape) -> "GridDistribution":
         return GridDistribution(global_shape, self.axes, self.grid)
@@ -530,7 +498,6 @@ class ConcatDistribution(Distribution):
     """
 
     kind = "concat"
-    general_only = True  # local positions depend on the worker
 
     def __init__(self, parts: Sequence[Distribution], axis: int):
         parts = list(parts)
@@ -560,28 +527,6 @@ class ConcatDistribution(Distribution):
                 out[mask] = p.owner_of(gi[mask] - self._offsets[k])
         return out
 
-    def local_position(self, global_idx) -> np.ndarray:
-        raise NotImplementedError(
-            "concat positions depend on the worker; use "
-            "axis_local_position")
-
-    def axis_local_position(self, worker: int, axis: int,
-                            gids: np.ndarray) -> np.ndarray:
-        gids = np.asarray(gids, dtype=np.int64)
-        if axis != self.axis:
-            return gids
-        bases = np.zeros(len(self.parts), dtype=np.int64)
-        np.cumsum([p.local_count(worker) for p in self.parts[:-1]],
-                  out=bases[1:])
-        out = np.empty(len(gids), dtype=np.int64)
-        part = np.searchsorted(self._offsets, gids, side="right") - 1
-        for k, p in enumerate(self.parts):
-            mask = part == k
-            if mask.any():
-                out[mask] = bases[k] + \
-                    p.local_position(gids[mask] - self._offsets[k])
-        return out
-
     def local_count(self, worker: int) -> int:
         return sum(p.local_count(worker) for p in self.parts)
 
@@ -600,16 +545,13 @@ class ConcatDistribution(Distribution):
         return ("concat", self.global_shape, self.axis, part_keys)
 
 
-def _block_same_as_gridlike(self: "BlockDistribution",
-                            grid: "GridDistribution") -> bool:
-    if self.global_shape != grid.global_shape or \
-            self.nworkers != grid.nworkers:
-        return False
-    if grid.axes != (self.axis,):
-        return False
-    return _same_sets([self.periodic(w) for w in range(self.nworkers)],
-                      [grid.axis_periodic(w, self.axis)
-                       for w in range(self.nworkers)])
+def axis_ids(dist: Distribution, worker: int, axis: int) -> np.ndarray:
+    """*worker*'s global ids along *axis* in storage order: the whole
+    range where *dist* does not split the axis."""
+    ids = dist.axis_indices(worker, axis)
+    if ids is None:
+        return np.arange(dist.global_shape[axis], dtype=np.int64)
+    return ids
 
 
 def _same_sets(mine: Sequence[PeriodicSet],
@@ -622,9 +564,6 @@ def _same_sets(mine: Sequence[PeriodicSet],
         if b.count() != n or overlap(a, b) != n:
             return False
     return True
-
-
-BlockDistribution.same_as_gridlike = _block_same_as_gridlike
 
 
 def same_scheme(dist: Distribution, global_shape: Sequence[int],

@@ -65,6 +65,10 @@ class PeriodicSet(NamedTuple):
         q, r = divmod(self.below(self.lo) + k, self.whi - self.wlo)
         return q * self.period + self.wlo + r
 
+    def contains(self, ids: np.ndarray) -> np.ndarray:
+        """Which elements of an int64 array the set holds."""
+        return (ids >= self.lo) & (ids < self.hi) & _member(self, ids)
+
     def below_each(self, x: np.ndarray) -> np.ndarray:
         """:meth:`below` of every element of an int64 array."""
         width = self.whi - self.wlo
@@ -182,6 +186,13 @@ class Piece:
             segs.append(part)
         self.segs = tuple(segs)
         self.size = sum(seg.size for seg in segs)
+
+    @property
+    def run(self) -> Optional[slice]:
+        """The positions as one basic slice, when they form one run."""
+        if len(self.segs) == 1 and type(self.segs[0]) is _Run:
+            return self.segs[0].index
+        return None
 
     def positions(self) -> np.ndarray:
         if not self.segs:

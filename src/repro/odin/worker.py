@@ -21,7 +21,8 @@ from ..mpi.comm import Intracomm
 from ..obs import causal as _CZ
 from ..trace import TRACER as _TR
 from . import opcodes
-from .distribution import ArbitraryDistribution, Distribution, same_scheme
+from .distribution import (BlockDistribution, Distribution, axis_ids,
+                           same_scheme)
 from .periodic import PeriodicSet, Piece, intersect
 
 __all__ = ["WorkerState", "execute_op", "UFUNCS"]
@@ -155,106 +156,98 @@ def _fill_local(state: WorkerState, dist: Distribution, dtype,
 # ----------------------------------------------------------------------
 # redistribution (the workhorse: worker-to-worker, driver untouched)
 # ----------------------------------------------------------------------
-def _split_by_owner(owner: np.ndarray, gids: np.ndarray,
-                    P: int) -> List[np.ndarray]:
-    """Storage positions of *gids* grouped by *owner*, one array per peer.
-
-    ``owner[k]`` is the peer that holds ``gids[k]`` on the other side of
-    the transfer.  Within each group the positions are in ascending
-    global-id order -- the wire order both ends agree on -- so a sort is
-    paid only when *gids* (a storage order) does not already ascend.
-    """
-    order = None
-    if len(gids) > 1 and not bool((gids[1:] > gids[:-1]).all()):
-        order = np.argsort(gids, kind="stable")
-        owner = owner[order]
-    parts = [np.flatnonzero(owner == v) for v in range(P)]
-    return parts if order is None else [order[k] for k in parts]
-
-
-def _is_multi_axis(src: Distribution, dst: Distribution) -> bool:
-    return (len(src.dist_axes) > 1 or len(dst.dist_axes) > 1
-            or src.general_only or dst.general_only)
-
-
 class _RedistPlan:
     """Precomputed communication schedule for one (src, dst) pair on one
     worker.
 
-    All index math -- ownership intersections, local take positions,
-    output placement indexers -- is computed once from the distribution
-    descriptors; execution replays the schedule: take, alltoall, place.
+    Every take and place is one :class:`Piece` of local positions per
+    axis in ``axes`` (the axes either side splits).  A source tile u and
+    a destination worker v share the Cartesian product of their per-axis
+    shares, so a pair's elements travel as one C-order block whose every
+    axis lists its ids ascending -- the wire order both ends derive
+    independently.  This worker holds its own source tile, and during
+    recovery also its dead ring predecessor's; a peer is sent one packed
+    block per tile it shares, a bare array when there is one.  ``flip``
+    is the axis a negative-step slice places through reversed, or None.
+
     Plans are pure index metadata, so one plan serves every array with
-    the same (src, dst) pair regardless of contents.  This base class
-    holds the grid engine's take-schedules and ``np.ix_`` indexers.
+    the same (src, dst) pair regardless of contents.
     """
 
-    __slots__ = ("kind", "out_shape", "send", "recv", "self_pair")
+    __slots__ = ("axes", "out_shape", "send", "recv", "self_pairs", "flip")
 
-    def __init__(self, kind, out_shape, send, recv, self_pair):
-        self.kind = kind              # "single-axis" | "general"
+    def __init__(self, axes, out_shape, send, recv, self_pairs, flip):
+        self.axes = axes              # the planned axes, ascending
         self.out_shape = out_shape    # dst.local_shape(w)
-        self.send = send              # [(peer, take), ...]
-        self.recv = recv              # [(peer, place), ...]
-        self.self_pair = self_pair    # (take, place) or None
+        self.send = send              # [(peer, [(tile, takes), ...]), ...]
+        self.recv = recv              # [(peer, [(tile, places), ...]), ...]
+        self.self_pairs = self_pairs  # [(tile, takes, places), ...]
+        self.flip = flip
 
-    def execute(self, state: WorkerState, local: np.ndarray) -> np.ndarray:
+    def execute(self, state: WorkerState,
+                local: Dict[int, np.ndarray]) -> np.ndarray:
+        """Run the schedule on the blocks of the source tiles held here,
+        keyed by tile."""
         comm = state.comm
-        out = np.empty(self.out_shape, dtype=local.dtype)
-        if self.self_pair is not None:
-            take, place = self.self_pair
-            self._place(out, place, self._take(local, take))
+        out = np.empty(self.out_shape,
+                       dtype=next(iter(local.values())).dtype)
+        view = out if self.flip is None else np.flip(out, self.flip)
+        for u, takes, places in self.self_pairs:
+            _place(view, self.axes, places,
+                   _pack(local[u], self.axes, takes))
         sendobjs: List[Any] = [None] * comm.size
-        for v, take in self.send:
-            sendobjs[v] = self._take(local, take)
+        for v, pairs in self.send:
+            bufs = [_pack(local[u], self.axes, takes) for u, takes in pairs]
+            sendobjs[v] = bufs[0] if len(bufs) == 1 else bufs
         received = comm.alltoall(sendobjs)
-        for u, place in self.recv:
-            self._place(out, place, received[u])
+        for p, pairs in self.recv:
+            got = received[p]
+            for (_u, places), data in zip(pairs, [got] if len(pairs) == 1
+                                          else got):
+                _place(view, self.axes, places, data)
         return out
 
-    def _take(self, local: np.ndarray, take_ops) -> np.ndarray:
-        """Sequentially gather positions along each planned axis."""
-        out = local
-        for ax, idx in take_ops:
-            out = np.take(out, idx, axis=ax)
-        return out if take_ops else np.ascontiguousarray(out)
 
-    def _place(self, out: np.ndarray, indexer, data: np.ndarray) -> None:
-        out[indexer] = data
-
-
-class _AxisPlan(_RedistPlan):
-    """A single-axis plan: every take and place is a :class:`Piece` of
-    local positions along one axis, packed and placed through strided
-    views.  A slice with a negative step places through the reversed
-    output, so both ends still list every piece in ascending source id."""
-
-    __slots__ = ("take_axis", "place_axis", "reverse")
-
-    def __init__(self, out_shape, send, recv, self_pair, take_axis,
-                 place_axis, reverse):
-        super().__init__("single-axis", out_shape, send, recv, self_pair)
-        self.take_axis = take_axis
-        self.place_axis = place_axis
-        self.reverse = reverse
-
-    def _take(self, local: np.ndarray, piece: Piece) -> np.ndarray:
-        return piece.pack(local, self.take_axis)
-
-    def _place(self, out: np.ndarray, piece: Piece,
-               data: np.ndarray) -> None:
-        if self.reverse:
-            out = np.flip(out, self.place_axis)
-        piece.place(out, data, self.place_axis)
+def _cut(axes, pieces, ndim):
+    """The basic index of every piece that is one run, and the others."""
+    cut = [slice(None)] * ndim
+    rest = []
+    for ax, piece in zip(axes, pieces):
+        run = piece.run
+        if run is None:
+            rest.append((ax, piece))
+        else:
+            cut[ax] = run
+    return tuple(cut), rest
 
 
-def _ids_piece(dist: Distribution, worker: int) -> Piece:
-    """*worker*'s ids along *dist*'s axis, in its storage order, as
-    positions on a side that holds that axis in full."""
-    s = dist.periodic(worker)
-    if s is None:
-        return Piece([dist.indices_for(worker)])
-    return intersect(PeriodicSet.full(dist.axis_length), s)
+def _pack(local: np.ndarray, axes, pieces) -> np.ndarray:
+    """One pair's elements as a contiguous block: axes that are one run
+    are cut as a view, the others packed one after another."""
+    cut, rest = _cut(axes, pieces, local.ndim)
+    view = local[cut]
+    if not rest:
+        return np.ascontiguousarray(view)
+    for ax, piece in rest:
+        view = piece.pack(view, ax)
+    return view
+
+
+def _place(out: np.ndarray, axes, pieces, data: np.ndarray) -> None:
+    """Write one pair's block into the output: through views where each
+    axis is one run or strided pieces, else one ``np.ix_`` assignment."""
+    cut, rest = _cut(axes, pieces, out.ndim)
+    view = out[cut]
+    if not rest:
+        view[...] = data
+    elif len(rest) == 1:
+        ax, piece = rest[0]
+        piece.place(view, data, ax)
+    else:
+        index = [np.arange(n, dtype=np.int64) for n in view.shape]
+        for ax, piece in rest:
+            index[ax] = piece.positions()
+        view[np.ix_(*index)] = data
 
 
 def _image(s: PeriodicSet, start: int, step: int) -> PeriodicSet:
@@ -282,81 +275,139 @@ def _preimage(ids: np.ndarray, start: int, step: int, m: int):
     return kept, k[kept]
 
 
+def _intersect_each(mine: PeriodicSet, sets) -> List[Piece]:
+    """``intersect(mine, s)`` for every s, once per distinct s."""
+    memo: Dict[PeriodicSet, Piece] = {}
+    out = []
+    for s in sets:
+        piece = memo.get(s)
+        if piece is None:
+            piece = memo[s] = intersect(mine, s)
+        out.append(piece)
+    return out
+
+
+def _listed(pos: np.ndarray, gids: np.ndarray, keys: np.ndarray,
+            other: Distribution, sets) -> List[Piece]:
+    """Owner arithmetic along an axis one side splits irregularly: the
+    local positions *pos*, which hold source ids *gids* (ids *keys* on
+    *other*'s side), grouped by the tile of *other* that holds each --
+    asked of ``other.owner_of`` where *other* is the irregular side, else
+    tested against its periodic *sets* -- every group in ascending
+    source id.  One mask per peer: O(n*P)."""
+    if len(gids) > 1 and not bool((gids[1:] > gids[:-1]).all()):
+        order = np.argsort(gids, kind="stable")
+        pos, keys = pos[order], keys[order]
+    if None in sets:
+        owner = other.owner_of(keys)
+        return [Piece([pos[owner == p]]) for p in range(len(sets))]
+    return [Piece([pos[s.contains(keys)]]) for s in sets]
+
+
+def _takes(src: Distribution, dst: Distribution, u: int, ax: int,
+           peers: int, start: int, step: int) -> List[Piece]:
+    """Along *ax*, tile u's positions of the ids each destination worker
+    takes: ``intersect(S_u, image(D_v))``."""
+    mine = src.axis_periodic(u, ax)
+    theirs = [dst.axis_periodic(v, ax) for v in range(peers)]
+    if mine is not None and None not in theirs:
+        return _intersect_each(mine, [_image(s, start, step)
+                                      for s in theirs])
+    ids = axis_ids(src, u, ax)
+    if (start, step) == (0, 1):
+        return _listed(np.arange(len(ids)), ids, ids, dst, theirs)
+    kept, k = _preimage(ids, start, step, dst.global_shape[ax])
+    return _listed(kept, ids[kept], k, dst, theirs)
+
+
+def _places(src: Distribution, dst: Distribution, w: int, ax: int,
+            tiles: int, start: int, step: int) -> List[Piece]:
+    """Along *ax*, worker w's output positions of the ids each source
+    tile sends it: ``intersect(image(D_w), S_u)``, counted in the
+    reversed output for a negative step."""
+    mine = dst.axis_periodic(w, ax)
+    theirs = [src.axis_periodic(u, ax) for u in range(tiles)]
+    if mine is not None and None not in theirs:
+        return _intersect_each(_image(mine, start, step), theirs)
+    slots = axis_ids(dst, w, ax)
+    gids = start + step * (slots[::-1] if step < 0 else slots)
+    return _listed(np.arange(len(gids)), gids, gids, src, theirs)
+
+
+def _pairs(per_axis: List[List[Piece]]) -> List[Optional[Tuple]]:
+    """Per peer, its pieces on every axis, or None where it shares
+    nothing."""
+    return [pieces if all(p.size for p in pieces) else None
+            for pieces in zip(*per_axis)]
+
+
 def _build_redist_plan(state: WorkerState, src: Distribution,
-                       dst: Distribution, start: int = 0,
-                       step: int = 1) -> _RedistPlan:
+                       dst: Distribution, start: int = 0, step: int = 1,
+                       holders: Optional[List[int]] = None) -> _RedistPlan:
     """This worker's communication plan for one redistribution or slice.
 
-    Destination id k along the distributed axis takes source id
-    ``start + step*k``: ``(0, 1)`` is a plain redistribution, anything
-    else a slice.  Both sides of every pairwise transfer derive the plan
-    deterministically from the distribution descriptors, so only array
-    data crosses the wire -- no index lists.  Block, cyclic and
-    block-cyclic sources are planned in closed form
-    (:mod:`repro.odin.periodic`): u sends v the ids of u's periodic set
-    in the image of v's, so each piece is a head, a strided tile and a
-    tail, built in O(P + L) per worker (L = lcm of the two periods) and
-    never O(n).  Irregular single-axis layouts use owner arithmetic: the
-    sender asks ``dst.owner_of`` where each of its elements goes, the
-    receiver asks ``src.owner_of`` where each of its slots comes from,
-    and one mask per peer yields every take and place array in O(n*P).
-    Grid distributions go through the general per-axis
-    Cartesian-intersection engine (ownership is separable per axis, so
-    the overlap of two workers is always a rectangular tile).
+    One rule for every layout: source tile u sends destination worker v,
+    on every axis either side splits, the ids ``intersect(S_u, D_v)`` --
+    taken at u's positions, placed at v's -- where an axis a side holds
+    whole is ``PeriodicSet.full``.  Block, cyclic, block-cyclic and grid
+    axes are periodic sets and are planned in closed form
+    (:mod:`repro.odin.periodic`): each piece is a head, a strided tile
+    and a tail, O(P + L) per worker (L = lcm of the two periods), never
+    O(n).  An irregular axis (index lists, concatenations) uses owner
+    arithmetic (:func:`_listed`), O(n*P).  Along the distributed axis
+    destination id k takes source id ``start + step*k``: ``(0, 1)`` is a
+    plain redistribution, anything else a slice.
+
+    ``holders[u]`` is the worker holding source tile u: the identity for
+    every op, recovery's ring-partner map after a shrink.  Both sides of
+    every transfer derive the plan from the descriptors alone, so only
+    array data crosses the wire -- no index lists.
     """
-    if (start, step) == (0, 1) and _is_multi_axis(src, dst):
-        return _build_general_plan(state, src, dst)
     w = state.index
     P = state.comm.size
-    ax = src.axis
-    if ax == dst.axis:
-        mine, theirs = src.axis_periodic(w, ax), dst.periodic(w)
-        if mine is not None and theirs is not None:
-            takes = [intersect(mine, _image(dst.periodic(v), start, step))
-                     for v in range(P)]
-            image = _image(theirs, start, step)
-            places = [intersect(image, src.axis_periodic(u, ax))
-                      for u in range(P)]
-        else:
-            mine = src.indices_for(w)
-            kept, k = _preimage(mine, start, step, dst.axis_length)
-            takes = [Piece([kept[p]]) for p in
-                     _split_by_owner(dst.owner_of(k), mine[kept], P)]
-            # slots in the order the (reversed, for step < 0) output
-            # lists them: source ids ascend for a block destination
-            slots = dst.indices_for(w)
-            gids = start + step * (slots[::-1] if step < 0 else slots)
-            places = [Piece([p]) for p in
-                      _split_by_owner(src.owner_of(gids), gids, P)]
-        takes = [t if t.size else None for t in takes]
-        places = [p if p.size else None for p in places]
-    else:
-        # I own full slabs along dst.axis: send v its columns of my slab;
-        # u's piece lands at u's rows (full extent here: ids are positions)
-        takes = [_ids_piece(dst, v) for v in range(P)]
-        places = [_ids_piece(src, u) for u in range(P)]
-    send = [(v, takes[v]) for v in range(P)
-            if v != w and takes[v] is not None]
-    recv = [(u, places[u]) for u in range(P)
-            if u != w and places[u] is not None]
-    self_pair = None if takes[w] is None else (takes[w], places[w])
-    return _AxisPlan(dst.local_shape(w), send, recv, self_pair, dst.axis,
-                     ax, step < 0)
+    n = src.nworkers
+    if holders is None:
+        holders = range(n)
+    axes = tuple(sorted(set(src.dist_axes) | set(dst.dist_axes)))
+    # the affine map applies along the distributed axis only
+    maps = [(start, step) if ax == src.axis else (0, 1) for ax in axes]
+    tiles = [u for u in range(n) if holders[u] == w]
+    takes = {u: _pairs([_takes(src, dst, u, ax, P, *m)
+                        for ax, m in zip(axes, maps)]) for u in tiles}
+    places = _pairs([_places(src, dst, w, ax, n, *m)
+                     for ax, m in zip(axes, maps)])
+    send = []
+    for v in range(P):
+        pairs = [(u, takes[u][v]) for u in tiles if takes[u][v] is not None]
+        if v != w and pairs:
+            send.append((v, pairs))
+    recv = []
+    for p in range(P):
+        pairs = [(u, places[u]) for u in range(n)
+                 if holders[u] == p and places[u] is not None]
+        if p != w and pairs:
+            recv.append((p, pairs))
+    self_pairs = [(u, takes[u][w], places[u]) for u in tiles
+                  if takes[u][w] is not None]
+    return _RedistPlan(axes, dst.local_shape(w), send, recv, self_pairs,
+                       src.axis if step < 0 else None)
 
 
-def _redistribute_block(state: WorkerState, local: np.ndarray,
+def _redistribute_block(state: WorkerState, blocks: Dict[int, np.ndarray],
                         src: Distribution, dst: Distribution,
-                        start: int = 0, step: int = 1) -> np.ndarray:
-    """Move a local block from distribution *src* to *dst*, slicing it on
-    the way for any ``(start, step)`` but ``(0, 1)``.  Every op builds its
-    own plan: O(P + L) index arithmetic for periodic layouts."""
-    plan = _build_redist_plan(state, src, dst, start, step)
+                        start: int = 0, step: int = 1,
+                        holders: Optional[List[int]] = None) -> np.ndarray:
+    """Move the local blocks of the source tiles this worker holds (keyed
+    by tile) from distribution *src* to *dst*, slicing on the way for
+    any ``(start, step)`` but ``(0, 1)``.  Every op builds its own
+    plan."""
+    plan = _build_redist_plan(state, src, dst, start, step, holders)
     state.plans_built += 1
     if _TR.enabled:
         with _TR.span("odin.worker", "redistribute.exchange",
-                      worker=state.index, kind=plan.kind):
-            return plan.execute(state, local)
-    return plan.execute(state, local)
+                      worker=state.index):
+            return plan.execute(state, blocks)
+    return plan.execute(state, blocks)
 
 
 def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
@@ -367,75 +418,8 @@ def _apply_slice(state: WorkerState, local: np.ndarray, src: Distribution,
     ax = src.axis
     start, _stop, step = slices[ax].indices(src.axis_length)
     cut = tuple(slice(None) if a == ax else sl for a, sl in enumerate(slices))
-    return _redistribute_block(state, local[cut], src, new_dist, start, step)
-
-
-def _pair_tile(src: Distribution, dst: Distribution, from_w: int,
-               to_w: int):
-    """Per-axis sorted intersections of from_w's src block with to_w's dst
-    block, or None when the tile is empty.  Axes neither side distributes
-    are full-extent and omitted (slice(None))."""
-    ndim = len(src.global_shape)
-    tile = []
-    for ax in range(ndim):
-        mine = src.axis_indices(from_w, ax)
-        theirs = dst.axis_indices(to_w, ax)
-        if mine is None and theirs is None:
-            tile.append(None)  # full extent on both sides
-            continue
-        if mine is None:
-            inter = np.asarray(theirs, dtype=np.int64)
-        elif theirs is None:
-            inter = np.asarray(mine, dtype=np.int64)
-        else:
-            inter = np.intersect1d(mine, theirs, assume_unique=True)
-        if len(inter) == 0:
-            return None
-        tile.append(inter)
-    return tile
-
-
-def _take_tile_ops(src: Distribution, worker: int, tile):
-    """Planned gather positions for a pairwise tile (skips full axes)."""
-    return [(ax, src.axis_local_position(worker, ax, inter))
-            for ax, inter in enumerate(tile) if inter is not None]
-
-
-def _tile_indexer(dst: Distribution, worker: int, tile, out_shape):
-    per_axis = []
-    for ax, inter in enumerate(tile):
-        if inter is None:
-            per_axis.append(np.arange(out_shape[ax], dtype=np.int64))
-        else:
-            per_axis.append(dst.axis_local_position(worker, ax, inter))
-    return np.ix_(*per_axis)
-
-
-def _build_general_plan(state: WorkerState, src: Distribution,
-                        dst: Distribution) -> _RedistPlan:
-    w = state.index
-    P = state.comm.size
-    out_shape = dst.local_shape(w)
-    send = []
-    self_pair = None
-    for v in range(P):
-        tile = _pair_tile(src, dst, w, v)
-        if tile is None:
-            continue
-        take_ops = _take_tile_ops(src, w, tile)
-        if v == w:
-            self_pair = (take_ops, _tile_indexer(dst, w, tile, out_shape))
-        else:
-            send.append((v, take_ops))
-    recv = []
-    for u in range(P):
-        if u == w:
-            continue
-        tile = _pair_tile(src, dst, u, w)
-        if tile is None:
-            continue
-        recv.append((u, _tile_indexer(dst, w, tile, out_shape)))
-    return _RedistPlan("general", out_shape, send, recv, self_pair)
+    return _redistribute_block(state, {state.index: local[cut]}, src,
+                               new_dist, start, step)
 
 
 # ----------------------------------------------------------------------
@@ -634,94 +618,54 @@ def _restore(state: WorkerState, version: int, old_indices, dead_indices,
     Runs on the post-shrink communicator; ``state.index``/``state.comm``
     are already the new ones.  ``old_indices[j]`` is new worker j's old
     index; each dead worker's blocks come from its ring partner's copy.
-    Single-axis arrays are redistributed with an alltoall plan;
-    grid/concat/undistributed arrays take an allgather-assemble
-    fallback.  Returns the number of restored arrays.
+    Every array, tabular ones included, is one redistribution from its
+    old layout over ``old_n`` tiles -- each held by its old worker or,
+    for a dead one, by that worker's partner -- to the same scheme over
+    the survivors.  A tabular array (no distribution) is block-with-
+    counts over the old tiles, re-dealt as uniform blocks; one small
+    allgather of per-tile row counts describes it.  Returns the number
+    of restored arrays.
     """
     own, partner, partner_of = state.checkpoints.get(
         version, ({}, {}, None))
-    my_old = old_indices[state.index]
     dead = set(dead_indices)
     for d in dead:
-        holder = (d + 1) % old_n
-        if holder in dead:
+        if (d + 1) % old_n in dead:
             raise RuntimeError(
                 f"unrecoverable: worker {d} and its checkpoint partner "
-                f"{holder} both failed")
-    # old worker index -> snapshot dict I can contribute
-    mine = {my_old: own}
-    if partner_of in dead and partner:
-        mine[partner_of] = partner
-    elif partner_of in dead and not own:
-        # version 0 (no checkpoint taken): nothing to contribute is fine
-        pass
+                f"{(d + 1) % old_n} both failed")
+    new_of = {old: j for j, old in enumerate(old_indices)}
+    holders = [new_of[(t + 1) % old_n] if t in dead else new_of[t]
+               for t in range(old_n)]
+    # old tile -> the snapshot I hold for it
+    snaps = {old_indices[state.index]: own}
+    if partner_of in dead:
+        snaps[partner_of] = partner
 
     new_n = len(old_indices)
     state.arrays.clear()
-
-    # split arrays by restore strategy using my own snapshot's metadata
-    # (every worker checkpointed the same id set)
-    simple, general = [], []
-    for array_id, (_block, dist) in own.items():
-        if (dist is not None and len(dist.dist_axes) == 1
-                and not dist.general_only):
-            simple.append(array_id)
+    tabular = sorted(aid for aid, (_block, dist) in own.items()
+                     if dist is None)
+    rows: Dict[int, Dict[int, int]] = {}    # old tile -> array -> rows
+    if tabular:
+        for held in state.comm.allgather(
+                {t: {aid: len(snap[aid][0]) for aid in tabular}
+                 for t, snap in snaps.items()}):
+            rows.update(held)
+    for array_id in sorted(own):
+        block, old_dist = own[array_id]
+        if old_dist is None:
+            counts = [rows[t][array_id] for t in range(old_n)]
+            shape = (sum(counts),) + block.shape[1:]
+            old_dist = BlockDistribution(shape, 0, old_n, counts=counts)
+            new_dist = BlockDistribution(shape, 0, new_n)
         else:
-            general.append(array_id)
-
-    # -- single-axis arrays: alltoall redistribution --------------------
-    for array_id in sorted(simple):
-        _block, old_dist = own[array_id]
-        # source view over the NEW workers: worker j holds the old blocks
-        # of old_indices[j] plus any dead worker it partners for
-        src_lists = []
-        for j in range(new_n):
-            covered = [old_indices[j]]
-            covered += [d for d in sorted(dead)
-                        if (d + 1) % old_n == old_indices[j]]
-            src_lists.append(np.concatenate(
-                [old_dist.indices_for(v) for v in covered])
-                if covered else np.empty(0, dtype=np.int64))
-        src_dist = ArbitraryDistribution(
-            old_dist.global_shape, old_dist.axis, src_lists, validate=False)
-        parts = [own[array_id][0]]
-        parts += [mine[d][array_id][0] for d in sorted(dead)
-                  if d in mine and d != my_old]
-        local_src = np.concatenate(parts, axis=old_dist.axis) \
-            if len(parts) > 1 else parts[0]
-        new_dist = old_dist.with_nworkers(new_n)
-        moved = _redistribute_block(state, local_src, src_dist, new_dist)
-        state.arrays[array_id] = (moved, new_dist)
-
-    # -- grid/concat/undistributed: allgather and assemble globally -----
-    if general:
-        contributions = state.comm.allgather(
-            {v: {array_id: snap[array_id] for array_id in general
-                 if array_id in snap}
-             for v, snap in mine.items()})
-        by_old: Dict[int, dict] = {}
-        for contrib in contributions:
-            by_old.update(contrib)
-        for array_id in sorted(general):
-            _block, old_dist = own[array_id]
-            if old_dist is None:
-                # tabular/unknown layout: concatenate rows in old worker
-                # order, re-deal contiguously over the new workers
-                rows = np.concatenate(
-                    [by_old[v][array_id][0] for v in sorted(by_old)])
-                base, extra = divmod(len(rows), new_n)
-                lo = state.index * base + min(state.index, extra)
-                hi = lo + base + (1 if state.index < extra else 0)
-                state.arrays[array_id] = (rows[lo:hi].copy(), None)
-                continue
-            glob = np.empty(old_dist.global_shape,
-                            dtype=own[array_id][0].dtype)
-            for v in range(old_n):
-                glob[old_dist.global_selector(v)] = by_old[v][array_id][0]
             new_dist = old_dist.with_nworkers(new_n)
-            state.arrays[array_id] = (
-                np.ascontiguousarray(glob[new_dist.global_selector(
-                    state.index)]), new_dist)
+        moved = _redistribute_block(
+            state, {t: snap[array_id][0] for t, snap in snaps.items()},
+            old_dist, new_dist, holders=holders)
+        state.arrays[array_id] = (
+            moved, None if array_id in tabular else new_dist)
 
     if _TR.enabled:
         _TR.instant("recover", "worker.restore", worker=state.index,
@@ -862,7 +806,8 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
     if code == opcodes.REDIST:
         _code, src_id, dst_id, new_dist = op
         local, src_dist = state.get(src_id)
-        moved = _redistribute_block(state, local, src_dist, new_dist)
+        moved = _redistribute_block(state, {state.index: local}, src_dist,
+                                    new_dist)
         state.arrays[dst_id] = (moved, new_dist)
         return None
 

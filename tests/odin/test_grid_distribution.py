@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro import odin
 from repro.odin.context import OdinContext
 from repro.odin.distribution import (BlockDistribution, GridDistribution)
+from repro.odin.periodic import PeriodicSet
 
 
 class TestIndexMath:
@@ -35,11 +36,14 @@ class TestIndexMath:
                     for w in range(d.nworkers))
         assert total == n0 * n1
 
-    def test_axis_local_position(self):
+    def test_axis_periodic(self):
         d = GridDistribution((10, 10), (0, 1), (2, 2))
         w = d.worker_at((1, 1))  # owns rows 5..9, cols 5..9
-        assert d.axis_local_position(w, 0, np.array([5, 9])).tolist() == \
-            [0, 4]
+        for ax in (0, 1):
+            s = d.axis_periodic(w, ax)
+            assert s == PeriodicSet(5, 10, 1, 0, 1)
+            # a local position is the count of owned ids below it
+            assert [s.below(g) - s.below(s.lo) for g in (5, 9)] == [0, 4]
         # non-distributed third axis passes through
         d3 = GridDistribution((4, 4, 6), (0, 1), (2, 2))
         assert d3.axis_indices(0, 2) is None

@@ -112,7 +112,8 @@ class TestCachedRedistribution:
         assert _built(ctx) - before == 3 * P
 
     def test_grid_redistribution_cached(self, ctx):
-        """Grid pairs take the general engine; its plans count too."""
+        """Grid pairs are planned by the same per-axis planner; their
+        plans count too."""
         data = np.random.default_rng(7).normal(size=(16, 12))
         g = odin.array(data, ctx=ctx, dist="grid", axes=(0, 1), grid=(2, 2))
         blk = BlockDistribution((16, 12), 0, P)

@@ -109,8 +109,9 @@ class TestCheckpointReplay:
             odin.shutdown()
 
     def test_one_axis_grid_array_restores(self):
-        """A grid over one axis is located by grid coordinates, so it is
-        restored by the allgather-assemble path, not the alltoall plan."""
+        """A grid over one axis is located by grid coordinates; it is
+        restored through the same redistribution planner as any other
+        layout, onto a one-axis grid over the survivors."""
         ctx = odin.init(3, recover=True)
         try:
             src = np.arange(70.0).reshape(10, 7)

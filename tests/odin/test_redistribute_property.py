@@ -1,20 +1,24 @@
 """Property-based redistribution invariants over random distribution pairs.
 
-For any pair of distributions (including grids), redistribute must
-preserve every element: gather(redistribute(x)) == gather(x), and a
-round trip restores the exact layout.  Single-axis plans -- slices
-included, as redistributions whose destination id k takes source id
-``start + step*k`` -- must also equal, position for position, the plans
-of a sorted-intersection planner kept here as the oracle; planning a
-regular pair must never sort, never build an index list and stay within
-a fixed memory bound.
+For any pair of distributions (block, cyclic, block-cyclic, arbitrary,
+concatenations and grids over any axes), redistribute must preserve
+every element: gather(redistribute(x)) == gather(x), and a round trip
+restores the exact layout.  Every plan -- slices included, as
+redistributions whose destination id k takes source id ``start +
+step*k`` -- must also equal, axis by axis and position for position, a
+sorted-intersection tile oracle kept here; the driver's price of a pair
+must equal the elements its plans send; planning a regular pair must
+never sort, never build an index list and stay within a fixed memory
+bound; ``same_as`` must be symmetric and equal to comparing tiles.
 """
 
 import hashlib
 import math
 import pickle
+import threading
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,8 +29,9 @@ from repro import odin
 from repro.odin.context import OdinContext
 from repro.odin.distribution import (ArbitraryDistribution,
                                      BlockCyclicDistribution,
-                                     BlockDistribution, CyclicDistribution,
-                                     GridDistribution)
+                                     BlockDistribution, ConcatDistribution,
+                                     CyclicDistribution, GridDistribution,
+                                     axis_ids)
 from repro.odin.periodic import _Idx
 from repro.odin.worker import WorkerState, _build_redist_plan
 
@@ -45,8 +50,8 @@ def _dist_strategy(shape):
         ))
     grid = st.sampled_from([(2, 2), (4, 1), (1, 4)]).map(
         lambda g: GridDistribution(shape, (0, 1), g))
-    # a one-axis grid is split like a block layout but located by grid
-    # coordinates: it must take the general engine
+    # a one-axis grid is split like a block layout, located by grid
+    # coordinates
     grid_1d = st.sampled_from([0, 1]).map(
         lambda ax: GridDistribution(shape, (ax,), (W,)))
     return st.one_of(single_axis, grid, grid_1d)
@@ -100,16 +105,17 @@ class TestRedistributeProperty:
 
 
 # ----------------------------------------------------------------------
-# single-axis plans against the sorted-intersection oracle
+# plans against the sorted-intersection tile oracle
 # ----------------------------------------------------------------------
 @st.composite
-def _layout(draw, shape, P):
-    """A random axis-0 layout of *shape* over P workers: block with
-    explicit counts (one worker's forced empty for "block-gap"), cyclic,
-    block-cyclic with a block size that may exceed the axis, a shuffled
-    arbitrary mapping, or the layout ``x[::-1]`` is planned from (each
-    worker keeps its own elements, renumbered in descending order)."""
-    n = shape[0]
+def _single(draw, shape, P, ax):
+    """A random layout of *shape* split along *ax* over P workers: block
+    with explicit counts (one worker's forced empty for "block-gap"),
+    cyclic, block-cyclic with a block size that may exceed the axis, a
+    shuffled arbitrary mapping, or the layout ``x[::-1]`` is planned from
+    (each worker keeps its own elements, renumbered in descending
+    order)."""
+    n = shape[ax]
 
     def cuts():
         return sorted(draw(st.lists(st.integers(0, n), min_size=P - 1,
@@ -123,46 +129,99 @@ def _layout(draw, shape, P):
             gap = draw(st.integers(0, P - 1))
             counts[(gap + 1) % P] += counts[gap]
             counts[gap] = 0
-        return BlockDistribution(shape, 0, P, counts=counts)
+        return BlockDistribution(shape, ax, P, counts=counts)
     if kind == "cyclic":
-        return CyclicDistribution(shape, 0, P)
-    b = draw(st.one_of(st.integers(1, 9), st.integers(n, 2 * n + 3)))
+        return CyclicDistribution(shape, ax, P)
+    b = draw(st.one_of(st.integers(1, 9), st.integers(max(n, 1), 2 * n + 3)))
     if kind == "block-cyclic":
-        return BlockCyclicDistribution(shape, 0, P, block_size=b)
+        return BlockCyclicDistribution(shape, ax, P, block_size=b)
     if kind == "arbitrary":
         perm = np.random.default_rng(
             draw(st.integers(0, 2 ** 16))).permutation(n)
-        return ArbitraryDistribution(shape, 0, np.split(perm, cuts()))
-    base = BlockCyclicDistribution(shape, 0, P, block_size=b)
+        return ArbitraryDistribution(shape, ax, np.split(perm, cuts()))
+    base = BlockCyclicDistribution(shape, ax, P, block_size=b)
     return ArbitraryDistribution(
-        shape, 0, [n - 1 - base.indices_for(v) for v in range(P)],
+        shape, ax, [n - 1 - base.indices_for(v) for v in range(P)],
         validate=False)
 
 
-def _plan(src, dst, w, start=0, step=1):
+def _grids(P):
+    """Every two-axis worker grid of P workers."""
+    return [(g, P // g) for g in range(1, P + 1) if P % g == 0]
+
+
+@st.composite
+def _layout(draw, shape, P, axis=None):
+    """A random layout of *shape* over P workers: a single-axis layout
+    (:func:`_single`), a concatenation of two of them, a one-axis grid,
+    and -- unless *axis* pins the split axis -- a grid over two axes in
+    either order."""
+    ax = draw(st.integers(0, len(shape) - 1)) if axis is None else axis
+    kinds = ["single", "single", "concat", "grid-1"]
+    if axis is None and len(shape) > 1:
+        kinds.append("grid")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "single":
+        return draw(_single(shape, P, ax))
+    if kind == "grid-1":
+        return GridDistribution(shape, (ax,), (P,))
+    if kind == "grid":
+        axes = draw(st.permutations(range(len(shape))))[:2]
+        return GridDistribution(shape, axes, draw(st.sampled_from(_grids(P))))
+    cut = draw(st.integers(0, shape[ax]))
+    parts = []
+    for length in (cut, shape[ax] - cut):
+        part = list(shape)
+        part[ax] = length
+        parts.append(draw(_single(tuple(part), P, ax)))
+    return ConcatDistribution(parts, ax)
+
+
+def _plan(src, dst, w, start=0, step=1, holders=None):
     """Worker w's plan; building one never communicates."""
     state = WorkerState(index=w, comm=types.SimpleNamespace(
-        size=src.nworkers), registry={})
-    return _build_redist_plan(state, src, dst, start, step)
+        size=dst.nworkers), registry={})
+    return _build_redist_plan(state, src, dst, start, step, holders)
 
 
-def _reference_pieces(src, dst, w, start=0, step=1):
-    """The sorted-intersection planner, kept as the oracle: per peer, the
-    source ids u holds that v's destination ids take, ascending, as src
-    take positions (w sending) and dst place positions (w receiving);
-    empty pieces omitted."""
-    P = src.nworkers
+def _planned_axes(src, dst):
+    return tuple(sorted(set(src.dist_axes) | set(dst.dist_axes)))
 
-    def common(u, v):
-        return np.intersect1d(src.indices_for(u),
-                              start + step * dst.indices_for(v),
-                              assume_unique=True)
 
-    takes = {v: src.local_position(common(w, v)) for v in range(P)}
-    places = {u: dst.local_position((common(u, w) - start) // step)
-              for u in range(P)}
-    return ({v: t for v, t in takes.items() if len(t)},
-            {u: p for u, p in places.items() if len(p)})
+def _positions_of(ids, wanted):
+    """Where each of *wanted* sits in the storage order *ids*."""
+    order = np.argsort(ids, kind="stable")
+    return order[np.searchsorted(ids, wanted, sorter=order)]
+
+
+def _reference_pairs(src, dst, start=0, step=1):
+    """The sorted-intersection tile oracle: for every source tile u and
+    destination worker v sharing elements, per planned axis, the
+    positions in u's block (takes) and in v's block (places) of the ids
+    they share, ascending source id.  Along the distributed axis
+    destination id k takes source id ``start + step*k``."""
+    out = {}
+    for u in range(src.nworkers):
+        for v in range(dst.nworkers):
+            takes, places = [], []
+            for ax in _planned_axes(src, dst):
+                mine, theirs = axis_ids(src, u, ax), axis_ids(dst, v, ax)
+                a, b = (start, step) if ax == src.axis else (0, 1)
+                common = np.intersect1d(mine, a + b * theirs)
+                takes.append(_positions_of(mine, common))
+                places.append(_positions_of(theirs, (common - a) // b))
+            if all(len(t) for t in takes):
+                out[u, v] = takes, places
+    return out
+
+
+def _plan_pairs(plan, w):
+    """A plan's per-axis takes and places, keyed by (tile, worker)."""
+    takes = {(u, v): t for v, pairs in plan.send for u, t in pairs}
+    places = {(u, w): p for _peer, pairs in plan.recv for u, p in pairs}
+    for u, t, p in plan.self_pairs:
+        takes[u, w], places[u, w] = t, p
+    return takes, places
 
 
 def _assert_identical(got, want):
@@ -172,27 +231,41 @@ def _assert_identical(got, want):
 def _assert_plan_is_reference(src, dst, start=0, step=1):
     """Every plan piece, expanded to its positions, is the oracle's (a
     negative step places through the reversed output)."""
+    want = _reference_pairs(src, dst, start, step)
+    axes = _planned_axes(src, dst)
     for w in range(src.nworkers):
         plan = _plan(src, dst, w, start, step)
-        assert plan.take_axis == plan.place_axis == src.axis
-        assert plan.reverse == (step < 0)
-        takes = dict(plan.send)
-        places = dict(plan.recv)
-        if plan.self_pair is not None:
-            takes[w], places[w] = plan.self_pair
-        want_takes, want_places = _reference_pieces(src, dst, w, start,
-                                                    step)
-        assert takes.keys() == want_takes.keys()
-        assert places.keys() == want_places.keys()
-        last = dst.local_count(w) - 1
-        for v, piece in takes.items():
-            assert piece.size == len(want_takes[v])
-            _assert_identical(piece.positions(), want_takes[v])
-        for u, piece in places.items():
-            assert piece.size == len(want_places[u])
-            got = piece.positions()
-            _assert_identical(last - got if step < 0 else got,
-                              want_places[u])
+        assert plan.axes == axes
+        assert plan.flip == (src.axis if step < 0 else None)
+        takes, places = _plan_pairs(plan, w)
+        assert takes.keys() == {key for key in want if key[0] == w}
+        assert places.keys() == {key for key in want if key[1] == w}
+        for key, pieces in takes.items():
+            for piece, ref in zip(pieces, want[key][0]):
+                assert piece.size == len(ref)
+                _assert_identical(piece.positions(), ref)
+        for key, pieces in places.items():
+            for ax, piece, ref in zip(axes, pieces, want[key][1]):
+                assert piece.size == len(ref)
+                got = piece.positions()
+                if step < 0 and ax == src.axis:
+                    got = dst.local_shape(w)[ax] - 1 - got
+                _assert_identical(got, ref)
+
+
+# N-D shapes small enough for empty tiles on every grid
+_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3)))
+
+# layouts whose tiles go empty: (1, 5) and (5, 1) on a 2x2 grid
+_CORNERS = [GridDistribution((1, 5), (0, 1), (2, 2)),
+            GridDistribution((1, 5), (1, 0), (2, 2)),
+            GridDistribution((5, 1), (0, 1), (4, 1)),
+            GridDistribution((1, 5), (0, 1), (1, 4)),
+            BlockDistribution((1, 5), 0, 4),
+            BlockDistribution((1, 5), 1, 4),
+            CyclicDistribution((1, 5), 1, 4)]
 
 
 class TestPlanEquivalence:
@@ -203,6 +276,20 @@ class TestPlanEquivalence:
         shape = (2 * half + 1,)
         _assert_plan_is_reference(data.draw(_layout(shape, P)),
                                   data.draw(_layout(shape, P)))
+
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4]), shape=_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_every_pair_matches_reference(self, data, P, shape):
+        """Grids over both axis orders, arbitrary and concat layouts on
+        2-D and 3-D arrays, any pair."""
+        _assert_plan_is_reference(data.draw(_layout(shape, P)),
+                                  data.draw(_layout(shape, P)))
+
+    def test_empty_tiles(self):
+        for src in _CORNERS:
+            for dst in _CORNERS:
+                if src.global_shape == dst.global_shape:
+                    _assert_plan_is_reference(src, dst)
 
     @pytest.mark.parametrize("shape", [(1001,), (37, 3)])
     def test_many_peers(self, shape):
@@ -238,8 +325,9 @@ class TestPlanEquivalence:
 
     @pytest.mark.parametrize("P", [2, 3, 11])
     def test_cross_axis_plans_match_index_lists(self, P):
-        """src splits axis 0, dst axis 1 (and back): w sends v the dst
-        columns v owns and places u's rows at src's ids for u."""
+        """src splits axis 0, dst axis 1 (and back): w sends v its whole
+        slab cut to the dst columns v owns, and places u's rows at src's
+        ids for u -- the slab axis is one run, so it packs as a view."""
         shape = (41, 23)
         lists = np.array_split(
             np.random.default_rng(3).permutation(shape[1]), P)
@@ -257,36 +345,60 @@ class TestPlanEquivalence:
         for src, dst in pairs:
             for w in range(P):
                 plan = _plan(src, dst, w)
-                assert (plan.take_axis, plan.place_axis) == \
-                    (dst.axis, src.axis)
-                takes = dict(plan.send)
-                places = dict(plan.recv)
-                takes[w], places[w] = plan.self_pair
-                assert takes.keys() == places.keys() == set(range(P))
-                for v in range(P):
-                    _assert_identical(takes[v].positions(),
-                                      dst.indices_for(v))
-                    _assert_identical(places[v].positions(),
-                                      src.indices_for(v))
+                assert plan.axes == (0, 1)
+                takes, places = _plan_pairs(plan, w)
+                # a worker with no ids shares nothing with anyone
+                assert takes.keys() == {
+                    (w, v) for v in range(P)
+                    if src.local_count(w) and dst.local_count(v)}
+                assert places.keys() == {
+                    (u, w) for u in range(P)
+                    if src.local_count(u) and dst.local_count(w)}
+                for (_w, v), pieces in takes.items():
+                    take = dict(zip(plan.axes, pieces))
+                    assert take[src.axis].run == \
+                        slice(0, src.local_count(w), 1)
+                    _assert_identical(take[dst.axis].positions(),
+                                      np.sort(dst.indices_for(v)))
+                for (v, _w), pieces in places.items():
+                    place = dict(zip(plan.axes, pieces))
+                    _assert_identical(place[src.axis].positions(),
+                                      np.sort(src.indices_for(v)))
+                    _assert_identical(
+                        place[dst.axis].positions(),
+                        np.argsort(dst.indices_for(w), kind="stable"))
 
 
-def _execute_all(src, dst, values, start=0, step=1):
-    """Every worker's plan run on its block of *values* through a
-    simulated alltoall: all workers pack first, as on the wire, then each
-    places what the others packed for it."""
-    P = src.nworkers
-    plans = [_plan(src, dst, w, start, step) for w in range(P)]
-    blocks = [values[src.global_selector(w)] for w in range(P)]
-    packed = [{v: plan._take(block, take) for v, take in plan.send}
-              for plan, block in zip(plans, blocks)]
+def _execute_all(src, dst, values, start=0, step=1, holders=None):
+    """Every worker's plan run on the blocks of *values* it holds, the
+    workers as threads exchanging through a simulated alltoall."""
+    P = dst.nworkers
+    holders = list(range(src.nworkers)) if holders is None else holders
+    sent = [None] * P
+    barrier = threading.Barrier(P, timeout=30)
 
-    def state(w):
-        return types.SimpleNamespace(comm=types.SimpleNamespace(
-            size=P, alltoall=lambda _sendobjs: [packed[u].get(w)
-                                                for u in range(P)]))
+    def run(w):
+        def alltoall(sendobjs):
+            sent[w] = sendobjs
+            barrier.wait()
+            return [sent[u][w] for u in range(P)]
 
-    return [plan.execute(state(w), block)
-            for w, (plan, block) in enumerate(zip(plans, blocks))]
+        state = types.SimpleNamespace(comm=types.SimpleNamespace(
+            size=P, alltoall=alltoall))
+        plan = _plan(src, dst, w, start, step, holders)
+        return plan.execute(state, {
+            u: values[src.global_selector(u)]
+            for u in range(src.nworkers) if holders[u] == w})
+
+    with ThreadPoolExecutor(P) as pool:
+        return list(pool.map(run, range(P)))
+
+
+def _assert_rebuilds(src, dst, values, holders=None):
+    outs = _execute_all(src, dst, values, holders=holders)
+    for w, out in enumerate(outs):
+        assert np.array_equal(out, values[dst.global_selector(w)]), \
+            (src, dst, w)
 
 
 class TestPlanExecution:
@@ -310,11 +422,54 @@ class TestPlanExecution:
         every = layouts(0) + layouts(1)
         for src in every:
             for dst in every:
-                outs = _execute_all(src, dst, values)
-                for w, out in enumerate(outs):
-                    assert np.array_equal(out,
-                                          values[dst.global_selector(w)]), \
-                        (src, dst, w)
+                _assert_rebuilds(src, dst, values)
+
+    def test_grid_pairs_move_every_element(self):
+        """grid <-> grid, grid <-> cyclic across axes, arbitrary <-> grid
+        and concat <-> grid, on a 2-D and a 3-D array."""
+        P = 4
+        for shape in [(13, 11), (7, 6, 3)]:
+            values = np.random.default_rng(len(shape)).normal(size=shape)
+            lists = np.array_split(
+                np.random.default_rng(1).permutation(shape[1]), P)
+            half = BlockDistribution((4,) + shape[1:], 0, P)
+            rest = CyclicDistribution((shape[0] - 4,) + shape[1:], 0, P)
+            layouts = [GridDistribution(shape, (0, 1), (2, 2)),
+                       GridDistribution(shape, (1, 0), (2, 2)),
+                       GridDistribution(shape, (0, 1), (4, 1)),
+                       GridDistribution(shape, (1, 0), (1, 4)),
+                       CyclicDistribution(shape, 0, P),
+                       CyclicDistribution(shape, 1, P),
+                       ArbitraryDistribution(shape, 1, lists),
+                       ConcatDistribution([half, rest], 0)]
+            if len(shape) == 3:
+                layouts += [GridDistribution(shape, (2, 0), (2, 2)),
+                            GridDistribution(shape, (1, 2), (4, 1))]
+            for src in layouts:
+                for dst in layouts:
+                    _assert_rebuilds(src, dst, values)
+
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4]), shape=_SHAPES)
+    @settings(max_examples=60, deadline=None)
+    def test_any_pair_moves_every_element(self, data, P, shape):
+        src = data.draw(_layout(shape, P))
+        dst = data.draw(_layout(shape, P))
+        _assert_rebuilds(src, dst, np.arange(float(np.prod(shape)))
+                         .reshape(shape))
+
+    @given(data=st.data(), n=st.sampled_from([3, 4]), shape=_SHAPES)
+    @settings(max_examples=40, deadline=None)
+    def test_recovery_holders_move_every_element(self, data, n, shape):
+        """Recovery's plan: n old tiles, one of them dead and held by its
+        ring partner, onto the same scheme over the n - 1 survivors."""
+        src = data.draw(_layout(shape, n))
+        dead = data.draw(st.integers(0, n - 1))
+        alive = [t for t in range(n) if t != dead]
+        holders = [alive.index((t + 1) % n if t == dead else t)
+                   for t in range(n)]
+        dst = src.with_nworkers(n - 1)
+        _assert_rebuilds(src, dst, np.arange(float(np.prod(shape)))
+                         .reshape(shape), holders)
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +499,7 @@ class TestSlicePlans:
            n=st.integers(1, 70))
     @settings(max_examples=200, deadline=None)
     def test_slice_plans_match_reference(self, data, P, n):
-        src = data.draw(_layout((n, 2), P))
+        src = data.draw(_layout((n, 2), P, axis=0))
         sl = data.draw(_slice(n))
         dst, start, step = _slice_target(src, sl)
         _assert_plan_is_reference(src, dst, start, step)
@@ -358,9 +513,9 @@ class TestSlicePlans:
             if s is None:
                 continue
             L = math.lcm(s.period, abs(step))
-            plan = _plan(src, dst, w, start, step)
-            pieces = [piece for _peer, piece in plan.send + plan.recv]
-            pieces += plan.self_pair or ()
+            takes, places = _plan_pairs(_plan(src, dst, w, start, step), w)
+            pieces = [piece for pair in (*takes.values(), *places.values())
+                      for piece in pair]
             for piece in pieces:
                 assert all(seg.size <= L for seg in piece.segs
                            if type(seg) is _Idx), (src, sl, w)
@@ -474,6 +629,31 @@ class TestSameAsClosedForm:
         assert a.same_as(b) == want
         assert b.same_as(a) == want
 
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4]), shape=_SHAPES)
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_and_matches_tile_oracle(self, data, P, shape):
+        """Any two layouts, grids included: the same worker by worker
+        local shape holding the same elements, whichever side asks."""
+        a, b = data.draw(_layout(shape, P)), data.draw(_layout(shape, P))
+        assert a.same_as(b) == b.same_as(a) == _same_tiles(a, b)
+
+    def test_grid_corners(self):
+        """The pairs that once answered differently one way round."""
+        pairs = [(GridDistribution((4, 3), (0, 1), (2, 1)),
+                  BlockDistribution((4, 3), 0, 2), True),
+                 (GridDistribution((2, 3), (0,), (2,)),
+                  CyclicDistribution((2, 3), 0, 2), True),
+                 (GridDistribution((5,), (0,), (2,)),
+                  ArbitraryDistribution((5,), 0, [[0, 1, 2], [3, 4]]), True),
+                 (GridDistribution((5,), (0,), (2,)),
+                  ArbitraryDistribution((5,), 0, [[1, 0, 2], [3, 4]]),
+                  False)]
+        pairs += [(a, b, _same_tiles(a, b)) for a in _CORNERS
+                  for b in _CORNERS if a.global_shape == b.global_shape]
+        for a, b, want in pairs:
+            assert a.same_as(b) == b.same_as(a) == want, (a, b)
+            assert (a == b) == (b == a) == want
+
     @pytest.mark.parametrize("P", [2, 3])
     def test_large_regular_pairs_build_no_index_list(self, monkeypatch, P):
         n = 10 ** 7
@@ -494,6 +674,15 @@ class TestSameAsClosedForm:
                 equal += fa == fb
         # bc(n) is block [n, 0, ...]; at P = 2, bc(n/2) is block too
         assert equal == len(layouts) + 2 + 2 * (P == 2)
+
+
+def _same_tiles(a, b):
+    """Per-worker tile equality: each worker's block has the same shape
+    under both layouts and the same global element at every position."""
+    flat = np.arange(math.prod(a.global_shape)).reshape(a.global_shape)
+    return all(np.array_equal(flat[a.global_selector(w)],
+                              flat[b.global_selector(w)])
+               for w in range(a.nworkers))
 
 
 class TestNth:
@@ -577,15 +766,30 @@ class TestRedistributionCost:
     @settings(max_examples=60, deadline=None)
     def test_cost_counts_owner_changes(self, data, P, half, cols):
         shape = (2 * half + 1, cols)
-        layouts = st.one_of(_layout(shape, P),
-                            st.just(GridDistribution(shape, (0,), (P,))))
-        src = data.draw(layouts)
-        dst = data.draw(layouts)
+        src = data.draw(_layout(shape, P))
+        dst = data.draw(_layout(shape, P))
         owners = []
         for d in (src, dst):
-            own = np.empty(shape[0], dtype=np.int64)
+            own = np.empty(shape, dtype=np.int64)
             for w in range(P):
-                own[d.indices_for(w)] = w
+                own[d.global_selector(w)] = w
             owners.append(own)
-        moved = int((owners[0] != owners[1]).sum()) * cols
+        moved = int((owners[0] != owners[1]).sum())
         assert odin.redistribution_cost(src, dst) == moved
+
+    @given(data=st.data(), P=st.sampled_from([2, 3, 4]), shape=_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_price_equals_plan(self, data, P, shape):
+        """The driver's price is what the workers' plans send: per pair,
+        the product of its piece sizes (times the extent of every axis
+        neither side splits), over workers and peers other than self."""
+        src = data.draw(_layout(shape, P))
+        dst = data.draw(_layout(shape, P))
+        sent = 0
+        for w in range(P):
+            plan = _plan(src, dst, w)
+            whole = math.prod(n for ax, n in enumerate(shape)
+                              if ax not in plan.axes)
+            sent += sum(whole * math.prod(piece.size for piece in pieces)
+                        for _v, pairs in plan.send for _u, pieces in pairs)
+        assert odin.redistribution_cost(src, dst) == sent

@@ -75,8 +75,8 @@ class TestBasicSlices:
         assert np.allclose(got, np.arange(30.0)[4:25:3])
 
     def test_slices_of_concatenated_and_one_axis_grid_arrays(self, odin4):
-        """Concatenations slice by owner arithmetic, and a full-axis cut of
-        them or of a one-axis grid takes the general engine."""
+        """Concatenations slice by owner arithmetic, and a one-axis grid
+        by its closed-form block ranges."""
         A = np.arange(30.0).reshape(10, 3)
         B = np.arange(100.0, 121.0).reshape(7, 3)
         want = np.concatenate([A, B])
