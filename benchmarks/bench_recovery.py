@@ -11,6 +11,8 @@ Three measurements quantify what fault tolerance costs:
    rank kill against a fault-free run of the same CG solve.
 """
 
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -53,17 +55,20 @@ def _ckpt_epochs():
 def _odin_recover(n):
     """(fault-free op seconds, op-with-recovery seconds)."""
     ctx = odin.init(NWORKERS, recover=True)
+    scratch = tempfile.TemporaryDirectory()
     try:
         src = np.arange(float(n))
         z = odin.array(src) * 2.0
         ctx.checkpoint()
         z = z + 1.0                      # one op to replay
-        killed = []
+        # armed while this file exists: the victim removes it and dies,
+        # which every worker sees on either backend
+        armed = os.path.join(scratch.name, "armed")
 
         @odin.local
         def op(a):
-            if killed == ["arm"] and odin.worker_index() == 1:
-                killed[:] = ["fired"]
+            if odin.worker_index() == 1 and os.path.exists(armed):
+                os.remove(armed)
                 raise InjectedFault(2, 0, "bench kill")
             return a * 1.0
 
@@ -71,7 +76,7 @@ def _odin_recover(n):
         op(z)
         base = time.perf_counter() - t0
 
-        killed.append("arm")
+        open(armed, "x").close()
         t0 = time.perf_counter()
         op(z)
         recov = time.perf_counter() - t0
@@ -79,6 +84,7 @@ def _odin_recover(n):
         return base, recov
     finally:
         odin.shutdown()
+        scratch.cleanup()
 
 
 class _KillerOp(Operator):

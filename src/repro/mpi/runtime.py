@@ -229,7 +229,7 @@ class World:
     """
 
     #: Whether every rank runs in the caller's interpreter (and so sees
-    #: its module state: the chaos engine, the ``@odin.local`` registry).
+    #: its module state, such as the chaos engine).
     shares_memory = True
 
     def __init__(self, nranks: int, timeout: Optional[float] = None,

@@ -49,17 +49,11 @@ from .worker import WorkerState, execute_op, _ship_function
 __all__ = ["OdinContext", "init", "shutdown", "get_context",
            "worker_comm", "worker_index", "local_registry"]
 
-# Registry of @odin.local functions.  The decorator "broadcasts the
-# resulting function object to all worker nodes and injects it into their
-# namespace" -- with thread workers, the namespace is a shared registry and
-# the broadcast ships the (tiny) name, preserving the control-message
-# economics of the paper's design.
+# The driver-side catalogue of callables by name: @odin.local functions
+# and the built-in kernels, entered at import time.  Workers never read
+# it: call_local resolves a name here and the CALL_LOCAL op carries the
+# function itself (_ship_function), the same on both backends.
 local_registry: Dict[str, Callable] = {}
-
-# Live contexts: @odin.local registration must reach workers that do not
-# share this interpreter via REGISTER_LOCAL (workers that do share it see
-# local_registry by reference and need no broadcast).
-_live_contexts: "weakref.WeakSet[OdinContext]" = weakref.WeakSet()
 
 _worker_tls = threading.local()
 
@@ -193,7 +187,6 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                 comm = Intracomm(ctx, list(range(nranks)))
                 wcomm = comm.split(0, windex)
                 state = WorkerState(index=windex, comm=wcomm,
-                                    registry=local_registry,
                                     full_comm=comm)
                 _worker_tls.comm = wcomm
                 _worker_tls.index = windex
@@ -234,7 +227,6 @@ def _worker_loop(ctx: RankContext, nranks: int, recover: bool,
                 if state is None:
                     state = WorkerState(index=new_index,
                                         comm=new_wcomm,
-                                        registry=local_registry,
                                         full_comm=new_full)
                 else:
                     state.index = new_index
@@ -301,8 +293,8 @@ class OdinContext:
     """One driver plus *nworkers* persistent workers.
 
     ``backend="thread"`` (default) runs workers as daemon threads in the
-    calling process -- zero-copy mailboxes, shared registries, no real
-    parallelism for pure-Python op streams (the GIL).  ``backend="process"``
+    calling process -- zero-copy mailboxes, no real parallelism for
+    pure-Python op streams (the GIL).  ``backend="process"``
     forks one OS process per worker over the multiprocess transport
     (:mod:`repro.mpi.transport`): true parallelism, shared-memory bulk
     frames, and *real* fail-stop -- a SIGKILLed worker surfaces as the
@@ -369,7 +361,6 @@ class OdinContext:
         # /status endpoint (started here iff REPRO_OBS_PORT is set)
         _CZ.note_rank_thread("driver")
         _OBS.register_context(self)
-        _live_contexts.add(self)
         # Workers split off their own comm; the driver passes a negative
         # color so it is excluded (split over the full comm, collective).
         # A chaos crash can land inside this startup collective; recovery
@@ -778,13 +769,15 @@ class OdinContext:
     def call_local(self, fname: str, arg_specs, kwarg_specs,
                    out_id: Optional[int] = None,
                    out_dist=None) -> List[Any]:
-        """Invoke a registered @odin.local function on every worker.
+        """Invoke the function catalogued as *fname* in
+        :data:`local_registry` on every worker; the op carries it by value.
 
         When *out_dist* is given, a worker whose return block matches that
         distribution's local shape stores it under *out_id* (otherwise the
         first array argument's distribution is the storage candidate).
         """
-        return self._issue(opcodes.CALL_LOCAL, fname, arg_specs,
+        return self._issue(opcodes.CALL_LOCAL,
+                           _ship_function(local_registry[fname]), arg_specs,
                            kwarg_specs, out_id, out_dist)
 
     # -- instrumentation ---------------------------------------------------
@@ -841,19 +834,6 @@ class OdinContext:
                 self._issue(opcodes.CHAOS_UNINSTALL)
             except Exception:  # noqa: BLE001 - aborted world: the engine
                 pass           # dies with the worker processes anyway
-
-    @staticmethod
-    def broadcast_local(name: str, fn: Callable) -> None:
-        """Ship an ``@odin.local`` registration to every live context
-        whose workers do not share this interpreter (forked workers
-        cannot see registry mutations made after the fork)."""
-        live = [c for c in list(_live_contexts)
-                if c._alive and not c.world.shares_memory]
-        if not live:
-            return
-        spec = _ship_function(fn)
-        for c in live:
-            c._issue(opcodes.REGISTER_LOCAL, name, spec)
 
     def plan_cache_stats(self) -> Dict[str, Any]:
         """Communication plans the workers built so far, in cache terms:

@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .array import DistArray
-from .context import OdinContext, get_context, local_registry
+from .context import OdinContext, get_context
 from .distribution import Distribution, make_distribution
+from .worker import _ship_function
 
 __all__ = ["zeros", "ones", "empty", "full", "arange", "linspace",
            "random", "rand", "randn", "array", "fromfunction",
@@ -141,15 +142,7 @@ def fromfunction(fn, shape: Shape, dtype=np.float64, dist="block", axis=0,
     """Distributed ``numpy.fromfunction``: *fn* receives global index
     grids, evaluated worker-locally."""
     ctx, shape, d = _resolve(shape, ctx, dist, axis, **dist_kwargs)
-    fname = f"__fromfunction_{id(fn)}__"
-    local_registry[fname] = fn
-    try:
-        return _create(ctx, d, dtype, ("fromfunction", fname))
-    finally:
-        # the CREATE may be batched (fire-and-forget): synchronize before
-        # removing the function the workers need to run it
-        ctx.flush()
-        local_registry.pop(fname, None)
+    return _create(ctx, d, dtype, ("fromfunction", _ship_function(fn)))
 
 
 def zeros_like(a: DistArray) -> DistArray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import opcodes
 from .array import DistArray
-from .context import OdinContext, get_context
+from .context import OdinContext, get_context, local_registry
 from .creation import load as _load_blocks
 from .distribution import make_distribution
 
@@ -114,6 +114,10 @@ def _shared_read_kernel(path, dist, dtype_str):
     return block
 
 
+local_registry["__odin_shared_write__"] = _shared_write_kernel
+local_registry["__odin_shared_read__"] = _shared_read_kernel
+
+
 def _require_axis0_block(a: DistArray, what: str) -> None:
     from .distribution import BlockDistribution
     if not isinstance(a.dist, BlockDistribution) or a.dist.axis != 0:
@@ -128,8 +132,6 @@ def save_shared(a: DistArray, path: str) -> None:
     The file is a plain C-order dump readable with ``np.fromfile``.
     """
     _require_axis0_block(a, "save_shared")
-    from .context import local_registry
-    local_registry["__odin_shared_write__"] = _shared_write_kernel
     a.ctx.call_local("__odin_shared_write__",
                      (("array", a.array_id), ("value", path),
                       ("value", a.dist)), {}, out_id=None)
@@ -139,13 +141,11 @@ def load_shared(path: str, shape, dtype=np.float64,
                 ctx: Optional[OdinContext] = None) -> DistArray:
     """Load a C-order binary file written by :func:`save_shared` (or
     ``ndarray.tofile``) as an axis-0 block-distributed array."""
-    from .context import local_registry
     from .distribution import BlockDistribution
 
     ctx = ctx if ctx is not None else get_context()
     shape = (int(shape),) if np.isscalar(shape) else tuple(shape)
     dist = BlockDistribution(shape, 0, ctx.nworkers)
-    local_registry["__odin_shared_read__"] = _shared_read_kernel
     out_id = ctx.new_array_id()
     results = ctx.call_local(
         "__odin_shared_read__",

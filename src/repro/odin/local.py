@@ -6,6 +6,14 @@ called from the global level; (2) create a global version so that calling
 it broadcasts a message to all workers to call their local copy, with
 distributed-array arguments replaced by the local segment.
 
+Workers may run in other processes, so a function reaches them by
+value, on either backend: every CALL_LOCAL carries the function's
+marshalled code and the contents of its closure cells, taken when the
+call is issued, and each worker rebinds it over its own copy of the
+defining module.  A closure therefore sees the values it captured at
+call time; anything a worker assigns into a captured object stays on
+that worker.
+
 Inside a local function the worker may communicate directly with its peers
 through :func:`repro.odin.context.worker_comm` -- "for performance critical
 routines, users are encouraged to create local functions that communicate
@@ -30,12 +38,9 @@ class LocalFunction:
     def __init__(self, fn: Callable, name: Optional[str] = None):
         self.fn = fn
         self.name = name or f"{fn.__module__}.{fn.__qualname__}"
-        # inject into the worker namespace (the registry broadcast).
-        # Thread workers see the shared registry directly; live
-        # process-backend contexts get a REGISTER_LOCAL control op, since
-        # their forked workers cannot observe post-fork registry writes.
+        # catalogue the function under its name on the driver; each call
+        # ships it to the workers inside its CALL_LOCAL op
         local_registry[self.name] = fn
-        OdinContext.broadcast_local(self.name, fn)
         functools.update_wrapper(self, fn)
 
     def __call__(self, *args, **kwargs):

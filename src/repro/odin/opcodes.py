@@ -25,11 +25,11 @@ SLICE = "slice"              # (src_id, dst_id, slices, new_dist)
 SETITEM = "setitem"          # (id, slices, value_spec)
 REDUCE = "reduce"            # (id, op_name, axis) -> partials
 MATMUL = "matmul"            # reserved
-CALL_LOCAL = "call_local"    # (fname, arg_specs, kwarg_specs)
+CALL_LOCAL = "call_local"    # (fn_spec, args, kwargs, out_id, out_dist)
 LOAD = "load"                # (id, dist, dtype_str, path_pattern)
 SAVE = "save"                # (id, path_pattern)
 GROUPBY = "groupby"          # tabular shuffle-reduce
-TRANSFORM = "transform"      # (src_id, dst_id, fname) -> new local length
+TRANSFORM = "transform"      # (src_id, dst_id, fn_spec) -> new local length
 SET_DIST = "set_dist"        # (id, dist) fix metadata after a transform
 PLAN_STATS = "plan_stats"    # () -> plans built
 SHUTDOWN = "shutdown"
@@ -49,16 +49,18 @@ DIST_SYNC = "dist_sync"      # (ids,) -> {id: dist} (worker 0 only)
 # it delivers the deferred errors of the epoch it closes.
 FLUSH = "flush"              # () -> synchronize, deliver deferred errors
 
-# Process-backend control (PR 8).  With thread workers these three are
-# unnecessary: @odin.local functions live in a registry the workers
-# share by reference, and the chaos engine is process-wide.  With
-# process workers each rank is its own interpreter, so the driver must
-# ship these explicitly.  REGISTER_LOCAL carries a marshalled code
-# object (functions defined after the fork cannot pickle by reference);
-# CHAOS_INSTALL carries a FaultPlan.to_dict().  All three synchronize
-# (never batched), so ordering against subsequent ops is guaranteed by
-# the serve loop's in-order execution.
-REGISTER_LOCAL = "register_local"    # (name, shipped_fn_spec)
+# Callables travel inside the op that runs them: CALL_LOCAL, TRANSFORM
+# and CREATE's ("fromfunction", fn_spec) fill carry the bytes
+# worker._ship_function made at issue time (marshalled code plus
+# closure-cell contents, or a pickle reference), the same on both
+# backends; no worker keeps a registry.
+#
+# Process-backend chaos control.  Thread workers share the driver's
+# process-wide chaos engine; process workers each own one, so the driver
+# installs a plan there explicitly.  CHAOS_INSTALL carries a
+# FaultPlan.to_dict().  Both synchronize (never batched), so ordering
+# against subsequent ops is guaranteed by the serve loop's in-order
+# execution.
 CHAOS_INSTALL = "chaos_install"      # (fault_plan_dict,)
 CHAOS_UNINSTALL = "chaos_uninstall"  # ()
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import opcodes
 from .array import DistArray
-from .context import OdinContext, get_context, local_registry
+from .context import OdinContext, get_context
 from .creation import array as _dist_array
 from .distribution import BlockDistribution
-from .worker import GROUP_OPS
+from .worker import GROUP_OPS, _ship_function
 
 __all__ = ["from_records", "map_records", "filter_records",
            "group_aggregate", "compress"]
@@ -40,18 +40,13 @@ def from_records(records, dtype=None,
     return _dist_array(rec, ctx=ctx)
 
 
-def _transform(a: DistArray, fn: Callable, fname_prefix: str) -> DistArray:
-    """Run a block-wise transform whose output length may differ."""
-    fname = f"__{fname_prefix}_{id(fn)}__"
-    local_registry[fname] = fn
-    try:
-        out_id = a.ctx.new_array_id()
-        results = a.ctx.run(opcodes.TRANSFORM, a.array_id, out_id, fname)
-    finally:
-        # under recovery the op-log may replay this TRANSFORM later, so
-        # the function must stay resolvable by name
-        if not getattr(a.ctx, "_recover", False):
-            local_registry.pop(fname, None)
+def _transform(a: DistArray, fn: Callable) -> DistArray:
+    """Run a block-wise transform whose output length may differ; the
+    TRANSFORM op carries *fn* by value, so a recovery replay runs exactly
+    the function it was issued with."""
+    out_id = a.ctx.new_array_id()
+    results = a.ctx.run(opcodes.TRANSFORM, a.array_id, out_id,
+                        _ship_function(fn))
     counts = [c for c, _dt in results]
     dtype = np.dtype(results[0][1])
     total = int(sum(counts))
@@ -68,7 +63,7 @@ def map_records(fn: Callable[[np.ndarray], np.ndarray],
     *fn* receives a structured block and returns an equal-or-different
     length block; rows never move between workers.
     """
-    return _transform(a, fn, "map")
+    return _transform(a, fn)
 
 
 def filter_records(predicate: Callable[[np.ndarray], np.ndarray],
@@ -76,7 +71,7 @@ def filter_records(predicate: Callable[[np.ndarray], np.ndarray],
     """Keep the rows where *predicate(block)* is True (vectorized)."""
     def fn(block):
         return block[np.asarray(predicate(block), dtype=bool)]
-    return _transform(a, fn, "filter")
+    return _transform(a, fn)
 
 
 def compress(mask: DistArray, a: DistArray) -> DistArray:
@@ -99,7 +94,7 @@ def compress(mask: DistArray, a: DistArray) -> DistArray:
         return block[np.asarray(mask_block, dtype=bool)]
 
     keepalive = mask  # the mask must outlive the transform op
-    out = _transform(a, fn, "compress")
+    out = _transform(a, fn)
     del keepalive
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import marshal
+import pickle
 import sys
 import types
 from dataclasses import dataclass, field
@@ -66,7 +67,6 @@ class WorkerState:
 
     index: int
     comm: Intracomm                       # workers-only communicator
-    registry: Dict[str, Callable]         # @odin.local functions
     full_comm: Optional[Intracomm] = None  # driver + workers (scatter path)
     arrays: Dict[int, Tuple[np.ndarray, Distribution]] = field(
         default_factory=dict)
@@ -123,7 +123,7 @@ def _fill_local(state: WorkerState, dist: Distribution, dtype,
         rng = np.random.default_rng(None if seed is None else seed + w)
         return rng.standard_normal(shape).astype(dtype, copy=False)
     if kind == "fromfunction":
-        fn = state.registry[fill_spec[1]]
+        fn = _unship_function(fill_spec[1])
         per_axis = []
         for ax in range(dist.ndim):
             ids = dist.axis_indices(w, ax)
@@ -674,43 +674,64 @@ def _restore(state: WorkerState, version: int, old_indices, dead_indices,
 
 
 # ----------------------------------------------------------------------
-# function shipping (process-backend REGISTER_LOCAL)
+# function shipping: every op that runs a callable carries it by value
 # ----------------------------------------------------------------------
-def _ship_function(fn: Callable) -> tuple:
-    """Wire form of an ``@odin.local`` function for process workers.
+def _ship_function(fn: Callable) -> bytes:
+    """The wire form of *fn*, taken now, for CALL_LOCAL, TRANSFORM and
+    CREATE's ``("fromfunction", ...)`` fill spec.
 
-    Plain pickling stores a module+qualname reference, which a forked
-    worker cannot resolve for functions defined *after* the fork (the
-    common case: test bodies).  Marshalling the code object ships the
-    actual bytecode; the worker rebinds it over the live globals of the
-    same module, so references like ``np`` resolve there.  Closures
-    cannot cross (cell contents live in the defining frame) -- rejected
-    with a pointed error rather than a NameError on the worker.
+    A Python function ships as its marshalled code, defaults, keyword
+    defaults and closure-cell contents; a cell holding a function ships
+    by the same rule (recursion included), into one table.  The worker
+    rebinds the code over ``sys.modules[fn.__module__]``.  Anything else
+    ships by pickle reference.  Pickling happens here, on the driver: an
+    unpicklable cell is refused before any message is sent, and a later
+    change to a captured object cannot reach the op or its replay.
     """
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        raise TypeError(f"cannot ship {fn!r} to process workers "
-                        "(not a plain Python function)")
-    if fn.__closure__:
-        raise TypeError(
-            f"@odin.local function {fn.__qualname__!r} closes over outer "
-            "variables; process-backend workers cannot rebuild closures -- "
-            "pass the values as arguments instead")
-    return (fn.__module__, fn.__name__, marshal.dumps(code), fn.__defaults__)
+    table: List[Optional[tuple]] = []
+    slots: Dict[int, int] = {}
+
+    def ship(value) -> tuple:
+        if not isinstance(value, types.FunctionType):
+            return ("value", value)
+        if id(value) not in slots:
+            slots[id(value)] = len(table)
+            table.append(None)
+            table[slots[id(value)]] = (
+                value.__module__, value.__qualname__,
+                marshal.dumps(value.__code__), value.__defaults__,
+                value.__kwdefaults__,
+                tuple(ship(c.cell_contents) for c in value.__closure__ or ()))
+        return ("fn", slots[id(value)])
+
+    try:
+        return pickle.dumps((ship(fn), table),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise TypeError(f"cannot ship {fn!r} to the workers: {exc}") from exc
 
 
-def _unship_function(spec: tuple) -> Callable:
-    module, name, code_bytes, defaults = spec
-    mod = sys.modules.get(module)
-    if mod is None:
+def _unship_function(spec: bytes) -> Callable:
+    """Rebuild the callable :func:`_ship_function` shipped."""
+    (kind, root), table = pickle.loads(spec)
+    built = []
+    for module, qualname, code, defaults, kwdefaults, cells in table:
         try:
-            mod = importlib.import_module(module)
-        except Exception:  # noqa: BLE001 - fall back to a minimal namespace
-            mod = None
-    globs = mod.__dict__ if mod is not None else {
-        "np": np, "__builtins__": __builtins__}
-    return types.FunctionType(marshal.loads(code_bytes), globs, name,
-                              defaults)
+            mod = sys.modules.get(module) or importlib.import_module(module)
+        except ImportError as exc:
+            raise ImportError(
+                f"cannot rebuild function {qualname!r} on a worker: its "
+                f"module {module!r} does not import there ({exc})",
+                name=module) from exc
+        fn = types.FunctionType(marshal.loads(code), mod.__dict__,
+                                qualname.rpartition(".")[2], defaults,
+                                tuple(types.CellType() for _ in cells))
+        fn.__qualname__, fn.__kwdefaults__ = qualname, kwdefaults
+        built.append(fn)
+    for fn, entry in zip(built, table):
+        for cell, (tag, value) in zip(fn.__closure__ or (), entry[-1]):
+            cell.cell_contents = built[value] if tag == "fn" else value
+    return built[root] if kind == "fn" else root
 
 
 # ----------------------------------------------------------------------
@@ -894,9 +915,8 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         return ("stored", new_dist)
 
     if code == opcodes.CALL_LOCAL:
-        _code, fname, arg_specs, kwarg_specs, out_id = op[:5]
-        out_dist = op[5] if len(op) > 5 else None
-        fn = state.registry[fname]
+        _code, fn_spec, arg_specs, kwarg_specs, out_id, out_dist = op
+        fn = _unship_function(fn_spec)
         args = []
         first_dist = None
         for spec in arg_specs:
@@ -924,11 +944,11 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         return ("value", result)
 
     if code == opcodes.TRANSFORM:
-        # apply a registered record-wise transform; the local length may
+        # apply a shipped record-wise transform; the local length may
         # change (filter), so the driver fixes the distribution afterwards
-        _code, src_id, dst_id, fname = op
+        _code, src_id, dst_id, fn_spec = op
         local, _dist = state.get(src_id)
-        fn = state.registry[fname]
+        fn = _unship_function(fn_spec)
         result = np.asarray(fn(local))
         state.arrays[dst_id] = (result, None)
         return (int(result.shape[0]), result.dtype.str
@@ -951,11 +971,6 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         out = _group_aggregate(state, local, key_field, agg_field, agg_op)
         state.arrays[dst_id] = (out, None)
         return (int(len(out)), out.dtype.descr)
-
-    if code == opcodes.REGISTER_LOCAL:
-        _code, name, spec = op
-        state.registry[name] = _unship_function(spec)
-        return None
 
     if code == opcodes.CHAOS_INSTALL:
         from ..chaos.core import ENGINE, FaultPlan

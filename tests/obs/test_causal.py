@@ -6,6 +6,8 @@ carry the same op_id -- including batched epochs (fire-and-forget ops)
 and post-shrink recovery replays.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestDriverWorkerAgreement:
             # not the flush that delivered it
             assert any(f"op_id {issued_before + 1}" in n for n in notes)
 
-    def test_recovery_replay_ids_stay_consistent(self, tracer):
+    def test_recovery_replay_ids_stay_consistent(self, tracer, tmp_path):
         """After a crash + shrink + replay, the retried op's spans agree
         under the *fresh* broadcast id (replays re-broadcast through
         _bcast, so driver and survivors stay in lockstep)."""
@@ -120,12 +122,12 @@ class TestDriverWorkerAgreement:
         try:
             src = np.arange(30.0)
             z = odin.array(src) * 2.0 + 1.0
-            killed = []
+            killed = tmp_path / "killed"
 
             @odin.local
             def boom(a):
-                if not killed and odin.worker_index() == 1:
-                    killed.append(1)
+                if odin.worker_index() == 1 and not os.path.exists(killed):
+                    open(killed, "x").close()
                     raise InjectedFault(2, 0, "causal-audit crash")
                 return a * 1.0
 

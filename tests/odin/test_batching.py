@@ -7,6 +7,7 @@ the next synchronizing op or explicit flush().
 """
 
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -199,21 +200,20 @@ class TestWireSchedule:
             assert status["epoch_id"] == gathers
 
     @pytest.mark.parametrize("batch", [True, False])
-    def test_logged_scatter_replays_after_crash(self, batch):
+    def test_logged_scatter_replays_after_crash(self, batch, tmp_path):
         """A crash after a scatter: recovery re-sends the pinned copy of
-        the scattered data onto the shrunk pool (thread workers: the
-        crash closure's state must be shared with the driver)."""
+        the scattered data onto the shrunk pool (the crash-once marker
+        is a file, so both backends' workers see it)."""
         src = np.linspace(-1.0, 1.0, 37)
-        with OdinContext(3, batch=batch, recover=True,
-                         backend="thread") as ctx:
+        with OdinContext(3, batch=batch, recover=True) as ctx:
             x = odin.array(src, ctx=ctx)
             y = odin.sin(x) * 3.0
-            killed = []
+            killed = tmp_path / "killed"
 
             @odin.local
             def crash_once(a):
-                if not killed and odin.worker_index() == 1:
-                    killed.append(1)
+                if odin.worker_index() == 1 and not os.path.exists(killed):
+                    open(killed, "x").close()
                     raise InjectedFault(2, 0, "scatter replay crash")
                 return a * 1.0
 

@@ -9,6 +9,7 @@ one per op, and the control loop costs a few messages per sync.
 """
 
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -42,17 +43,17 @@ class TestOperandSnapshot:
             assert np.array_equal(b.gather(), expect_b)
             assert np.array_equal(c.gather(), expect_c)
 
-    def test_replay_after_crash_uses_issue_time_operands(self):
+    def test_replay_after_crash_uses_issue_time_operands(self, tmp_path):
         """The op-log keeps the snapshot too: a recovery replay after the
         caller mutated the operand recomputes the issue-time values."""
-        with OdinContext(3, recover=True, backend="thread") as ctx:
+        with OdinContext(3, recover=True) as ctx:
             b, c, expect_b, expect_c = _row_plus_operand(ctx)
-            killed = []
+            killed = tmp_path / "killed"
 
             @odin.local
             def crash_once(x):
-                if not killed and odin.worker_index() == 1:
-                    killed.append(1)
+                if odin.worker_index() == 1 and not os.path.exists(killed):
+                    open(killed, "x").close()
                     raise InjectedFault(2, 0, "operand replay crash")
                 return x * 1.0
 

@@ -180,7 +180,7 @@ def _layout(draw, shape, P, axis=None):
 def _plan(src, dst, w, start=0, step=1, holders=None):
     """Worker w's plan; building one never communicates."""
     state = WorkerState(index=w, comm=types.SimpleNamespace(
-        size=dst.nworkers), registry={})
+        size=dst.nworkers))
     return _build_redist_plan(state, src, dst, start, step, holders)
 
 

@@ -107,7 +107,7 @@ def test_unknown_layout_restores_as_uniform_blocks():
 
     def body(comm):
         j = comm.rank
-        state = WorkerState(index=j, comm=comm, registry={})
+        state = WorkerState(index=j, comm=comm)
         t = alive[j]
         state.checkpoints[1] = ({5: (blocks[t], None)},
                                 {5: (blocks[t - 1], None)}, (t - 1) % old_n)
