@@ -115,36 +115,37 @@ def convection_diffusion_2d(nx: int, ny: int, comm: Intracomm,
     m = _default_map(n, comm, map_)
     hx = 1.0 / (nx + 1)
     hy = 1.0 / (ny + 1)
+    # diffusion
+    diag = 2.0 / hx ** 2 + 2.0 / hy ** 2
+    west = east = -1.0 / hx ** 2
+    south = north = -1.0 / hy ** 2
+    # upwind convection
+    if conv_x >= 0:
+        diag += conv_x / hx
+        west += -conv_x / hx
+    else:
+        diag += -conv_x / hx
+        east += conv_x / hx
+    if conv_y >= 0:
+        diag += conv_y / hy
+        south += -conv_y / hy
+    else:
+        diag += -conv_y / hy
+        north += conv_y / hy
     A = CrsMatrix(m)
     for gid in m.my_gids:
         ix = int(gid) % nx
         iy = int(gid) // nx
-        # diffusion
-        diag = 2.0 / hx ** 2 + 2.0 / hy ** 2
-        west = east = -1.0 / hx ** 2
-        south = north = -1.0 / hy ** 2
-        # upwind convection
-        if conv_x >= 0:
-            diag += conv_x / hx
-            west += -conv_x / hx
-        else:
-            diag += -conv_x / hx
-            east += conv_x / hx
-        if conv_y >= 0:
-            diag += conv_y / hy
-            south += -conv_y / hy
-        else:
-            diag += -conv_y / hy
-            north += conv_y / hy
-        A.insert_global_values(gid, [gid], [diag])
-        if ix > 0:
-            A.insert_global_values(gid, [gid - 1], [west])
-        if ix < nx - 1:
-            A.insert_global_values(gid, [gid + 1], [east])
-        if iy > 0:
-            A.insert_global_values(gid, [gid - nx], [south])
-        if iy < ny - 1:
-            A.insert_global_values(gid, [gid + nx], [north])
+        # one insert per row: the stencil's entries in a fixed order
+        cols, vals = [gid], [diag]
+        for keep, col, val in ((ix > 0, gid - 1, west),
+                               (ix < nx - 1, gid + 1, east),
+                               (iy > 0, gid - nx, south),
+                               (iy < ny - 1, gid + nx, north)):
+            if keep:
+                cols.append(col)
+                vals.append(val)
+        A.insert_global_values(gid, cols, vals)
     A.fillComplete()
     return A
 

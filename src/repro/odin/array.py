@@ -43,6 +43,17 @@ class DistArray:
         # handles still die -- and enqueue their delete -- normally)
         ctx._register_handle(self)
 
+    @classmethod
+    def stored(cls, ctx: OdinContext, array_id: int, results,
+               what: str) -> "DistArray":
+        """The handle of the blocks every worker reported storing under
+        *array_id*, each status being ``("stored", dist, dtype)``: the
+        first worker's dtype is the one :meth:`gather` assembles."""
+        if {status[0] for status in results} != {"stored"}:
+            raise AssertionError(f"{what} workers failed to store blocks")
+        _tag, dist, dtype = results[0]
+        return cls(ctx, array_id, dist, dtype)
+
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
@@ -166,9 +177,7 @@ class DistArray:
         results = self.ctx.call_local(
             "__squeeze__", (("array", self.array_id),),
             {"axis": ("value", axes)}, out_id=out_id, out_dist=new_dist)
-        if {tag for tag, _p in results} != {"stored"}:
-            raise AssertionError("squeeze workers failed to store blocks")
-        return DistArray(self.ctx, out_id, new_dist, self.dtype)
+        return DistArray.stored(self.ctx, out_id, results, "squeeze")
 
     def __setitem__(self, key, value) -> None:
         key = self._normalize_key(key)

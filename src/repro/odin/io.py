@@ -152,6 +152,4 @@ def load_shared(path: str, shape, dtype=np.float64,
         (("value", path), ("value", dist),
          ("value", np.dtype(dtype).str)), {}, out_id=out_id,
         out_dist=dist)
-    if {tag for tag, _p in results} != {"stored"}:
-        raise AssertionError("shared read failed to store blocks")
-    return DistArray(ctx, out_id, dist, np.dtype(dtype))
+    return DistArray.stored(ctx, out_id, results, "shared read")

@@ -59,10 +59,7 @@ def matmul(a: DistArray, b: DistArray) -> DistArray:
         "__odin_matmul__",
         (("array", a.array_id), ("array", b.array_id),
          ("value", b.dist)), {}, out_id=out_id, out_dist=out_dist)
-    if {tag for tag, _p in results} != {"stored"}:
-        raise AssertionError("matmul workers failed to store result blocks")
-    dtype = np.result_type(a.dtype, b.dtype)
-    return DistArray(a.ctx, out_id, out_dist, dtype)
+    return DistArray.stored(a.ctx, out_id, results, "matmul")
 
 
 def _concat_kernel(*block_ids_and_axis):
@@ -116,11 +113,8 @@ def concatenate(arrays, axis: int = 0) -> DistArray:
         (("value", axis),)
     results = ctx.call_local("__odin_concat__", specs, {},
                              out_id=out_id, out_dist=out_dist)
-    if {tag for tag, _p in results} != {"stored"}:
-        raise AssertionError("concatenate failed to store result blocks")
-    dtype = np.result_type(*(a.dtype for a in arrays))
     del keepalive
-    return DistArray(ctx, out_id, out_dist, dtype)
+    return DistArray.stored(ctx, out_id, results, "concatenate")
 
 
 def dot(a: DistArray, b: DistArray):

@@ -27,7 +27,7 @@ import functools
 from typing import Callable, Optional
 
 from .array import DistArray
-from .context import OdinContext, get_context, local_registry
+from .context import get_context, local_registry
 
 __all__ = ["local", "LocalFunction"]
 
@@ -63,23 +63,11 @@ class LocalFunction:
         out_id = ctx.new_array_id()
         results = ctx.call_local(self.name, tuple(arg_specs), kwarg_specs,
                                  out_id=out_id)
-        tags = {tag for tag, _p in results}
-        if tags == {"stored"}:
+        if {status[0] for status in results} == {"stored"}:
             # every worker produced a conforming local block: the result is
             # a new distributed array (the paper's hypot example)
-            dist = results[0][1]
-            dtype = self._probe_dtype(ctx, out_id)
-            return DistArray(ctx, out_id, dist, dtype)
-        return [payload for _tag, payload in results]
-
-    @staticmethod
-    def _probe_dtype(ctx: OdinContext, array_id: int):
-        from . import opcodes
-        pieces = ctx.run(opcodes.GATHER, array_id)
-        for _dist, block in pieces:
-            if block.size:
-                return block.dtype
-        return pieces[0][1].dtype
+            return DistArray.stored(ctx, out_id, results, self.name)
+        return [status[1] for status in results]
 
     def local_call(self, *args, **kwargs):
         """Run the underlying function directly (driver-side, serial)."""

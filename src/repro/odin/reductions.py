@@ -49,10 +49,7 @@ def reduce_array(a: DistArray, op_name: str,
     # local-axis reduction: stays distributed
     out_id = a.ctx.new_array_id()
     results = a.ctx.run(opcodes.REDUCE, a.array_id, op_name, axis, out_id)
-    tag, new_dist = results[0]
-    if tag != "stored":
-        raise AssertionError("inconsistent reduction paths")
-    return DistArray(a.ctx, out_id, new_dist, a.dtype)
+    return DistArray.stored(a.ctx, out_id, results, "reduction")
 
 
 def _reduce_grid(a: DistArray, op_name: str, axis: int) -> np.ndarray:

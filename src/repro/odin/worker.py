@@ -912,7 +912,7 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
         new_dist = same_scheme(dist, new_shape, new_axis)
         out_id = op[4]
         state.arrays[out_id] = (reduced, new_dist)
-        return ("stored", new_dist)
+        return ("stored", new_dist, reduced.dtype)
 
     if code == opcodes.CALL_LOCAL:
         _code, fn_spec, arg_specs, kwarg_specs, out_id, out_dist = op
@@ -940,7 +940,7 @@ def _execute_op_impl(state: WorkerState, op: tuple) -> Any:
                 target is not None and \
                 result.shape == target.local_shape(state.index):
             state.arrays[out_id] = (result, target)
-            return ("stored", target)
+            return ("stored", target, result.dtype)
         return ("value", result)
 
     if code == opcodes.TRANSFORM:

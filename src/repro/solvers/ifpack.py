@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..seamless import jit
 from ..teuchos import ParameterList
 from ..tpetra import CrsMatrix, Map, Operator, Vector
 from ..tpetra.import_export import CombineMode, Import
@@ -35,6 +36,85 @@ def _local_diag_block(A: CrsMatrix) -> sp.csr_matrix:
     """
     n = A.num_my_rows
     return A.local_matrix[:, :n].tocsr()
+
+
+def _csr_arrays(block: sp.csr_matrix):
+    """The kernels' view of a local block: int64 ``indptr`` and
+    ``indices`` (columns sorted within each row, duplicates summed), each
+    row's diagonal position -- its first entry at or right of the
+    diagonal -- and the values."""
+    block.sum_duplicates()
+    indptr = block.indptr.astype(np.int64)
+    lower = sp.tril(block, k=-1, format="csr")
+    return (indptr, block.indices.astype(np.int64),
+            indptr[:-1] + np.diff(lower.indptr), block.data)
+
+
+#: an empty pivot array: the substitution skips that triangle
+_SKIP = np.empty(0)
+
+
+@jit
+def _ilu0_ikj(indptr, indices, diag, lu, pos):
+    """Saad's IKJ ILU(0) in place on the CSR values *lu*; *pos* is a
+    -1-filled int64 work array, one slot per column.  Returns the first
+    row whose pivot is zero or absent, or -1."""
+    for i in range(len(diag)):
+        for p in range(indptr[i], indptr[i + 1]):
+            pos[indices[p]] = p
+        for p in range(indptr[i], diag[i]):
+            k = indices[p]
+            f = lu[p] / lu[diag[k]]
+            lu[p] = f
+            for q in range(diag[k] + 1, indptr[k + 1]):
+                t = pos[indices[q]]
+                if t >= 0:
+                    lu[t] = lu[t] - f * lu[q]
+        for p in range(indptr[i], indptr[i + 1]):
+            pos[indices[p]] = -1
+        d = diag[i]
+        if d == indptr[i + 1] or indices[d] != i or lu[d] == 0:
+            return i
+    return -1
+
+
+@jit
+def _substitute(indptr, indices, diag, data, lower, upper, x, y):
+    """y = U^-1 L^-1 x, where L is the strict lower triangle of the CSR
+    block plus diag(*lower*) and U its strict upper triangle plus
+    diag(*upper*); an empty pivot array skips its triangle."""
+    n = len(x)
+    for i in range(n):
+        s = x[i]
+        if len(lower) > 0:
+            for p in range(indptr[i], diag[i]):
+                s -= data[p] * y[indices[p]]
+            s = s / lower[i]
+        y[i] = s
+    if len(upper) > 0:
+        for i in range(n - 1, -1, -1):
+            s = y[i]
+            for p in range(diag[i] + 1, indptr[i + 1]):
+                s -= data[p] * y[indices[p]]
+            y[i] = s / upper[i]
+
+
+@jit
+def _substitute_t(indptr, indices, diag, data, lower, upper, x, y):
+    """y = L^-T U^-T x for the L and U of :func:`_substitute`, both
+    pivot arrays given: the same rows swept as columns, U^T forward and
+    then L^T backward."""
+    n = len(x)
+    for i in range(n):
+        y[i] = x[i]
+    for i in range(n):
+        y[i] = y[i] / upper[i]
+        for p in range(diag[i] + 1, indptr[i + 1]):
+            y[indices[p]] -= data[p] * y[i]
+    for i in range(n - 1, -1, -1):
+        y[i] = y[i] / lower[i]
+        for p in range(indptr[i], diag[i]):
+            y[indices[p]] -= data[p] * y[i]
 
 
 class Preconditioner(Operator):
@@ -88,10 +168,10 @@ class Jacobi(Preconditioner):
 class GaussSeidel(Preconditioner):
     """Processor-local Gauss-Seidel sweeps (block-Jacobi across ranks).
 
-    The sweep's triangle (lower, or upper when *backward*) is analysed
-    once here, so each sweep is one sparse substitution.  A zero on the
-    local diagonal raises ``ZeroDivisionError`` at construction; there is
-    no transpose sweep (``trans=True`` raises ``NotImplementedError``).
+    Each sweep is one forward (or, when *backward*, backward)
+    substitution over the local block's CSR arrays.  A zero on the local
+    diagonal raises ``ZeroDivisionError`` at construction; there is no
+    transpose sweep (``trans=True`` raises ``NotImplementedError``).
     """
 
     def __init__(self, A: CrsMatrix, sweeps: int = 1, damping: float = 1.0,
@@ -100,83 +180,51 @@ class GaussSeidel(Preconditioner):
         self.sweeps = sweeps
         self.damping = damping
         self.backward = backward
-        block = _local_diag_block(A)
-        if np.any(block.diagonal() == 0):
+        self._block = _local_diag_block(A)
+        self._csr = _csr_arrays(self._block)
+        d = self._block.diagonal()
+        if np.any(d == 0):
             raise ZeroDivisionError(
-                "GaussSeidel preconditioner: zero diagonal")
-        tri = sp.triu(block, k=0) if backward else sp.tril(block, k=0)
-        self._tri = _triangular_solver(tri)
-        self._block = block
+                f"{type(self).__name__} preconditioner: zero diagonal")
+        # (lower, upper) pivots of each substitution in one sweep
+        self._passes = [(_SKIP, d) if backward else (d, _SKIP)]
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
-        _no_transpose("GaussSeidel", trans)
+        if trans:
+            raise NotImplementedError(
+                f"{type(self).__name__} preconditioner: no transpose sweep")
         y.putScalar(0.0)
-        if self._tri is None:
-            return
         yl = y.local_view
+        dy = np.empty_like(yl)
         for _ in range(self.sweeps):
-            r = x.local_view - self._block @ yl
-            yl += self.damping * self._tri.solve(r)
+            for lower, upper in self._passes:
+                r = x.local_view - self._block @ yl
+                _substitute(*self._csr, lower, upper, r, dy)
+                yl += self.damping * dy
 
 
-class SymmetricGaussSeidel(Preconditioner):
+class SymmetricGaussSeidel(GaussSeidel):
     """Forward sweep followed by backward sweep, processor-local."""
 
     def __init__(self, A: CrsMatrix, sweeps: int = 1, damping: float = 1.0):
-        super().__init__(A)
-        self._fwd = GaussSeidel(A, sweeps=1, damping=damping)
-        self._bwd = GaussSeidel(A, sweeps=1, damping=damping, backward=True)
-        self.sweeps = sweeps
-        self._block = self._fwd._block
-
-    def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
-        _no_transpose("SymmetricGaussSeidel", trans)
-        y.putScalar(0.0)
-        if self._block.shape[0] == 0:
-            return
-        tmp = Vector(x.map, dtype=x.dtype)
-        r = Vector(x.map, dtype=x.dtype)
-        for _ in range(self.sweeps):
-            r.local_view[...] = x.local_view - self._block @ y.local_view
-            self._fwd.apply(r, tmp)
-            y.local_view += tmp.local_view
-            r.local_view[...] = x.local_view - self._block @ y.local_view
-            self._bwd.apply(r, tmp)
-            y.local_view += tmp.local_view
+        super().__init__(A, sweeps=sweeps, damping=damping)
+        d = self._block.diagonal()
+        self._passes = [(d, _SKIP), (_SKIP, d)]
 
 
-class SOR(Preconditioner):
-    """Successive over-relaxation, processor-local.
-
-    The sweep matrix ``D/omega + L`` is analysed once here; a zero local
-    diagonal raises ``ZeroDivisionError`` and ``trans=True`` raises
+class SOR(GaussSeidel):
+    """Successive over-relaxation, processor-local: a forward sweep whose
+    pivots are ``D/omega``.  A zero local diagonal raises
+    ``ZeroDivisionError`` and ``trans=True`` raises
     ``NotImplementedError``.
     """
 
     def __init__(self, A: CrsMatrix, omega: float = 1.2, sweeps: int = 1):
-        super().__init__(A)
         if not 0 < omega < 2:
             raise ValueError("SOR requires 0 < omega < 2")
+        super().__init__(A, sweeps=sweeps)
         self.omega = omega
-        self.sweeps = sweeps
-        block = _local_diag_block(A)
-        self._block = block
-        d = block.diagonal()
-        if np.any(d == 0):
-            raise ZeroDivisionError("SOR preconditioner: zero diagonal")
-        # M = (D/omega + L); solve M dy = r each sweep
-        self._m = _triangular_solver(sp.diags(d / omega)
-                                     + sp.tril(block, k=-1))
-
-    def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
-        _no_transpose("SOR", trans)
-        y.putScalar(0.0)
-        if self._m is None:
-            return
-        yl = y.local_view
-        for _ in range(self.sweeps):
-            r = x.local_view - self._block @ yl
-            yl += self._m.solve(r)
+        self._passes = [(self._block.diagonal() / omega, _SKIP)]
 
 
 class Chebyshev(Preconditioner):
@@ -243,81 +291,31 @@ class Chebyshev(Preconditioner):
 class ILU0(Preconditioner):
     """Zero-fill incomplete LU on the processor-local diagonal block.
 
-    ``compute()`` factors the block and analyses both triangles once, so
-    ``apply`` is one forward and one backward substitution
-    (``trans=True`` runs the transposed pair, giving M^-T).  A zero pivot
-    raises ``ZeroDivisionError`` naming its local row.
+    ``compute()`` factors a copy of the block's values in place, so
+    ``apply`` is one forward (unit L) and one backward (U) substitution
+    over the same CSR arrays (``trans=True`` runs the transposed pair,
+    giving M^-T).  A zero pivot raises ``ZeroDivisionError`` naming its
+    local row.
     """
 
     def __init__(self, A: CrsMatrix):
         super().__init__(A)
-        self._lu = None
         self.compute()
 
     def compute(self) -> "ILU0":
-        lower, upper = _ilu0_factor(_local_diag_block(self.A))
-        self._lu = (_triangular_solver(lower), _triangular_solver(upper))
+        indptr, indices, diag, lu = _csr_arrays(_local_diag_block(self.A))
+        n = len(diag)
+        row = _ilu0_ikj(indptr, indices, diag, lu, np.full(n, -1))
+        if row >= 0:
+            raise ZeroDivisionError(
+                f"ILU0 preconditioner: zero pivot in local row {row}")
+        self._csr = (indptr, indices, diag, lu)
+        self._pivots = (np.ones(n), lu[diag])
         return self
 
     def apply(self, x: Vector, y: Vector, trans: bool = False) -> None:
-        lower, upper = self._lu
-        if lower is None:
-            return
-        if trans:
-            y.local_view[...] = lower.solve(
-                upper.solve(x.local_view, trans="T"), trans="T")
-        else:
-            y.local_view[...] = upper.solve(lower.solve(x.local_view))
-
-
-def _triangular_solver(tri: sp.spmatrix):
-    """Analyse a square triangle once; ``None`` for an empty block.
-
-    SuperLU with the natural column order, no row pivoting and a
-    symmetric-mode elimination tree factors a triangle into itself: no
-    fill, and ``solve`` is a single sparse substitution with no per-call
-    format checks.
-    """
-    if tri.shape[0] == 0:
-        return None
-    return spla.splu(sp.csc_matrix(tri), permc_spec="NATURAL",
-                     diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-
-
-def _no_transpose(name: str, trans: bool) -> None:
-    if trans:
-        raise NotImplementedError(f"{name} preconditioner: no transpose sweep")
-
-
-def _ilu0_factor(block: sp.csr_matrix):
-    """IKJ-variant ILU(0) keeping the original sparsity pattern."""
-    n = block.shape[0]
-    lu = block.copy().tolil()
-    rows = [dict(zip(lu.rows[i], lu.data[i])) for i in range(n)]
-    for i in range(n):
-        row_i = rows[i]
-        for k in sorted(c for c in row_i if c < i):
-            factor = row_i[k] / rows[k][k]
-            row_i[k] = factor
-            for j, akj in rows[k].items():
-                if j > k and j in row_i:
-                    row_i[j] -= factor * akj
-        if row_i.get(i, 0) == 0:
-            raise ZeroDivisionError(
-                f"ILU0 preconditioner: zero pivot in local row {i}")
-    data, indices, indptr = [], [], [0]
-    for i in range(n):
-        cols = sorted(rows[i])
-        indices.extend(cols)
-        data.extend(rows[i][c] for c in cols)
-        indptr.append(len(indices))
-    csr = sp.csr_matrix((np.asarray(data), np.asarray(indices),
-                         np.asarray(indptr)), shape=(n, n))
-    lower = sp.tril(csr, k=-1).tocsr()
-    lower.setdiag(1.0)
-    upper = sp.triu(csr, k=0).tocsr()
-    return lower.tocsr(), upper
+        kernel = _substitute_t if trans else _substitute
+        kernel(*self._csr, *self._pivots, x.local_view, y.local_view)
 
 
 class ILUT(Preconditioner):
@@ -472,7 +470,8 @@ def create_preconditioner(name: str, A: CrsMatrix,
         return GaussSeidel(A, sweeps=int(params.get("Sweeps", 1)),
                            damping=float(params.get("Damping", 1.0)))
     if key in ("sgs", "symmetric-gauss-seidel"):
-        return SymmetricGaussSeidel(A, sweeps=int(params.get("Sweeps", 1)))
+        return SymmetricGaussSeidel(A, sweeps=int(params.get("Sweeps", 1)),
+                                    damping=float(params.get("Damping", 1.0)))
     if key == "sor":
         return SOR(A, omega=float(params.get("Omega", 1.2)),
                    sweeps=int(params.get("Sweeps", 1)))

@@ -87,6 +87,36 @@ class TestLocalFunctions:
         assert odin.local_registry["custom.name"] is fn.fn
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestStoredDtype:
+    """A stored result's handle takes the dtype its workers report."""
+
+    def test_local_call_does_not_gather_its_result(self, backend):
+        def driver_bytes_recvd(ctx, n):
+            x = odin.array(np.arange(float(n)), ctx=ctx)
+            settle_counters(ctx)
+            out = _scaled(x)
+            assert isinstance(out, odin.DistArray)
+            assert out.dtype == np.float64
+            return ctx.world.counters[0].snapshot().bytes_recvd
+
+        with OdinContext(2, backend=backend) as ctx:
+            small = driver_bytes_recvd(ctx, 1_000)
+            big = driver_bytes_recvd(ctx, 1_000_000)
+        # the statuses differ only in the pickled global shape
+        assert abs(big - small) < 64, (small, big)
+
+    @pytest.mark.parametrize("op", ["any", "all", "sum"])
+    def test_local_axis_reduction_handle_dtype(self, backend, op):
+        floats = np.arange(12.0).reshape(6, 2)
+        with OdinContext(2, backend=backend) as ctx:
+            for data in (floats, floats % 3 == 0):
+                out = getattr(odin.array(data, ctx=ctx), op)(axis=1)
+                want = getattr(data, op)(axis=1)
+                assert out.dtype == out.gather().dtype == want.dtype
+                assert np.array_equal(out.gather(), want)
+
+
 class TestContextLifecycle:
     def test_explicit_context(self):
         ctx = OdinContext(2)

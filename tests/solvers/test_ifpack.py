@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from repro import galeri, mpi, solvers, tpetra
-from repro.solvers.ifpack import _ilu0_factor, _local_diag_block
+from repro.seamless import backend_c, compiler_available
+from repro.seamless.jit import JitDispatcher
+from repro.solvers import ifpack
+from repro.solvers.ifpack import _local_diag_block
 from repro.teuchos import ParameterList
 from tests.conftest import spmd
 
@@ -175,7 +179,7 @@ class TestApplication:
 def _from_dense(comm, dense):
     n = dense.shape[0]
     m = tpetra.Map.create_contiguous(n, comm)
-    A = tpetra.CrsMatrix(m)
+    A = tpetra.CrsMatrix(m, dtype=dense.dtype)
     for gid in m.my_gids:
         cols = np.flatnonzero(dense[gid])
         A.insert_global_values(int(gid), cols, dense[gid, cols])
@@ -183,25 +187,49 @@ def _from_dense(comm, dense):
     return A
 
 
-def _random_nonsymmetric(n=60, seed=3):
+def _random_nonsymmetric(n=60, seed=3, dtype=float):
     """Sparse, nonsymmetric, diagonally dominant: ILU(0) is well defined."""
     rng = np.random.default_rng(seed)
-    dense = np.where(rng.random((n, n)) < 0.15,
-                     rng.standard_normal((n, n)), 0.0)
+    values = rng.standard_normal((n, n)).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        values += 1j * rng.standard_normal((n, n))
+    dense = np.where(rng.random((n, n)) < 0.15, values, 0.0)
     np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
     return dense
 
 
+def _dense_ilu0(block):
+    """ILU(0) oracle: IKJ elimination on the dense block that updates
+    only the entries of its sparsity pattern; returns (unit L, U)."""
+    lu = block.copy()
+    pattern = block != 0
+    n = len(lu)
+    for i in range(n):
+        for k in np.flatnonzero(pattern[i, :i]):
+            lu[i, k] /= lu[k, k]
+            cols = k + 1 + np.flatnonzero(pattern[i, k + 1:])
+            lu[i, cols] -= lu[i, k] * lu[k, cols]
+    return np.tril(lu, -1) + np.eye(n), np.triu(lu)
+
+
+def _factor_dense(prec):
+    """The unit L and the U an ILU0 holds, as dense arrays."""
+    indptr, indices, _diag, lu = prec._csr
+    n = len(indptr) - 1
+    csr = sp.csr_matrix((lu, indices, indptr), shape=(n, n)).toarray()
+    return np.tril(csr, -1) + np.eye(n), np.triu(csr)
+
+
 class TestAnalysedTriangles:
-    """ILU(0), Gauss-Seidel and SOR analyse their triangles once."""
+    """ILU(0), Gauss-Seidel and SOR run Seamless kernels over the local
+    block's CSR arrays."""
 
     def test_ilu0_matches_dense_triangular_solves(self):
         dense = _random_nonsymmetric()
 
         def body(comm):
             A = _from_dense(comm, dense)
-            lower, upper = (t.toarray() for t in
-                            _ilu0_factor(_local_diag_block(A)))
+            lower, upper = _dense_ilu0(_local_diag_block(A).toarray())
             x = tpetra.Vector(A.row_map)
             x.randomize(seed=4)
             y = tpetra.Vector(A.row_map)
@@ -212,16 +240,27 @@ class TestAnalysedTriangles:
             return np.abs(y.local_view - ref).max() / np.abs(ref).max()
         assert max(spmd(2)(body)) < 1e-12
 
+    def test_ilu0_factor_is_the_dense_ikj(self):
+        """The CSR factor is the dense oracle's, bit for bit."""
+        def body(comm):
+            A = galeri.convection_diffusion_2d(12, 12, comm, conv_x=20.0,
+                                               conv_y=10.0)
+            want = _dense_ilu0(_local_diag_block(A).toarray())
+            got = _factor_dense(solvers.ILU0(A))
+            return all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(spmd(2)(body))
+
     def test_ilu0_handles_add_no_fill(self):
+        """L's strict lower and U's entries are exactly the block's."""
         def body(comm):
             A = galeri.convection_diffusion_2d(16, 16, comm)
-            triangles = _ilu0_factor(_local_diag_block(A))
-            n = A.num_my_rows
-            return [(h.L.nnz + h.U.nnz, t.nnz + n)
-                    for h, t in zip(solvers.ILU0(A)._lu, triangles)]
-        for pairs in spmd(2)(body):
-            for got, want in pairs:
-                assert got == want
+            pattern = _local_diag_block(A).toarray() != 0
+            lower, upper = _factor_dense(solvers.ILU0(A))
+            return (np.array_equal(np.tril(lower, -1) != 0,
+                                   np.tril(pattern, -1)),
+                    np.array_equal(upper != 0, np.triu(pattern)))
+        for same in spmd(2)(body):
+            assert same == (True, True)
 
     def test_rank_with_zero_rows_is_a_noop(self):
         def body(comm):
@@ -274,6 +313,65 @@ class TestAnalysedTriangles:
             assert gap > 1e-6   # nonsymmetric A: M^-T really differs
 
     @pytest.mark.parametrize("factory", [
+        solvers.ILU0, solvers.GaussSeidel, solvers.SymmetricGaussSeidel,
+        lambda A: solvers.GaussSeidel(A, sweeps=2, damping=0.7,
+                                      backward=True),
+        lambda A: solvers.SOR(A, omega=1.3, sweeps=2)],
+        ids=["ILU0", "GS", "SGS", "GS-backward", "SOR"])
+    def test_python_source_matches_compiled(self, factory, monkeypatch):
+        """Without a compiler the kernels run as the Python they are."""
+        def body(comm):
+            A = galeri.convection_diffusion_2d(10, 10, comm, conv_x=20.0)
+            prec = factory(A)
+            x = tpetra.Vector(A.row_map)
+            x.randomize(seed=7)
+            out = []
+            for trans in (False, True) if factory is solvers.ILU0 else \
+                    (False,):
+                y = tpetra.Vector(A.row_map)
+                prec.apply(x, y, trans=trans)
+                out.append(y.local_view.copy())
+            return out, ifpack._substitute.last_fallback_reason
+        compiled = spmd(2)(body)
+        monkeypatch.setattr(backend_c, "_cc_checked", True)
+        monkeypatch.setattr(backend_c, "_cc_path", None)
+        kernels = [k for k in vars(ifpack).values()
+                   if isinstance(k, JitDispatcher)]
+        for kernel in kernels:
+            monkeypatch.setattr(kernel, "_last", None)
+        assert not compiler_available() and len(kernels) == 3
+        for (want, _r), (got, reason) in zip(compiled, spmd(2)(body)):
+            assert reason == "no C compiler available"
+            for w, g in zip(want, got):
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+    def test_complex_block_factors_and_applies(self):
+        dense = _random_nonsymmetric(n=40, seed=8, dtype=complex)
+        lower, upper = _dense_ilu0(dense)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        want = {False: sla.solve_triangular(
+                    upper, sla.solve_triangular(lower, x, lower=True,
+                                                unit_diagonal=True)),
+                True: sla.solve_triangular(
+                    lower.T, sla.solve_triangular(upper.T, x, lower=True),
+                    unit_diagonal=True)}
+
+        def body(comm):
+            A = _from_dense(comm, dense)
+            prec = solvers.ILU0(A)
+            xv = tpetra.Vector(A.row_map, dtype=complex)
+            xv.local_view[...] = x
+            errs = []
+            for trans, ref in want.items():
+                y = tpetra.Vector(A.row_map, dtype=complex)
+                prec.apply(xv, y, trans=trans)
+                errs.append(np.abs(y.local_view - ref).max()
+                            / np.abs(ref).max())
+            return max(errs)
+        assert spmd(1)(body)[0] < 1e-12
+
+    @pytest.mark.parametrize("factory", [
         solvers.GaussSeidel, solvers.SymmetricGaussSeidel, solvers.SOR])
     def test_sweeps_refuse_transpose(self, factory):
         def body(comm):
@@ -298,10 +396,11 @@ class TestFactory:
     def test_params_passed_through(self):
         def body(comm):
             A, _b, _x = _poisson(comm, nx=6, ny=6)
-            params = ParameterList().set("Sweeps", 3)
-            prec = solvers.create_preconditioner("Jacobi", A, params)
-            return prec.sweeps
-        assert spmd(1)(body)[0] == 3
+            params = ParameterList().set("Sweeps", 3).set("Damping", 0.6)
+            return [(prec.sweeps, prec.damping) for prec in
+                    (solvers.create_preconditioner(name, A, params)
+                     for name in ("Jacobi", "Gauss-Seidel", "SGS"))]
+        assert spmd(1)(body)[0] == [(3, 0.6)] * 3
 
     def test_unknown_name(self):
         def body(comm):
