@@ -27,17 +27,25 @@ def _default_map(n: int, comm: Intracomm, map_: Optional[Map]) -> Map:
     return Map.create_contiguous(n, comm)
 
 
+def _insert_stencil(A: CrsMatrix, gid, center: float, entries) -> None:
+    """One insert for row *gid*: the diagonal, then every ``(keep, col,
+    val)`` of *entries* that is kept, in order."""
+    cols, vals = [gid], [center]
+    for keep, col, val in entries:
+        if keep:
+            cols.append(col)
+            vals.append(val)
+    A.insert_global_values(gid, cols, vals)
+
+
 def tridiag(n: int, comm: Intracomm, a: float = 2.0, b: float = -1.0,
             c: float = -1.0, map_: Optional[Map] = None) -> CrsMatrix:
     """Tridiagonal [c, a, b] matrix."""
     m = _default_map(n, comm, map_)
     A = CrsMatrix(m)
     for gid in m.my_gids:
-        A.insert_global_values(gid, [gid], [a])
-        if gid > 0:
-            A.insert_global_values(gid, [gid - 1], [c])
-        if gid < n - 1:
-            A.insert_global_values(gid, [gid + 1], [b])
+        _insert_stencil(A, gid, a, ((gid > 0, gid - 1, c),
+                                    (gid < n - 1, gid + 1, b)))
     A.fillComplete()
     return A
 
@@ -61,15 +69,10 @@ def laplace_2d(nx: int, ny: int, comm: Intracomm,
     for gid in m.my_gids:
         ix = int(gid) % nx
         iy = int(gid) // nx
-        A.insert_global_values(gid, [gid], [4.0])
-        if ix > 0:
-            A.insert_global_values(gid, [gid - 1], [-1.0])
-        if ix < nx - 1:
-            A.insert_global_values(gid, [gid + 1], [-1.0])
-        if iy > 0:
-            A.insert_global_values(gid, [gid - nx], [-1.0])
-        if iy < ny - 1:
-            A.insert_global_values(gid, [gid + nx], [-1.0])
+        _insert_stencil(A, gid, 4.0, ((ix > 0, gid - 1, -1.0),
+                                      (ix < nx - 1, gid + 1, -1.0),
+                                      (iy > 0, gid - nx, -1.0),
+                                      (iy < ny - 1, gid + nx, -1.0)))
     A.fillComplete()
     return A
 
@@ -86,19 +89,12 @@ def laplace_3d(nx: int, ny: int, nz: int, comm: Intracomm,
         ix = g % nx
         iy = (g // nx) % ny
         iz = g // nxy
-        A.insert_global_values(gid, [gid], [6.0])
-        if ix > 0:
-            A.insert_global_values(gid, [gid - 1], [-1.0])
-        if ix < nx - 1:
-            A.insert_global_values(gid, [gid + 1], [-1.0])
-        if iy > 0:
-            A.insert_global_values(gid, [gid - nx], [-1.0])
-        if iy < ny - 1:
-            A.insert_global_values(gid, [gid + nx], [-1.0])
-        if iz > 0:
-            A.insert_global_values(gid, [gid - nxy], [-1.0])
-        if iz < nz - 1:
-            A.insert_global_values(gid, [gid + nxy], [-1.0])
+        _insert_stencil(A, gid, 6.0, ((ix > 0, gid - 1, -1.0),
+                                      (ix < nx - 1, gid + 1, -1.0),
+                                      (iy > 0, gid - nx, -1.0),
+                                      (iy < ny - 1, gid + nx, -1.0),
+                                      (iz > 0, gid - nxy, -1.0),
+                                      (iz < nz - 1, gid + nxy, -1.0)))
     A.fillComplete()
     return A
 
@@ -136,16 +132,10 @@ def convection_diffusion_2d(nx: int, ny: int, comm: Intracomm,
     for gid in m.my_gids:
         ix = int(gid) % nx
         iy = int(gid) // nx
-        # one insert per row: the stencil's entries in a fixed order
-        cols, vals = [gid], [diag]
-        for keep, col, val in ((ix > 0, gid - 1, west),
-                               (ix < nx - 1, gid + 1, east),
-                               (iy > 0, gid - nx, south),
-                               (iy < ny - 1, gid + nx, north)):
-            if keep:
-                cols.append(col)
-                vals.append(val)
-        A.insert_global_values(gid, cols, vals)
+        _insert_stencil(A, gid, diag, ((ix > 0, gid - 1, west),
+                                       (ix < nx - 1, gid + 1, east),
+                                       (iy > 0, gid - nx, south),
+                                       (iy < ny - 1, gid + nx, north)))
     A.fillComplete()
     return A
 
@@ -164,15 +154,11 @@ def anisotropic_2d(nx: int, ny: int, comm: Intracomm,
     for gid in m.my_gids:
         ix = int(gid) % nx
         iy = int(gid) // nx
-        A.insert_global_values(gid, [gid], [2.0 + 2.0 * epsilon])
-        if ix > 0:
-            A.insert_global_values(gid, [gid - 1], [-1.0])
-        if ix < nx - 1:
-            A.insert_global_values(gid, [gid + 1], [-1.0])
-        if iy > 0:
-            A.insert_global_values(gid, [gid - nx], [-epsilon])
-        if iy < ny - 1:
-            A.insert_global_values(gid, [gid + nx], [-epsilon])
+        _insert_stencil(A, gid, 2.0 + 2.0 * epsilon,
+                        ((ix > 0, gid - 1, -1.0),
+                         (ix < nx - 1, gid + 1, -1.0),
+                         (iy > 0, gid - nx, -epsilon),
+                         (iy < ny - 1, gid + nx, -epsilon)))
     A.fillComplete()
     return A
 
@@ -182,12 +168,11 @@ def biharmonic_1d(n: int, comm: Intracomm,
     """1-D biharmonic stencil [1, -4, 6, -4, 1] (ill-conditioned SPD)."""
     m = _default_map(n, comm, map_)
     A = CrsMatrix(m)
-    stencil = {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}
+    stencil = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
     for gid in m.my_gids:
-        for off, val in stencil.items():
-            col = int(gid) + off
-            if 0 <= col < n:
-                A.insert_global_values(gid, [col], [val])
+        row = [(int(gid) + off, val) for off, val in stencil
+               if 0 <= int(gid) + off < n]
+        A.insert_global_values(gid, [c for c, _ in row], [v for _, v in row])
     A.fillComplete()
     return A
 

@@ -206,9 +206,22 @@ class _Mailbox:
                             f"message(s)\n" + world.pending_dump()
                             + (f"\nflight recorder dump: {flight}"
                                if flight else ""))
+                    if world.spins:
+                        self._spin(remaining)
+                        continue
                     self._cond.wait(timeout=min(remaining, 0.25))
         finally:
             world.clear_pending(self._rank)
+
+    def _spin(self, budget: float) -> None:
+        """Let the world poll its wire (:meth:`World._spin`) with this
+        mailbox's lock released."""
+        seen = len(self._queue)
+        self._cond.release()
+        try:
+            self._world._spin(budget, lambda: len(self._queue) != seen)
+        finally:
+            self._cond.acquire()
 
     def poll(self, ctx_id, source, tag, remove: bool) -> Optional[Message]:
         with self._cond:
@@ -231,6 +244,9 @@ class World:
     #: Whether every rank runs in the caller's interpreter (and so sees
     #: its module state, such as the chaos engine).
     shares_memory = True
+    #: Whether a blocked receive calls :meth:`_spin` before it waits;
+    #: threads deposit straight into the mailbox, so they only wait.
+    spins = False
 
     def __init__(self, nranks: int, timeout: Optional[float] = None,
                  deadline: Optional[float] = None):
@@ -286,6 +302,12 @@ class World:
         ``"decided"``.  Peers apply it with the matching ``_apply_*``
         method and never re-publish, so propagation terminates.  Threads
         share this object, so there is nobody to tell."""
+
+    def _spin(self, budget: float, arrived: Callable[[], bool]) -> None:
+        """Poll the wire for at most *budget* seconds, or until
+        ``arrived()`` (a deposit into the waiting mailbox), on behalf of
+        a blocked receive that holds no lock; clear :attr:`spins` to
+        make it wait instead."""
 
     def is_remote_rank(self, rank: int) -> bool:
         """Whether *rank*'s state lives in another process."""

@@ -36,22 +36,44 @@ a compiler every entry point degrades gracefully to interpreted Python.
 
 from .backend_c import (CompiledKernel, compile_c_source, compiler_available,
                         emit_c)
-from .cheader import CFunctionDecl, HeaderParseError, parse_header
-from .cmodule import BoundFunction, CModule
-from .cpp_export import compile_and_run_cpp, export_cpp
 from .elementwise import compile_elementwise, elementwise_c_source
 from .frontend import UnsupportedError, function_to_ir, source_to_ir
 from .infer import TypedFunction, infer
 from .jit import JitDispatcher, jit
+from .stypes import (BOOL, FLOAT64, INT64, ArrayType, SType, discover,
+                     float64_array, float64_array2d, from_annotation,
+                     int64_array, int64_array2d, promote)
+
+# the package attribute "elementwise" is vectorize's decorator (loaded
+# lazily below), not the submodule importing it just bound
+del elementwise
 
 # prange compiles to an OpenMP parallel loop; in interpreted fallbacks it
 # is plain range
 prange = range
-from .static import StaticFunction, build_module, compile_source
-from .vectorize import ElementwiseKernel, elementwise
-from .stypes import (BOOL, FLOAT64, INT64, ArrayType, SType, discover,
-                     float64_array, float64_array2d, from_annotation,
-                     int64_array, int64_array2d, promote)
+
+# the @jit path never needs these: each loads on first attribute access
+# (PEP 562), so importing a kernel's module does not import them all
+_LAZY = {
+    "CFunctionDecl": "cheader", "HeaderParseError": "cheader",
+    "parse_header": "cheader",
+    "BoundFunction": "cmodule", "CModule": "cmodule",
+    "compile_and_run_cpp": "cpp_export", "export_cpp": "cpp_export",
+    "StaticFunction": "static", "build_module": "static",
+    "compile_source": "static",
+    "ElementwiseKernel": "vectorize", "elementwise": "vectorize",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "jit", "JitDispatcher", "prange", "elementwise", "ElementwiseKernel",

@@ -194,13 +194,19 @@ class GaussSeidel(Preconditioner):
             raise NotImplementedError(
                 f"{type(self).__name__} preconditioner: no transpose sweep")
         y.putScalar(0.0)
-        yl = y.local_view
+        xl, yl = x.local_view, y.local_view
+        r = xl  # the first residual: x - A y is x while y = 0
         dy = np.empty_like(yl)
-        for _ in range(self.sweeps):
-            for lower, upper in self._passes:
-                r = x.local_view - self._block @ yl
-                _substitute(*self._csr, lower, upper, r, dy)
-                yl += self.damping * dy
+        for i in range(self.sweeps * len(self._passes)):
+            lower, upper = self._passes[i % len(self._passes)]
+            if i == 1:
+                r = np.empty_like(yl)
+            if i:
+                np.subtract(xl, self._block @ yl, out=r)
+            _substitute(*self._csr, lower, upper, r, dy)
+            if self.damping != 1.0:
+                dy *= self.damping
+            yl += dy
 
 
 class SymmetricGaussSeidel(GaussSeidel):
